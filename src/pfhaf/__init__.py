@@ -23,7 +23,7 @@ from .kernels import (
 )
 from .matrix import SquareMatrix, classify, minor
 from .report import IdentityReport
-from .scalar import QuadExt, Rat, parse_rat, quad_arith, rat_arith, render_rat
+from .scalar import QuadExt, Rat, parse_rat, render_rat
 from .structured import (
     BilinearForm,
     MoebiusMap,
@@ -35,7 +35,6 @@ from .structured import (
     cauchy_det_closed,
     fast_cauchy_hafnian,
     fast_cauchy_perm,
-    moebius_apply,
     moebius_for_form,
     schur_pf_closed,
     sqrt_disc,

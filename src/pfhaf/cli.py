@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import DegenerateFormError, PfhafError, SizeError
+from .errors import PfhafError, SizeError
 from .kernels import (
     HF_RECURSIVE_MAX,
     evaluate,
@@ -315,12 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values outgrow CPython's default 4300-digit limit on int <-> str
+    # conversion (3.10.7+); lift it so such values parse and print.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateFormError as exc:
-        print(f"error: {exc} (try --algorithm oracle)", file=sys.stderr)
-        return 1
     except PfhafError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,6 @@ class KernelResult:
     value: object
     algorithm: str
     dimension: int
-    term_count: int
 
 
 def _perm_sign(p) -> int:
@@ -103,13 +102,16 @@ def det_oracle(m: SquareMatrix):
 def det_bareiss(m: SquareMatrix):
     """Exact determinant by fraction-free (Bareiss) elimination, O(n^3).
 
-    Works over any exact field scalar (Rat or QuadExt).  Singular input
-    returns 0.
+    Works over any exact field scalar (Rat or QuadExt), and over Python
+    ints, where every division is exact and so is floor division.  Singular
+    input returns 0.
     """
     n = m.n
     if n == 0:
         return 1
     a = [list(row) for row in m.entries]
+    integral = all(isinstance(v, int) for row in a for v in row)
+    div = operator.floordiv if integral else operator.truediv
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -123,7 +125,7 @@ def det_bareiss(m: SquareMatrix):
                 return 0 * a[0][0]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+                a[i][j] = div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
@@ -347,7 +349,12 @@ def hf_recursive(m: SquareMatrix):
         memo[mask] = total
         return total
 
-    return go((1 << n) - 1)
+    # go refers to itself through its closure; deleting it breaks that
+    # cycle, so memo is freed on return, not at the next cyclic collection.
+    try:
+        return go((1 << n) - 1)
+    finally:
+        del go
 
 
 # -- dispatch --------------------------------------------------------------
@@ -382,4 +389,4 @@ def evaluate(m: SquareMatrix, functional: str, algorithm: str = "auto") -> Kerne
     else:
         raise DomainError(f"unknown algorithm {algorithm!r}")
     value = fn(m)
-    return KernelResult(value=value, algorithm=tag, dimension=m.n, term_count=0)
+    return KernelResult(value=value, algorithm=tag, dimension=m.n)

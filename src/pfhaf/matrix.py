@@ -7,7 +7,6 @@ removed; internally everything is plain 0-based tuples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -93,14 +92,6 @@ class SquareMatrix:
 
     def rows(self):
         return [list(row) for row in self.entries]
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "SquareMatrix":
-        return cls(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
 
     # -- serialization -----------------------------------------------------
 

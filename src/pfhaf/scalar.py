@@ -42,25 +42,6 @@ def render_rat(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Exact rational arithmetic with named operations.
-
-    Thin wrapper over Fraction operators; exists so callers get a
-    DomainError (not ZeroDivisionError) on division by zero.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DomainError("division by zero")
-        return a / b
-    raise DomainError(f"unknown operation {op!r}")
-
-
 def rat_is_square(r: Fraction) -> bool:
     """True iff r is the square of a rational."""
     if r < 0:
@@ -214,19 +195,6 @@ class QuadExt:
     @classmethod
     def from_json(cls, obj: dict) -> "QuadExt":
         return cls(parse_rat(obj["p"]), parse_rat(obj["q"]), parse_rat(obj["d"]))
-
-
-def quad_arith(a: QuadExt, b: QuadExt, op: str) -> QuadExt:
-    """Named-operation arithmetic in Q(sqrt(d)); mirrors rat_arith."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown operation {op!r}")
 
 
 def render_scalar(value) -> str:

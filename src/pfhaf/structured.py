@@ -280,36 +280,6 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
 # -- fast paths ------------------------------------------------------------
 
-# gmpy2's mpq is several times faster than Fraction at the bignum sizes
-# det_bareiss produces on the Cauchy matrices; fast_cauchy_perm uses it as
-# an internal representation when available.  Exactness is unaffected and
-# results come back as Fractions.  fast_cauchy_hafnian needs no such help:
-# it runs on Python ints throughout (see its docstring).
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = None
-
-
-def _accelerated(pc: PointConfig):
-    if _mpq is None:
-        return pc
-    xs = [_mpq(x) for x in pc.xs]
-    ys = [_mpq(y) for y in pc.ys] if pc.ys is not None else None
-    return PointConfig(xs, ys)
-
-
-def _accelerated_form(f: BilinearForm):
-    if _mpq is None:
-        return f
-    return BilinearForm(_mpq(f.a), _mpq(f.b), _mpq(f.c), _mpq(f.d))
-
-
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(int(value.numerator), int(value.denominator))
-
 
 def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     """Permanent of the Cauchy-type matrix 1/f(x_i, y_j) in O(n^3) ops.
@@ -322,9 +292,8 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
-    fast_pc, fast_f = _accelerated(pc), _accelerated_form(f)
-    closed = cauchy_det_closed(fast_pc, fast_f)
-    return _as_fraction(det_bareiss(build_cauchy(fast_pc, fast_f, power=2)) / closed)
+    closed = cauchy_det_closed(pc, f)
+    return det_bareiss(build_cauchy(pc, f, power=2)) / closed
 
 
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
@@ -423,10 +392,6 @@ class MoebiusMap:
         return MoebiusMap(self.D, -self.B, -self.C, self.A)
 
 
-def moebius_apply(m: MoebiusMap, x):
-    return m.apply(x)
-
-
 def sqrt_disc(disc: Rat):
     """sqrt(b^2 - ac) as a Rat when possible, else as a QuadExt element."""
     if rat_is_square(disc):
@@ -455,10 +420,6 @@ def moebius_for_form(g: SymmetricForm) -> MoebiusMap:
     )
 
 
-def _pf_product_matrix(entries):
-    return pf_elimination(SquareMatrix(entries, kind="skew"))
-
-
 def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     """Exact witness that the Moebius substitution carries the classical
     Pfaffian identities into their generalized forms for g.
@@ -482,8 +443,7 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
 
     if g.a == 0 and g.c == 0:
         # g = b (x + y): already the classical case, map is identity-like.
-        checks = _generalized_checks(pc, g)
-        return _witness_report(pc, g, "rational", checks, start)
+        return _witness_report(pc, g, "rational", {}, start)
 
     if g.a == 0:
         # c != 0 branch: swap roles through x -> 1/x, which turns g into
@@ -494,7 +454,6 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
         swapped = SymmetricForm(g.c, g.b, Fraction(0))
         inner = substitution_witness(pc, swapped)
         checks = dict(inner.params["checks"])
-        checks.update(_generalized_checks(pc, g))
         return _witness_report(pc, g, inner.params["field"], checks, start)
 
     mob = moebius_for_form(g)
@@ -536,7 +495,9 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     for i in range(m):
         for j in range(i + 1, m):
             prod_phi = prod_phi * schur_phi[i][j]
-    checks["classical_schur_at_images"] = _pf_product_matrix(schur_phi) == prod_phi
+    checks["classical_schur_at_images"] = (
+        pf_elimination(SquareMatrix(schur_phi, kind="skew")) == prod_phi
+    )
 
     # Classical Pfaffian-Hafnian identity at the phi points.
     pfh_phi = [
@@ -550,13 +511,12 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
         [1 / (phi[i] + phi[j]) if i != j else zero for j in range(m)]
         for i in range(m)
     ]
-    lhs = _pf_product_matrix(pfh_phi)
+    lhs = pf_elimination(SquareMatrix(pfh_phi, kind="skew"))
     rhs = ((-1) ** (half * (m - 1))) * prod_phi * hf_recursive(
         SquareMatrix(haf_phi, kind="symmetric")
     )
     checks["classical_pf_hf_at_images"] = lhs == rhs
 
-    checks.update(_generalized_checks(pc, g))
     return _witness_report(pc, g, field, checks, start)
 
 
@@ -564,24 +524,16 @@ def _freeze(v):
     return (v.p, v.q) if isinstance(v, QuadExt) else v
 
 
-def _generalized_checks(pc: PointConfig, g: SymmetricForm) -> dict:
-    """The generalized Schur and Pfaffian-Hafnian identities for g at the
-    given points, evaluated exactly over the rationals."""
-    out = {}
-    lhs13 = pf_elimination(build_schur(pc, g, power=1, orientation="ji"))
-    out["generalized_schur_at_points"] = lhs13 == schur_pf_closed(pc, g)
-    lhs14 = pf_elimination(build_schur(pc, g, power=2, orientation="ji"))
-    rhs14 = schur_pf_closed(pc, g) * hf_recursive(build_hafnian_mat(pc, g))
-    out["generalized_pf_hf_at_points"] = lhs14 == rhs14
-    out["_lhs14"] = lhs14
-    out["_rhs14"] = rhs14
-    return out
-
-
 def _witness_report(pc, g, field, checks, start) -> IdentityReport:
-    lhs = checks.pop("_lhs14", None)
-    rhs = checks.pop("_rhs14", None)
-    passed = all(checks.values())
+    """Add the generalized Schur and Pfaffian-Hafnian identities for g at
+    the given points, evaluated exactly over the rationals, to ``checks``
+    and report; lhs and rhs are the two sides of the Pfaffian-Hafnian one."""
+    closed = schur_pf_closed(pc, g)
+    schur = pf_elimination(build_schur(pc, g, power=1, orientation="ji"))
+    checks["generalized_schur_at_points"] = schur == closed
+    lhs = pf_elimination(build_schur(pc, g, power=2, orientation="ji"))
+    rhs = closed * hf_recursive(build_hafnian_mat(pc, g))
+    checks["generalized_pf_hf_at_points"] = lhs == rhs
     return IdentityReport(
         identity="SUBSTITUTION",
         params={
@@ -591,8 +543,8 @@ def _witness_report(pc, g, field, checks, start) -> IdentityReport:
             "field": field,
             "checks": checks,
         },
-        lhs=render_scalar(lhs) if lhs is not None else "",
-        rhs=render_scalar(rhs) if rhs is not None else "",
-        passed=passed,
+        lhs=render_scalar(lhs),
+        rhs=render_scalar(rhs),
+        passed=all(checks.values()),
         elapsed=time.perf_counter() - start,
     )

@@ -30,6 +30,8 @@ from .structured import (
     build_cauchy,
     build_hafnian_mat,
     build_schur,
+    cauchy_det_closed,
+    schur_pf_closed,
 )
 
 
@@ -204,28 +206,6 @@ def _gen_z(rng: random.Random, xs) -> Fraction:
 # -- the identity checks ---------------------------------------------------
 
 
-def _prod_pairs(values, fn):
-    out = Fraction(1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            out *= fn(values[i], values[j])
-    return out
-
-
-def _prod_grid(xs, ys, fn):
-    out = Fraction(1)
-    for x in xs:
-        for y in ys:
-            out *= fn(x, y)
-    return out
-
-
-def _cauchy_rhs(pc: PointConfig, f: BilinearForm):
-    """prod (x_j - x_i)(y_j - y_i) / prod f(x_i, y_j)."""
-    num = _prod_pairs(pc.xs, lambda a, b: b - a) * _prod_pairs(pc.ys, lambda a, b: b - a)
-    return num / _prod_grid(pc.xs, pc.ys, f)
-
-
 def _check(identity: IdentityId, pc, form, z):
     """Return (lhs, rhs, params) for one identity instance."""
     params = {}
@@ -242,9 +222,8 @@ def _check(identity: IdentityId, pc, form, z):
                 "x+y" if identity is IdentityId.CAUCHY1 else "1-xy"
             )
         params["f"] = f.to_json()
-        n = len(pc.xs)
         lhs = det_bareiss(build_cauchy(pc, f, power=1))
-        rhs = (-f.disc) ** (n * (n - 1) // 2) * _cauchy_rhs(pc, f)
+        rhs = cauchy_det_closed(pc, f)
         return lhs, rhs, params
 
     if identity in (IdentityId.BORCH1, IdentityId.BORCH2, IdentityId.GEN_BORCH):
@@ -255,13 +234,8 @@ def _check(identity: IdentityId, pc, form, z):
                 "x+y" if identity is IdentityId.BORCH1 else "1-xy"
             )
         params["f"] = f.to_json()
-        n = len(pc.xs)
         lhs = det_bareiss(build_cauchy(pc, f, power=2))
-        rhs = (
-            (-f.disc) ** (n * (n - 1) // 2)
-            * _cauchy_rhs(pc, f)
-            * perm_ryser(build_cauchy(pc, f, power=1))
-        )
+        rhs = cauchy_det_closed(pc, f) * perm_ryser(build_cauchy(pc, f, power=1))
         return lhs, rhs, params
 
     if identity in (IdentityId.SCHUR1, IdentityId.SCHUR2, IdentityId.GEN_SCHUR):
@@ -272,32 +246,28 @@ def _check(identity: IdentityId, pc, form, z):
                 "x+y" if identity is IdentityId.SCHUR1 else "1-xy"
             )
         params["g"] = g.to_json()
-        half = len(pc.xs) // 2
         lhs = pf_elimination(build_schur(pc, g, power=1, orientation="ji"))
-        rhs = g.disc ** (half * (half - 1)) * _prod_pairs(
-            pc.xs, lambda a, b: (b - a) / g(a, b)
-        )
+        rhs = schur_pf_closed(pc, g)
         return lhs, rhs, params
 
     if identity in (IdentityId.MAIN1, IdentityId.MAIN2, IdentityId.GEN_MAIN):
         # MAIN1/MAIN2 are stated with numerators x_i - x_j (orientation
         # "ij"); the generalized form uses x_j - x_i. Both are checked as
-        # printed.
+        # printed: flipping all m(m-1)/2 numerators of the closed-form
+        # product flips its sign that many times.
+        m = len(pc.xs)
         if identity is IdentityId.GEN_MAIN:
             g = form
-            orientation = "ji"
+            orientation, sign = "ji", 1
         else:
             g = SymmetricForm.from_name(
                 "x+y" if identity is IdentityId.MAIN1 else "1-xy"
             )
-            orientation = "ij"
+            orientation, sign = "ij", (-1) ** (m // 2 * (m - 1))
         params["g"] = g.to_json()
-        half = len(pc.xs) // 2
         lhs = pf_elimination(build_schur(pc, g, power=2, orientation=orientation))
-        sign = 1 if orientation == "ji" else -1
-        prod = _prod_pairs(pc.xs, lambda a, b: sign * (b - a) / g(a, b))
         haf = hf_recursive(build_hafnian_mat(pc, g))
-        rhs = g.disc ** (half * (half - 1)) * prod * haf
+        rhs = sign * schur_pf_closed(pc, g) * haf
         return lhs, rhs, params
 
     if identity is IdentityId.LEMMA1:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 from pfhaf.cli import main
 from pfhaf.scalar import parse_rat
@@ -56,6 +57,19 @@ def test_eval_decimal_annotation(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "-2"
     assert lines[1].startswith("~ -2.000")
+
+
+def test_eval_prints_values_past_the_int_str_digit_limit(tmp_path, capsys):
+    big = "1" + "0" * 3000
+    path = tmp_path / "m.csv"
+    path.write_text(f"{big},0\n0,{big}\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, out, _ = run(capsys, "eval", "--csv", str(path), "--fn", "det")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert out.strip() == "1" + "0" * 6000
 
 
 def test_eval_bad_functional_input_is_error(tmp_path, capsys):
@@ -142,7 +156,8 @@ def test_structured_degenerate_form_suggests_fallback(capsys):
         "hafnian",
     )
     assert code == 1
-    assert "oracle" in err
+    assert "hf_recursive" in err
+    assert "--algorithm" not in err  # structured has no such flag
 
 
 # -- verify ----------------------------------------------------------------

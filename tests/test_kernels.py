@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction as F
@@ -19,6 +20,10 @@ from pfhaf.kernels import (
 from pfhaf.matrix import SquareMatrix
 from pfhaf.scalar import QuadExt
 from pfhaf.structured import BilinearForm, PointConfig, build_cauchy
+
+
+def eye(n):
+    return SquareMatrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
 
 
 def rand_matrix(rng, n):
@@ -61,7 +66,7 @@ def perm_matrix_sign(perm):
 
 def test_det_oracle_examples():
     assert det_oracle(SquareMatrix([[F(1), F(2)], [F(3), F(4)]])) == -2
-    assert det_oracle(SquareMatrix.identity(5)) == 1
+    assert det_oracle(eye(5)) == 1
 
 
 def test_det_cauchy_2x2_closed_value():
@@ -72,7 +77,7 @@ def test_det_cauchy_2x2_closed_value():
 
 def test_det_oracle_guard():
     with pytest.raises(SizeError):
-        det_oracle(SquareMatrix.identity(9))
+        det_oracle(eye(9))
 
 
 def test_det_bareiss_matches_oracle():
@@ -80,6 +85,16 @@ def test_det_bareiss_matches_oracle():
     for _ in range(10):
         m = rand_matrix(rng, 5)
         assert det_bareiss(m) == det_oracle(m)
+
+
+def test_det_bareiss_int_entries_stay_exact():
+    rng = random.Random(13)
+    rows = [[rng.randrange(-(10**20), 10**20) for _ in range(6)] for _ in range(6)]
+    m = SquareMatrix(rows)
+    got = det_bareiss(m)
+    assert type(got) is int
+    assert got == det_oracle(m)
+    assert det_bareiss(SquareMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])) == 18
 
 
 def test_det_bareiss_repeated_row_is_zero():
@@ -100,7 +115,7 @@ def test_det_scaling():
 
 def test_perm_oracle_examples():
     assert perm_oracle(SquareMatrix([[F(1), F(2)], [F(3), F(4)]])) == 10
-    assert perm_oracle(SquareMatrix.identity(5)) == 1
+    assert perm_oracle(eye(5)) == 1
 
 
 def test_perm_cauchy_2x2_value():
@@ -111,7 +126,7 @@ def test_perm_cauchy_2x2_value():
 
 def test_perm_oracle_guard():
     with pytest.raises(SizeError):
-        perm_oracle(SquareMatrix.identity(9))
+        perm_oracle(eye(9))
 
 
 def test_perm_ryser_matches_oracle():
@@ -278,6 +293,19 @@ def test_hf_recursive_matches_oracle():
         assert hf_recursive(m) == hf_oracle(m)
 
 
+def test_hf_recursive_leaves_no_cyclic_garbage():
+    # The memo table must be freed by reference counting on return, not
+    # kept alive until the cyclic collector happens to run.
+    m = rand_symmetric(random.Random(24), 16)
+    gc.collect()
+    gc.disable()
+    try:
+        hf_recursive(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_hf_ignores_diagonal():
     rng = random.Random(21)
     m = rand_symmetric(rng, 6)
@@ -379,7 +407,7 @@ def test_evaluate_dispatch():
 
 
 def test_evaluate_oracle_only_on_request():
-    big = SquareMatrix.identity(10)
+    big = eye(10)
     assert evaluate(big, "det", "auto").value == 1
     with pytest.raises(SizeError):
         evaluate(big, "det", "oracle")
