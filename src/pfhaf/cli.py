@@ -15,9 +15,10 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import PfhafError, SizeError
+from .errors import PfhafError
 from .kernels import (
     HF_RECURSIVE_MAX,
+    PERM_RYSER_MAX,
     evaluate,
     hf_recursive,
     perm_ryser,
@@ -25,7 +26,7 @@ from .kernels import (
     det_bareiss,
 )
 from .matrix import SquareMatrix
-from .scalar import parse_rat, render_scalar
+from .scalar import parse_rat, render_scalar, unlimited_digits
 from .structured import (
     BilinearForm,
     PointConfig,
@@ -40,7 +41,8 @@ from .structured import (
 )
 from .verify import IdentityId, gen_points, run_suite, summarize
 
-PERM_CROSSCHECK_MAX = 25
+# Largest size each exponential kernel accepts; bench skips beyond it.
+_EXPONENTIAL_MAX = {"hafnian": HF_RECURSIVE_MAX, "perm": PERM_RYSER_MAX}
 
 
 def _decimal_str(value: Fraction, digits: int) -> str:
@@ -48,7 +50,7 @@ def _decimal_str(value: Fraction, digits: int) -> str:
     v = -value if neg else value
     scaled = v * 10**digits
     whole = scaled.numerator // scaled.denominator
-    text = str(whole).rjust(digits + 1, "0")
+    text = unlimited_digits(str, whole).rjust(digits + 1, "0")
     out = f"{text[:-digits]}.{text[-digits:]}" if digits else text
     return ("-" if neg else "") + out
 
@@ -140,14 +142,7 @@ def cmd_structured(args) -> int:
             check = lambda: det_bareiss(build_cauchy(pc, form, power=1))
         else:
             value = fast_cauchy_perm(pc, form)
-
-            def check():
-                if len(pc.xs) > PERM_CROSSCHECK_MAX:
-                    raise SizeError(
-                        f"perm crosscheck guard is n <= {PERM_CROSSCHECK_MAX}"
-                    )
-                return perm_ryser(build_cauchy(pc, form, power=1))
-
+            check = lambda: perm_ryser(build_cauchy(pc, form, power=1))
     else:
         form = _parse_symmetric(args.g or "x+y")
         if args.target == "pf":
@@ -215,9 +210,7 @@ def cmd_bench(args) -> int:
     for functional in args.functional:
         for n in _parse_sizes(args.sizes):
             for label, fn in _bench_cases(functional, n, args.seed):
-                if label == "exponential" and functional == "hafnian" and n > HF_RECURSIVE_MAX:
-                    continue
-                if label == "exponential" and functional == "perm" and n > PERM_CROSSCHECK_MAX:
+                if label == "exponential" and n > _EXPONENTIAL_MAX[functional]:
                     continue
                 times = []
                 value = None
@@ -315,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Exact values outgrow CPython's default 4300-digit limit on int <-> str
-    # conversion (3.10.7+); lift it so such values parse and print.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

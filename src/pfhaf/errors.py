@@ -11,7 +11,8 @@ class DomainError(PfhafError):
 
 
 class SizeError(PfhafError):
-    """A definition-level oracle was asked for a dimension beyond its guard."""
+    """An oracle or exponential kernel was asked for a dimension beyond its
+    guard."""
 
 
 class PoleError(PfhafError):

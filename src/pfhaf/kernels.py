@@ -17,12 +17,13 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import DomainError, SizeError
-from .matrix import SKEW, SquareMatrix
+from .matrix import SquareMatrix
 
 DET_ORACLE_MAX = 8
 PERM_ORACLE_MAX = 8
 MATCHING_ORACLE_MAX = 12
 HF_RECURSIVE_MAX = 22
+PERM_RYSER_MAX = 25
 
 
 @dataclass(frozen=True)
@@ -43,29 +44,13 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def _require_even(n: int):
-    if n % 2 != 0:
-        raise DomainError(f"dimension {n} is odd; Pf/Hf need an even dimension")
-
-
-def _require_skew(m: SquareMatrix):
-    if m.kind == SKEW:  # validated by SquareMatrix on construction
-        return
-    e = m.entries
-    for i in range(m.n):
-        if e[i][i] != 0:
-            raise DomainError("matrix is not skew-symmetric (nonzero diagonal)")
-        for j in range(i + 1, m.n):
-            if e[i][j] != -e[j][i]:
-                raise DomainError("matrix is not skew-symmetric")
-
-
-def _require_symmetric_offdiag(m: SquareMatrix):
-    e = m.entries
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if e[i][j] != e[j][i]:
-                raise DomainError("matrix is not symmetric")
+def _require_matchable(m: SquareMatrix, ok: bool, what: str):
+    """Pf and Hf need an even dimension and, as read by SquareMatrix,
+    skew entries (Pf) or entries symmetric off the diagonal (Hf)."""
+    if m.n % 2 != 0:
+        raise DomainError(f"dimension {m.n} is odd; Pf/Hf need an even dimension")
+    if not ok:
+        raise DomainError(f"matrix is not {what}")
 
 
 def _matchings(indices):
@@ -148,8 +133,17 @@ def perm_oracle(m: SquareMatrix):
 
 
 def perm_ryser(m: SquareMatrix):
-    """Ryser's inclusion-exclusion permanent, O(2^n * n) via Gray code."""
+    """Ryser's inclusion-exclusion permanent, O(2^n * n) via Gray code.
+
+    Hard guard at n <= 25, where that is already about 8e8 row-sum updates.
+    """
     n = m.n
+    if n > PERM_RYSER_MAX:
+        work = n * math.log10(2) + math.log10(n)
+        raise SizeError(
+            f"perm_ryser guard is n <= {PERM_RYSER_MAX}, got {n}: about "
+            f"2^{n} * {n} ~ 10^{work:.0f} operations"
+        )
     if n == 0:
         return 1
     e = m.entries
@@ -187,8 +181,7 @@ def pf_oracle(m: SquareMatrix):
     and sigma(2i-1) < sigma(2i)) weighted by sgn(sigma), which makes
     Pf([[0, a], [-a, 0]]) = a.
     """
-    _require_even(m.n)
-    _require_skew(m)
+    _require_matchable(m, m.skew, "skew-symmetric")
     if m.n > MATCHING_ORACLE_MAX:
         raise SizeError(f"pf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
     if m.n == 0:
@@ -266,8 +259,7 @@ def pf_elimination(m: SquareMatrix):
     (QuadExt) runs the same elimination with field division.  See
     ``pf_fraction_free`` for the update and the pivoting.
     """
-    _require_even(m.n)
-    _require_skew(m)
+    _require_matchable(m, m.skew, "skew-symmetric")
     n = m.n
     if n == 0:
         return 1
@@ -294,8 +286,7 @@ def hf_oracle(m: SquareMatrix):
 
     The diagonal is never read, so its entries are irrelevant.
     """
-    _require_even(m.n)
-    _require_symmetric_offdiag(m)
+    _require_matchable(m, m.symmetric, "symmetric")
     if m.n > MATCHING_ORACLE_MAX:
         raise SizeError(f"hf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
     if m.n == 0:
@@ -317,8 +308,7 @@ def hf_recursive(m: SquareMatrix):
     Hard guard at 2n <= 22; beyond that the memo table is no longer
     desk-scale.
     """
-    _require_even(m.n)
-    _require_symmetric_offdiag(m)
+    _require_matchable(m, m.symmetric, "symmetric")
     if m.n > HF_RECURSIVE_MAX:
         raise SizeError(
             f"hf_recursive guard is 2n <= {HF_RECURSIVE_MAX}, got {m.n}"

@@ -24,52 +24,53 @@ def classify(rows: Sequence[Sequence]) -> str:
 
     A zero matrix satisfies both definitions and classifies as skew.
     """
-    n = len(rows)
-    skew = all(rows[i][i] == 0 for i in range(n))
-    sym = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                sym = False
-            if skew and rows[i][j] != -rows[j][i]:
-                skew = False
-        if not sym and not skew:
-            return GENERAL
-    if skew:
-        return SKEW
-    if sym:
-        return SYMMETRIC
-    return GENERAL
+    return SquareMatrix(rows).kind
 
 
 class SquareMatrix:
     """Immutable n x n matrix of exact scalars.
 
-    ``kind`` is one of "general", "symmetric", "skew" and is validated
-    against the entries on construction; pass kind=None to auto-classify.
+    One scan of the entries on construction sets ``skew`` (zero diagonal,
+    a_ij = -a_ji) and ``symmetric`` (a_ij = a_ji off the diagonal); a zero
+    off-diagonal part can be both.  ``kind`` is read from these facts,
+    skew before symmetric: "skew", "symmetric" or "general".  A ``kind``
+    argument only asserts a fact ("general" asserts nothing) and raises
+    DomainError when the entries disagree, so
+    SquareMatrix(skew_rows, kind="general").kind is "skew".
     """
 
-    __slots__ = ("n", "entries", "kind")
+    __slots__ = ("n", "entries", "skew", "symmetric")
 
     def __init__(self, rows: Sequence[Sequence], kind: str | None = None):
         entries = tuple(tuple(row) for row in rows)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DomainError("matrix is not square")
-        actual = classify(entries)
-        if kind is None:
-            kind = actual
-        elif kind not in _KINDS:
+        if kind is not None and kind not in _KINDS:
             raise DomainError(f"unknown kind {kind!r}")
-        elif kind == SKEW and actual != SKEW:
+        skew = all(entries[i][i] == 0 for i in range(n))
+        sym = True
+        for i, row in enumerate(entries):
+            for j in range(i + 1, n):
+                v, w = row[j], entries[j][i]
+                if sym and v != w:
+                    sym = False
+                if skew and v != -w:
+                    skew = False
+            if not sym and not skew:
+                break
+        if kind == SKEW and not skew:
             raise DomainError("entries are not skew-symmetric")
-        elif kind == SYMMETRIC and any(
-            entries[i][j] != entries[j][i] for i in range(n) for j in range(i + 1, n)
-        ):
+        if kind == SYMMETRIC and not sym:
             raise DomainError("entries are not symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "skew", skew)
+        object.__setattr__(self, "symmetric", sym)
+
+    @property
+    def kind(self) -> str:
+        return SKEW if self.skew else SYMMETRIC if self.symmetric else GENERAL
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
@@ -123,10 +124,10 @@ def check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
 def minor(m: SquareMatrix, indices: Iterable[int]) -> SquareMatrix:
     """Submatrix with the 1-based rows and columns in ``indices`` removed.
 
-    The order of the remaining rows/columns is preserved and the symmetry
-    tag survives (removing matching row/column pairs cannot break it).
+    The order of the remaining rows/columns is preserved; removing matching
+    row/column pairs cannot break skew or symmetric entries.
     """
     removed = set(check_index_set(indices, m.n))
     keep = [i for i in range(m.n) if i + 1 not in removed]
     rows = [[m.entries[i][j] for j in keep] for i in keep]
-    return SquareMatrix(rows, kind=m.kind)
+    return SquareMatrix(rows)

@@ -12,6 +12,7 @@ identities, where sqrt(b^2 - a*c) enters the substitution constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,24 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def unlimited_digits(convert, value):
+    """``convert(value)``, a conversion between int and decimal text, at any
+    number of digits.  CPython 3.10.7+ refuses more than
+    sys.get_int_max_str_digits() (4300 by default) with ValueError; then
+    the limit is lifted for one retry and restored before returning."""
+    try:
+        return convert(value)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit == 0:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse "p/q" or "p" (optional sign) into an exact rational.
 
@@ -30,16 +49,20 @@ def parse_rat(text: str) -> Fraction:
     """
     s = text.strip().replace("−", "-")
     try:
-        return Fraction(s)
+        return unlimited_digits(Fraction, s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc
 
 
-def render_rat(r: Fraction) -> str:
-    """Lossless textual form: "p/q", or "p" when the denominator is 1."""
+def _rat_text(r: Fraction) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
+
+
+def render_rat(r: Fraction) -> str:
+    """Lossless textual form: "p/q", or "p" when the denominator is 1."""
+    return unlimited_digits(_rat_text, r)
 
 
 def rat_is_square(r: Fraction) -> bool:
@@ -91,6 +114,15 @@ class QuadExt:
 
     # -- helpers -----------------------------------------------------------
 
+    def _with(self, p: Fraction, q: Fraction) -> "QuadExt":
+        """p + q*sqrt(d) for Fractions p, q, skipping __post_init__: the
+        radicand was validated when this element was made."""
+        out = object.__new__(QuadExt)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "d", self.d)
+        return out
+
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.d != self.d:
@@ -98,7 +130,7 @@ class QuadExt:
                     f"mixed radicands {render_rat(self.d)} and {render_rat(other.d)}"
                 )
             return other
-        return QuadExt(_as_rat(other), ZERO, self.d)
+        return self._with(_as_rat(other), ZERO)
 
     @property
     def is_rational(self) -> bool:
@@ -110,7 +142,7 @@ class QuadExt:
         return self.p
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.p, -self.q, self.d)
+        return self._with(self.p, -self.q)
 
     def norm(self) -> Fraction:
         """(p + q*sqrt(d)) * (p - q*sqrt(d)) = p^2 - q^2*d, a rational."""
@@ -120,12 +152,12 @@ class QuadExt:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadExt(self.p + o.p, self.q + o.q, self.d)
+        return self._with(self.p + o.p, self.q + o.q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.p, -self.q, self.d)
+        return self._with(-self.p, -self.q)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -134,11 +166,13 @@ class QuadExt:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, QuadExt):
+            r = _as_rat(other)
+            return self._with(self.p * r, self.q * r)
         o = self._coerce(other)
-        return QuadExt(
+        return self._with(
             self.p * o.p + self.q * o.q * self.d,
             self.p * o.q + self.q * o.p,
-            self.d,
         )
 
     __rmul__ = __mul__
@@ -148,7 +182,7 @@ class QuadExt:
         n = o.norm()
         if n == 0:
             raise DomainError("division by zero in quadratic extension")
-        inv = QuadExt(o.p / n, -o.q / n, self.d)
+        inv = self._with(o.p / n, -o.q / n)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -157,14 +191,15 @@ class QuadExt:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("only nonnegative integer powers are supported")
-        out = QuadExt(ONE, ZERO, self.d)
+        out = self._with(ONE, ZERO)
         base = self
         e = exponent
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -445,83 +445,53 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
         # g = b (x + y): already the classical case, map is identity-like.
         return _witness_report(pc, g, "rational", {}, start)
 
+    form = g
     if g.a == 0:
-        # c != 0 branch: swap roles through x -> 1/x, which turns g into
+        # c != 0: the roles swap through x -> 1/x, which turns g into
         # g'(x, y) = c x y + b (x + y) with a' = c != 0 and equal
-        # discriminant, then run the a != 0 machinery on g'.
+        # discriminant; g' is then checked at the original points.
         if any(x == 0 for x in pc.xs):
             raise DomainError("x -> 1/x branch rejects points with x_i = 0")
-        swapped = SymmetricForm(g.c, g.b, Fraction(0))
-        inner = substitution_witness(pc, swapped)
-        checks = dict(inner.params["checks"])
-        return _witness_report(pc, g, inner.params["field"], checks, start)
+        form = SymmetricForm(g.c, g.b, Fraction(0))
 
-    mob = moebius_for_form(g)
-    s = sqrt_disc(g.disc)
+    mob = moebius_for_form(form)
+    s = sqrt_disc(form.disc)
     field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     xs = pc.xs
-    half = m // 2
-    phi = [mob.apply(x) for x in xs]
-    if len({_freeze(v) for v in phi}) != m:
-        raise DomainError("Moebius images are not distinct")
-    zero = 0 * s
+    # The map is injective, so the images are distinct points.
+    images = PointConfig([mob.apply(x) for x in xs])
+    phi = images.xs
 
     checks = {}
 
     # Entrywise factorizations: with u_i = C x_i + D,
     #   phi_j - phi_i = -s (x_j - x_i) / (u_i u_j)
-    #   phi_i + phi_j = g(x_i, x_j) / (u_i u_j)
+    #   phi_i + phi_j = g(x_i, x_j) / (u_i u_j)    (g' when a = 0)
     u = [mob.C * x + mob.D for x in xs]
     ok = True
     for i in range(m):
         for j in range(i + 1, m):
-            if phi[i] + phi[j] == 0 or g(xs[i], xs[j]) == 0:
+            gv = form(xs[i], xs[j])
+            if phi[i] + phi[j] == 0 or gv == 0:
                 raise PoleError(f"pole among Moebius images at pair ({i + 1}, {j + 1})")
             if (phi[j] - phi[i]) * u[i] * u[j] != -s * (xs[j] - xs[i]):
                 ok = False
-            if (phi[i] + phi[j]) * u[i] * u[j] != g(xs[i], xs[j]):
+            if (phi[i] + phi[j]) * u[i] * u[j] != gv:
                 ok = False
     checks["entrywise_factorization"] = ok
 
-    # Classical Schur identity at the phi points.
-    schur_phi = [
-        [
-            (phi[j] - phi[i]) / (phi[i] + phi[j]) if i != j else zero
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    prod_phi = 1 + zero
-    for i in range(m):
-        for j in range(i + 1, m):
-            prod_phi = prod_phi * schur_phi[i][j]
-    checks["classical_schur_at_images"] = (
-        pf_elimination(SquareMatrix(schur_phi, kind="skew")) == prod_phi
-    )
-
-    # Classical Pfaffian-Hafnian identity at the phi points.
-    pfh_phi = [
-        [
-            (phi[i] - phi[j]) / (phi[i] + phi[j]) ** 2 if i != j else zero
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    haf_phi = [
-        [1 / (phi[i] + phi[j]) if i != j else zero for j in range(m)]
-        for i in range(m)
-    ]
-    lhs = pf_elimination(SquareMatrix(pfh_phi, kind="skew"))
-    rhs = ((-1) ** (half * (m - 1))) * prod_phi * hf_recursive(
-        SquareMatrix(haf_phi, kind="symmetric")
-    )
-    checks["classical_pf_hf_at_images"] = lhs == rhs
+    # The classical x + y identities at the images: the Schur identity, and
+    # the Pfaffian-Hafnian identity as MAIN1 states it, with numerators
+    # phi_i - phi_j.
+    classical = SymmetricForm.from_name("x+y")
+    closed = schur_pf_closed(images, classical)
+    schur = pf_elimination(build_schur(images, classical, power=1, orientation="ji"))
+    checks["classical_schur_at_images"] = schur == closed
+    lhs = pf_elimination(build_schur(images, classical, power=2, orientation="ij"))
+    haf = hf_recursive(build_hafnian_mat(images, classical))
+    checks["classical_pf_hf_at_images"] = lhs == (-1) ** (m // 2 * (m - 1)) * closed * haf
 
     return _witness_report(pc, g, field, checks, start)
-
-
-def _freeze(v):
-    return (v.p, v.q) if isinstance(v, QuadExt) else v
 
 
 def _witness_report(pc, g, field, checks, start) -> IdentityReport:

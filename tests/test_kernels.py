@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -140,6 +141,14 @@ def test_perm_ryser_all_ones():
     for n in (1, 2, 5, 8):
         ones = SquareMatrix([[F(1)] * n for _ in range(n)])
         assert perm_ryser(ones) == math.factorial(n)
+
+
+def test_perm_ryser_guard_refuses_at_once():
+    ones = SquareMatrix([[F(1)] * 26 for _ in range(26)])
+    start = time.perf_counter()
+    with pytest.raises(SizeError, match=r"n <= 25, got 26.*2\^26 \* 26"):
+        evaluate(ones, "perm")
+    assert time.perf_counter() - start < 1
 
 
 def test_perm_scaling():

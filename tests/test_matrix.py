@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pfhaf.errors import DomainError
+from pfhaf.kernels import hf_recursive, pf_elimination
 from pfhaf.matrix import SquareMatrix, classify, minor
+from pfhaf.scalar import QuadExt
 from pfhaf.structured import PointConfig, SymmetricForm, build_hafnian_mat
 
 
@@ -26,6 +29,70 @@ def test_kind_validated_on_construction():
         mat([[0, 1], [1, 0]], kind="skew")
     with pytest.raises(DomainError):
         mat([[1, 2], [3, 4]], kind="hermitian")
+
+
+def test_kind_is_read_from_the_entries():
+    skew = mat([[0, 1], [-1, 0]], kind="general")
+    assert skew.kind == "skew" and skew.skew and not skew.symmetric
+    zero = mat([[0, 0], [0, 0]], kind="symmetric")
+    assert zero.kind == "skew" and zero.skew and zero.symmetric
+    diag = mat([[1, 0], [0, 2]], kind="symmetric")
+    assert diag.kind == "symmetric" and not diag.skew
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Small matrices of every symmetry shape, over Q or Q(sqrt(2))."""
+    n = draw(st.integers(0, 4))
+    shape = draw(
+        st.sampled_from(["skew", "symmetric", "general", "zero", "diagonal"])
+    )
+    quad = draw(st.booleans())
+    ints = st.integers(-2, 2)
+
+    def entry():
+        p = F(draw(ints))
+        return QuadExt(p, F(draw(ints)), F(2)) if quad else p
+
+    zero = 0 * entry()
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if shape == "skew":
+                rows[j][i] = -rows[i][j]
+            elif shape == "symmetric":
+                rows[j][i] = rows[i][j]
+            elif shape in ("zero", "diagonal"):
+                rows[i][j] = rows[j][i] = zero
+        if shape == "skew" or shape == "zero":
+            rows[i][i] = zero
+        elif shape == "diagonal":
+            rows[i][i] = zero + draw(st.integers(1, 3))
+    return rows
+
+
+def _accepts(kernel, m):
+    try:
+        kernel(m)
+    except DomainError:
+        return False
+    return True
+
+
+@given(shaped_matrices())
+def test_symmetry_flags_match_definitions(rows):
+    n = len(rows)
+    m = SquareMatrix(rows)
+    assert m.skew == all(
+        rows[i][j] == -rows[j][i] for i in range(n) for j in range(n)
+    )
+    assert m.symmetric == all(
+        rows[i][j] == rows[j][i] for i in range(n) for j in range(n) if i != j
+    )
+    assert m.kind == classify(rows)
+    if n % 2 == 0:
+        assert _accepts(pf_elimination, m) == m.skew
+        assert _accepts(hf_recursive, m) == m.symmetric
 
 
 def test_not_square_rejected():

@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,16 @@ def test_parse_render_examples():
     assert parse_rat("42") == F(42)
     assert render_rat(F(42)) == "42"
     assert render_rat(F(-3, 7)) == "-3/7"
+
+
+def test_round_trip_past_the_int_str_digit_limit():
+    # 5000-digit numerator: past CPython's default 4300-digit limit
+    limit = sys.get_int_max_str_digits()
+    value = F(10**5000, 3)
+    text = render_rat(value)
+    assert text == "1" + "0" * 5000 + "/3"
+    assert parse_rat(text) == value
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_parse_rejects_garbage():
@@ -100,6 +111,25 @@ def test_quad_division_by_zero():
 def test_quad_square_radicand_rejected():
     with pytest.raises(DomainError):
         QuadExt(F(1), F(1), F(4))
+
+
+def test_quad_power_squares_only_between_bits(monkeypatch):
+    a = q2(F(1, 2), F(-3))
+    products = [QuadExt(F(1), F(0), F(2))]
+    for _ in range(5):
+        products.append(products[-1] * a)
+    count = [0]
+    mul = QuadExt.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    assert [a**e for e in range(6)] == products
+    # products into the result plus squarings between bits, for e = 0..5;
+    # e = 1 needs one product and e = 5 = 0b101 two products, two squarings
+    assert count[0] == 0 + 1 + 2 + 3 + 3 + 4
 
 
 def test_quad_negative_radicand_is_formal():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pfhaf import structured
 from pfhaf.errors import DegenerateFormError, DomainError, PoleError
 from pfhaf.kernels import (
     det_bareiss,
@@ -366,11 +367,21 @@ def test_witness_quadratic_field():
         assert rep.params["checks"][name]
 
 
-def test_witness_a_zero_branch():
+def test_witness_a_zero_branch(monkeypatch):
+    # one Hafnian for the classical identity at the images, one for the
+    # generalized identity for g at the points
+    calls = []
+
+    def counting(m):
+        calls.append(m.n)
+        return hf_recursive(m)
+
+    monkeypatch.setattr(structured, "hf_recursive", counting)
     g = SymmetricForm(F(0), F(1), F(3))
     xs = [F(1), F(2), F(4), F(5)]
     rep = substitution_witness(PointConfig(xs), g)
     assert rep.passed
+    assert calls == [4, 4]
 
 
 def test_witness_classical_case():
