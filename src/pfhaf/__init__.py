@@ -1,5 +1,8 @@
 """pfhaf: exact determinants, permanents, Pfaffians and Hafnians, with
-polynomial-time fast paths for Cauchy-type structured matrices."""
+polynomial-time fast paths for Cauchy-type structured matrices.
+
+The package exports what the quick start and the demos use; every other
+name is imported from its own module (pfhaf.kernels, pfhaf.verify, ...)."""
 
 from .errors import (
     DegenerateFormError,
@@ -9,46 +12,21 @@ from .errors import (
     PoleError,
     SizeError,
 )
-from .kernels import (
-    KernelResult,
-    det_bareiss,
-    det_oracle,
-    evaluate,
-    hf_oracle,
-    hf_recursive,
-    perm_oracle,
-    perm_ryser,
-    pf_elimination,
-    pf_oracle,
-)
-from .matrix import SquareMatrix, classify, minor
-from .report import IdentityReport
-from .scalar import QuadExt, Rat, parse_rat, render_rat
+from .kernels import det_bareiss, hf_recursive, perm_ryser, pf_elimination
+from .matrix import SquareMatrix
 from .structured import (
     BilinearForm,
-    MoebiusMap,
     PointConfig,
     SymmetricForm,
     build_cauchy,
     build_hafnian_mat,
     build_schur,
-    cauchy_det_closed,
     fast_cauchy_hafnian,
     fast_cauchy_perm,
     moebius_for_form,
-    schur_pf_closed,
     sqrt_disc,
     substitution_witness,
 )
-from .verify import (
-    IdentityId,
-    Rank2Spec,
-    check_identity,
-    gen_points,
-    gen_rank2,
-    make_instance,
-    run_suite,
-    summarize,
-)
+from .verify import IdentityId, check_identity, make_instance, run_suite, summarize
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Command-line surface: eval, structured, verify, bench.
+"""Command-line surface: eval, structured, verify.
 
 All output values are exact rational text by default; --decimal renders an
 approximation for human skimming and is clearly marked as such.
@@ -8,23 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
-import statistics
 import sys
-import time
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import PfhafError
-from .kernels import (
-    HF_RECURSIVE_MAX,
-    PERM_RYSER_MAX,
-    evaluate,
-    hf_recursive,
-    perm_ryser,
-    pf_elimination,
-    det_bareiss,
-)
+from .kernels import det_bareiss, evaluate, hf_recursive, perm_ryser, pf_elimination
 from .matrix import SquareMatrix
 from .scalar import parse_rat, render_scalar, unlimited_digits
 from .structured import (
@@ -39,10 +29,7 @@ from .structured import (
     fast_cauchy_perm,
     schur_pf_closed,
 )
-from .verify import IdentityId, gen_points, run_suite, summarize
-
-# Largest size each exponential kernel accepts; bench skips beyond it.
-_EXPONENTIAL_MAX = {"hafnian": HF_RECURSIVE_MAX, "perm": PERM_RYSER_MAX}
+from .verify import IdentityId, run_suite, summarize
 
 
 def _decimal_str(value: Fraction, digits: int) -> str:
@@ -80,49 +67,56 @@ def _parse_scalar_list(text: str):
 
 def _parse_sizes(text: str):
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if ".." in part:
+                lo, hi = part.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'not a size list: {text!r} (e.g. "1..3" or "1,2,4")'
+        ) from None
     return sorted(set(out))
 
 
-def _parse_bilinear(text: str) -> BilinearForm:
+def _parse_identities(text: str):
     try:
-        return BilinearForm.from_name(text)
+        return {IdentityId(n.strip()) for n in text.split(",") if n.strip()} or None
+    except ValueError:
+        valid = ", ".join(i.value for i in IdentityId)
+        raise argparse.ArgumentTypeError(
+            f"unknown identity id in {text!r}; valid ids: {valid}"
+        ) from None
+
+
+def _digits(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"digits must be >= 0, got {value}")
+    return value
+
+
+def _parse_form(cls, text: str):
+    """A named form ("x+y", "1-xy") or its comma-separated coefficients."""
+    try:
+        return cls.from_name(text)
     except PfhafError:
         coeffs = _parse_scalar_list(text)
-        if len(coeffs) != 4:
+        if len(coeffs) != len(fields(cls)):
             raise
-        return BilinearForm(*coeffs)
-
-
-def _parse_symmetric(text: str) -> SymmetricForm:
-    try:
-        return SymmetricForm.from_name(text)
-    except PfhafError:
-        coeffs = _parse_scalar_list(text)
-        if len(coeffs) != 3:
-            raise
-        return SymmetricForm(*coeffs)
-
-
-def _digest(value) -> str:
-    return hashlib.sha256(render_scalar(value).encode()).hexdigest()[:12]
+        return cls(*coeffs)
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    m = _load_matrix(args)
-    result = evaluate(m, args.fn, args.algorithm)
-    _print_value(result.value, args.decimal)
+    _print_value(evaluate(_load_matrix(args), args.fn, args.algorithm), args.decimal)
     return 0
 
 
@@ -136,7 +130,7 @@ def cmd_structured(args) -> int:
         pc = PointConfig(xs, ys)
 
     if args.target in ("det", "perm"):
-        form = _parse_bilinear(args.f or "x+y")
+        form = _parse_form(BilinearForm, args.f or "x+y")
         if args.target == "det":
             value = cauchy_det_closed(pc, form)
             check = lambda: det_bareiss(build_cauchy(pc, form, power=1))
@@ -144,7 +138,7 @@ def cmd_structured(args) -> int:
             value = fast_cauchy_perm(pc, form)
             check = lambda: perm_ryser(build_cauchy(pc, form, power=1))
     else:
-        form = _parse_symmetric(args.g or "x+y")
+        form = _parse_form(SymmetricForm, args.g or "x+y")
         if args.target == "pf":
             value = schur_pf_closed(pc, form)
             check = lambda: pf_elimination(
@@ -168,10 +162,7 @@ def cmd_structured(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        only = {IdentityId(name.strip()) for name in args.only.split(",")}
-    reports = run_suite(args.seed, _parse_sizes(args.sizes), args.trials, only=only)
+    reports = run_suite(args.seed, args.sizes, args.trials, only=args.only)
     for report in reports:
         obj = report.to_json()
         if not args.timings:
@@ -180,65 +171,6 @@ def cmd_verify(args) -> int:
     summary = summarize(reports)
     print(json.dumps({"summary": summary}))
     return 0 if summary["failed"] == 0 else 1
-
-
-def _bench_cases(functional: str, n: int, seed: int):
-    """(label, callable) pairs for one functional at dimension n."""
-    if functional == "hafnian":
-        if n % 2:
-            return []
-        pc = gen_points(seed + n, n, max_den=1)
-        g = SymmetricForm.from_name("x+y")
-        b = build_hafnian_mat(pc, g)
-        return [
-            ("fast", lambda: fast_cauchy_hafnian(pc, g)),
-            ("exponential", lambda: hf_recursive(b)),
-        ]
-    if functional == "perm":
-        pc = gen_points(seed + n, n, ys=n, max_den=1)
-        f = BilinearForm.from_name("x+y")
-        c = build_cauchy(pc, f, power=1)
-        return [
-            ("fast", lambda: fast_cauchy_perm(pc, f)),
-            ("exponential", lambda: perm_ryser(c)),
-        ]
-    raise PfhafError(f"no benchmark for functional {functional!r}")
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    for functional in args.functional:
-        for n in _parse_sizes(args.sizes):
-            for label, fn in _bench_cases(functional, n, args.seed):
-                if label == "exponential" and n > _EXPONENTIAL_MAX[functional]:
-                    continue
-                times = []
-                value = None
-                for _ in range(args.repeats):
-                    t0 = time.perf_counter_ns()
-                    value = fn()
-                    times.append(time.perf_counter_ns() - t0)
-                rows.append(
-                    {
-                        "functional": functional,
-                        "algorithm": label,
-                        "n": n,
-                        "median_ns": int(statistics.median(times)),
-                        "digest": _digest(value),
-                    }
-                )
-
-    out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
-    try:
-        writer = csv.DictWriter(
-            out, fieldnames=["functional", "algorithm", "n", "median_ns", "digest"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
 
 
 # -- wiring ----------------------------------------------------------------
@@ -257,10 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="matrix JSON file")
     src.add_argument("--csv", help="plain numeric grid, entries parsed as rationals")
     p_eval.add_argument("--fn", required=True, choices=["det", "perm", "pf", "hf"])
-    p_eval.add_argument(
-        "--algorithm", default="auto", choices=["oracle", "fast", "auto"]
-    )
-    p_eval.add_argument("--decimal", type=int, default=None)
+    p_eval.add_argument("--algorithm", default="fast", choices=["fast", "oracle"])
+    p_eval.add_argument("--decimal", type=_digits, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_st = sub.add_parser(
@@ -276,33 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", required=True, choices=["det", "perm", "pf", "hafnian"]
     )
     p_st.add_argument("--crosscheck", action="store_true")
-    p_st.add_argument("--decimal", type=int, default=None)
+    p_st.add_argument("--decimal", type=_digits, default=None)
     p_st.set_defaults(func=cmd_structured)
 
     p_ver = sub.add_parser("verify", help="run the exact identity suite")
     p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--sizes", default="1..3", help='e.g. "1..3" or "1,2,4"')
+    p_ver.add_argument(
+        "--sizes", type=_parse_sizes, default="1..3", help='e.g. "1..3" or "1,2,4"'
+    )
     p_ver.add_argument("--trials", type=int, default=5)
-    p_ver.add_argument("--only", help="comma-separated identity ids")
+    p_ver.add_argument(
+        "--only", type=_parse_identities, help="comma-separated identity ids"
+    )
     p_ver.add_argument(
         "--timings", action="store_true", help="keep elapsed fields in the output"
     )
     p_ver.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser(
-        "bench", help="time fast paths against exponential kernels"
-    )
-    p_bench.add_argument(
-        "--functional",
-        nargs="+",
-        default=["hafnian"],
-        choices=["hafnian", "perm"],
-    )
-    p_bench.add_argument("--sizes", default="4..12")
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=42)
-    p_bench.add_argument("--output", default="-", help="CSV path or - for stdout")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

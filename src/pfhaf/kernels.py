@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -24,15 +23,6 @@ PERM_ORACLE_MAX = 8
 MATCHING_ORACLE_MAX = 12
 HF_RECURSIVE_MAX = 22
 PERM_RYSER_MAX = 25
-
-
-@dataclass(frozen=True)
-class KernelResult:
-    """A kernel evaluation plus diagnostics (advisory only)."""
-
-    value: object
-    algorithm: str
-    dimension: int
 
 
 def _perm_sign(p) -> int:
@@ -364,19 +354,16 @@ _FAST = {
 }
 
 
-def evaluate(m: SquareMatrix, functional: str, algorithm: str = "auto") -> KernelResult:
-    """Uniform entry point used by the CLI.
-
-    ``algorithm`` is "oracle", "fast" or "auto"; auto always picks the
-    efficient algorithm, oracles run only on explicit request.
+def evaluate(m: SquareMatrix, functional: str, algorithm: str = "fast"):
+    """Uniform entry point used by the CLI: the value of ``functional``
+    ("det", "perm", "pf" or "hf") on m.  ``algorithm`` is "fast", the
+    efficient algorithm, or "oracle", the definition-level sum, which runs
+    only on explicit request.
     """
     if functional not in _ORACLES:
         raise DomainError(f"unknown functional {functional!r}")
     if algorithm == "oracle":
-        fn, tag = _ORACLES[functional], f"{functional}_oracle"
-    elif algorithm in ("fast", "auto"):
-        fn, tag = _FAST[functional], f"{functional}_fast"
-    else:
-        raise DomainError(f"unknown algorithm {algorithm!r}")
-    value = fn(m)
-    return KernelResult(value=value, algorithm=tag, dimension=m.n)
+        return _ORACLES[functional](m)
+    if algorithm == "fast":
+        return _FAST[functional](m)
+    raise DomainError(f"unknown algorithm {algorithm!r}")

@@ -75,10 +75,6 @@ class SquareMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, SquareMatrix)
@@ -90,9 +86,6 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"SquareMatrix(n={self.n}, kind={self.kind!r})"
-
-    def rows(self):
-        return [list(row) for row in self.entries]
 
     # -- serialization -----------------------------------------------------
 

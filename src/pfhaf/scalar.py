@@ -132,18 +132,6 @@ class QuadExt:
             return other
         return self._with(_as_rat(other), ZERO)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def to_rat(self) -> Fraction:
-        if self.q != 0:
-            raise DomainError("element has a nonzero sqrt part")
-        return self.p
-
-    def conjugate(self) -> "QuadExt":
-        return self._with(self.p, -self.q)
-
     def norm(self) -> Fraction:
         """(p + q*sqrt(d)) * (p - q*sqrt(d)) = p^2 - q^2*d, a rational."""
         return self.p * self.p - self.q * self.q * self.d
@@ -221,15 +209,6 @@ class QuadExt:
 
     def __str__(self):
         return f"{render_rat(self.p)}+{render_rat(self.q)}*sqrt({render_rat(self.d)})"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"p": render_rat(self.p), "q": render_rat(self.q), "d": render_rat(self.d)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadExt":
-        return cls(parse_rat(obj["p"]), parse_rat(obj["q"]), parse_rat(obj["d"]))
 
 
 def render_scalar(value) -> str:

@@ -88,7 +88,15 @@ class BilinearForm:
         return self.a * self.d - self.b * self.c
 
     def __call__(self, x, y):
-        return self.a * x * y + self.b * x + self.c * y + self.d
+        # Zero terms are skipped, and so is adding to a zero partial sum.
+        v = self.d
+        if self.c:
+            v = self.c * y + v if v else self.c * y
+        if self.b:
+            v = self.b * x + v if v else self.b * x
+        if self.a:
+            v = self.a * x * y + v if v else self.a * x * y
+        return v
 
     @classmethod
     def from_name(cls, name: str) -> "BilinearForm":
@@ -124,7 +132,14 @@ class SymmetricForm:
         return self.b * self.b - self.a * self.c
 
     def __call__(self, x, y):
-        return self.a * x * y + self.b * (x + y) + self.c
+        # Zero terms are skipped, and so is adding to a zero partial sum:
+        # x + y at points in Q(sqrt(d)) is then one sum and one scaling.
+        v = self.c
+        if self.b:
+            v = self.b * (x + y) + v if v else self.b * (x + y)
+        if self.a:
+            v = self.a * x * y + v if v else self.a * x * y
+        return v
 
     @classmethod
     def from_name(cls, name: str) -> "SymmetricForm":
@@ -387,9 +402,6 @@ class MoebiusMap:
         if den == 0:
             raise PoleError(f"Moebius map pole at {render_scalar(x)}")
         return (self.A * x + self.B) / den
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.D, -self.B, -self.C, self.A)
 
 
 def sqrt_disc(disc: Rat):

@@ -106,7 +106,6 @@ def gen_points(
     seed: int,
     m: int,
     *,
-    distinct: bool = True,
     positive: bool = True,
     lo: int = 1,
     hi: int = 100,
@@ -130,9 +129,7 @@ def gen_points(
         for _ in range(count):
             for _ in range(_MAX_ATTEMPTS):
                 v = _random_rat(rng, lo, hi, max_den)
-                if positive and v <= 0:
-                    continue
-                if distinct and (v in taken or v in out):
+                if (positive and v <= 0) or v in taken or v in out:
                     continue
                 out.append(v)
                 break

@@ -1,7 +1,8 @@
-import csv
-import io
+import hashlib
 import json
 import sys
+
+import pytest
 
 from pfhaf.cli import main
 from pfhaf.scalar import parse_rat
@@ -211,48 +212,75 @@ def test_verify_timings_flag(capsys):
     assert "elapsed" in first
 
 
-# -- bench -----------------------------------------------------------------
+# sha256 of `pfhaf verify --seed 42 --sizes 1..4 --trials 5` stdout (321 lines)
+VERIFY_GOLDEN = "d41b350bc2222c597a2c072eb0a2b7f1794ecb7290c94790a9e4a230dc6090de"
 
 
-def test_bench_csv_stdout(capsys):
+def test_verify_output_matches_golden_digest(capsys):
     code, out, _ = run(
-        capsys, "bench", "--sizes", "4,6", "--repeats", "1", "--seed", "5"
+        capsys, "verify", "--seed", "42", "--sizes", "1..4", "--trials", "5"
     )
     assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows
-    assert set(rows[0]) == {"functional", "algorithm", "n", "median_ns", "digest"}
-    # both algorithms computed the same value at each size
-    by_n = {}
-    for r in rows:
-        by_n.setdefault(r["n"], set()).add(r["digest"])
-    assert all(len(digests) == 1 for digests in by_n.values())
+    assert len(out.splitlines()) == 321
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN
 
 
-def test_bench_to_file_and_perm(tmp_path, capsys):
-    path = tmp_path / "bench.csv"
-    code, _, _ = run(
-        capsys,
-        "bench",
-        "--functional",
-        "perm",
-        "--sizes",
-        "3,4",
-        "--repeats",
-        "1",
-        "--output",
-        str(path),
+# -- malformed input -------------------------------------------------------
+
+
+def refused(capsys, *argv):
+    """Exit status and stderr of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_bench_subcommand_is_gone(capsys):
+    code, err = refused(capsys, "bench")
+    assert code == 2
+    assert "invalid choice: 'bench'" in err
+
+
+def test_eval_algorithm_is_fast_or_oracle(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+    code, err = refused(
+        capsys, "eval", "--csv", str(path), "--fn", "det", "--algorithm", "auto"
     )
-    assert code == 0
-    rows = list(csv.DictReader(path.open()))
-    assert {r["functional"] for r in rows} == {"perm"}
-    assert {r["algorithm"] for r in rows} == {"fast", "exponential"}
+    assert code == 2
+    assert "choose from 'fast', 'oracle'" in err
 
 
-def test_bench_empty_sizes_header_only(capsys):
-    code, out, _ = run(capsys, "bench", "--sizes", "", "--repeats", "1")
-    assert code == 0
-    assert out.strip() == "functional,algorithm,n,median_ns,digest"
+@pytest.mark.parametrize("sizes", ["1..x", "1.."])
+def test_verify_malformed_sizes_refused(capsys, sizes):
+    code, err = refused(capsys, "verify", "--sizes", sizes)
+    assert code == 2
+    assert "argument --sizes: not a size list" in err
+
+
+def test_verify_unknown_identity_lists_valid_ids(capsys):
+    code, err = refused(capsys, "verify", "--only", "FOO")
+    assert code == 2
+    assert "unknown identity id in 'FOO'" in err
+    assert "CAUCHY1" in err and "DEGENERATE_PF" in err
+
+
+def test_eval_negative_decimal_refused(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+    code, err = refused(
+        capsys, "eval", "--csv", str(path), "--fn", "det", "--decimal", "-1"
+    )
+    assert code == 2
+    assert "argument --decimal: digits must be >= 0" in err
+
+
+def test_structured_negative_decimal_refused(capsys):
+    code, err = refused(
+        capsys, "structured", "--xs", "1,2", "--target", "hafnian", "--decimal", "-2"
+    )
+    assert code == 2
+    assert "argument --decimal: digits must be >= 0" in err
 
 
 def test_missing_file_is_error(capsys):

@@ -407,16 +407,25 @@ def test_det_perm_two_sided_permutation():
 
 def test_evaluate_dispatch():
     m = SquareMatrix([[F(0), F(1)], [F(-1), F(0)]])
-    assert evaluate(m, "pf", "auto").value == 1
-    assert evaluate(m, "pf", "oracle").algorithm == "pf_oracle"
+    assert evaluate(m, "pf") == 1
+    assert evaluate(m, "pf", "oracle") == 1
+    # 14 x 14 is past pf_oracle's guard, so only the oracle route refuses it
+    rows = [[F(0)] * 14 for _ in range(14)]
+    for k in range(0, 14, 2):
+        rows[k][k + 1], rows[k + 1][k] = F(1), F(-1)
+    big = SquareMatrix(rows)
+    assert evaluate(big, "pf", "fast") == 1
+    with pytest.raises(SizeError):
+        evaluate(big, "pf", "oracle")
     with pytest.raises(DomainError):
         evaluate(m, "trace")
-    with pytest.raises(DomainError):
-        evaluate(m, "pf", "magic")
+    for algorithm in ("magic", "auto"):
+        with pytest.raises(DomainError):
+            evaluate(m, "pf", algorithm)
 
 
 def test_evaluate_oracle_only_on_request():
     big = eye(10)
-    assert evaluate(big, "det", "auto").value == 1
+    assert evaluate(big, "det", "fast") == 1
     with pytest.raises(SizeError):
         evaluate(big, "det", "oracle")

