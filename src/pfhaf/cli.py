@@ -81,6 +81,8 @@ def _parse_sizes(text: str):
         raise argparse.ArgumentTypeError(
             f'not a size list: {text!r} (e.g. "1..3" or "1,2,4")'
         ) from None
+    if not out:
+        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
     return sorted(set(out))
 
 
@@ -98,6 +100,13 @@ def _digits(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"digits must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--sizes", type=_parse_sizes, default="1..3", help='e.g. "1..3" or "1,2,4"'
     )
-    p_ver.add_argument("--trials", type=int, default=5)
+    p_ver.add_argument("--trials", type=_positive, default=5)
     p_ver.add_argument(
         "--only", type=_parse_identities, help="comma-separated identity ids"
     )

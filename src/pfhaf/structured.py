@@ -41,6 +41,12 @@ from .scalar import (
 )
 
 
+def _exact(v):
+    """A Python int as a Fraction, so that 1/v and (x_j - x_i)/g stay exact;
+    Fractions and QuadExt values pass unchanged."""
+    return Fraction(v) if isinstance(v, int) else v
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Distinct rational sample points x_1..x_m (optionally y_1..y_n)."""
@@ -49,11 +55,11 @@ class PointConfig:
     ys: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(self.xs))
+        object.__setattr__(self, "xs", tuple(map(_exact, self.xs)))
         if len(set(self.xs)) != len(self.xs):
             raise DomainError("x points must be distinct")
         if self.ys is not None:
-            object.__setattr__(self, "ys", tuple(self.ys))
+            object.__setattr__(self, "ys", tuple(map(_exact, self.ys)))
             if len(set(self.ys)) != len(self.ys):
                 raise DomainError("y points must be distinct")
 
@@ -80,6 +86,8 @@ class BilinearForm:
     d: Rat
 
     def __post_init__(self):
+        for name in "abcd":
+            object.__setattr__(self, name, _exact(getattr(self, name)))
         if self.a == self.b == self.c == self.d == 0:
             raise DomainError("form must be nonzero")
 
@@ -124,6 +132,8 @@ class SymmetricForm:
     c: Rat
 
     def __post_init__(self):
+        for name in "abc":
+            object.__setattr__(self, name, _exact(getattr(self, name)))
         if self.a == self.b == self.c == 0:
             raise DomainError("form must be nonzero")
 
@@ -294,6 +304,99 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
 
 # -- fast paths ------------------------------------------------------------
+#
+# Both fast paths work in integer homogeneous coordinates: a point
+# x = p/q becomes the pair (p, q), a form becomes L times itself with L the
+# lcm of its coefficient denominators, and each row of the squared
+# matrix is cleared of denominators by the lcm of its entries; rows with
+# smaller scalings are eliminated first.  The helpers below are the one
+# place where a form meets the points.
+
+
+def _numerators_denominators(values, what: str, instead: str):
+    """([p_i], [q_i]) with v_i = p_i/q_i, q_i > 0, for rational ``values``.
+
+    The integer route has no room for QuadExt or float values: they are
+    refused with DomainError naming ``instead``, the field route."""
+    for v in values:
+        if not isinstance(v, Fraction):
+            raise DomainError(
+                f"the integer fast path needs rational {what}, got "
+                f"{type(v).__name__}; use {instead} instead"
+            )
+    return [v.numerator for v in values], [v.denominator for v in values]
+
+
+def _integer_form(coeffs, instead: str):
+    """(L, [L c for c in coeffs]) with L the lcm of the coefficient
+    denominators, so that the scaled coefficients are integers."""
+    nums, dens = _numerators_denominators(coeffs, "form coefficients", instead)
+    scale = math.lcm(*dens)
+    return scale, [p * (scale // q) for p, q in zip(nums, dens)]
+
+
+def _form_table(coeffs, xs, ys=None):
+    """The integer form (A, B, C, D) at homogeneous points xs = (p, q) and
+    ys = (r, s), as an n x n table of rows:
+
+        F_ij = A p_i r_j + B p_i s_j + C q_i r_j + D q_i s_j.
+
+    With ys None the form is symmetric (B = C) and ys = xs: only pairs
+    i < j are evaluated, the lower triangle mirrors the upper one, and the
+    diagonal holds 1, which leaves the row lcms alone.  The first zero in
+    row-major order raises PoleError naming its pair, as the builders and
+    closed forms do.
+    """
+    a, b, c, d = coeffs
+    ps, qs = xs
+    rs, ss = xs if ys is None else ys
+    table = []
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        lo = 0 if ys is not None else i + 1
+        u, v = a * p + c * q, b * p + d * q
+        row = [u * r + v * s for r, s in zip(rs[lo:], ss[lo:])]
+        if 0 in row:
+            j = lo + row.index(0) + 1
+            at = f"f(x_{i + 1}, y_{j})" if ys is not None else f"g(x_{i + 1}, x_{j})"
+            raise PoleError(f"{at} = 0", pair=(i + 1, j))
+        table.append(row)
+    if ys is None:
+        table = [
+            [table[j][i - j - 1] for j in range(i)] + [1] + table[i]
+            for i in range(len(ps))
+        ]
+    return table
+
+
+def _differences(points):
+    """Rows of d_ij = p_j q_i - p_i q_j for j > i, so that
+    x_j - x_i = d_ij / (q_i q_j)."""
+    ps, qs = points
+    return [
+        [pj * qi - pi * qj for pj, qj in zip(ps[i + 1:], qs[i + 1:])]
+        for i, (pi, qi) in enumerate(zip(ps, qs))
+    ]
+
+
+def _row_lcm_scaling(table):
+    """([l_i], quotients, order) with l_i = lcm_j |T_ij|, quotients[i][j] =
+    l_i / T_ij, an integer (row i of 1/T scaled by l_i), and the indices
+    sorted by increasing l_i.
+
+    Eliminating in that order keeps the intermediates small: after k steps
+    of a fraction-free elimination they are k x k minors, which carry the
+    scalings of the first k rows, so the rows with the smallest scalings
+    go first.
+    """
+    lcms = [math.lcm(*row) for row in table]
+    quotients = [[l // v for v in row] for l, row in zip(lcms, table)]
+    return lcms, quotients, sorted(range(len(lcms)), key=lcms.__getitem__)
+
+
+def _reordered(points, order):
+    """Homogeneous points (p, q) in the given order."""
+    ps, qs = points
+    return [ps[i] for i in order], [qs[i] for i in order]
 
 
 def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
@@ -302,13 +405,53 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     Divides det(1/f^2) by the closed-form det(1/f); requires ad - bc != 0
     (otherwise the closed form vanishes and the division-form shortcut is
     unavailable: fall back to perm_ryser).
+
+    Everything runs on integers.  With x_i = p_i/q_i, y_j = r_j/s_j, L the
+    lcm of the coefficient denominators of f and A..D = L a..L d, set
+
+        F_ij = L q_i s_j f(x_i, y_j) = A p_i r_j + B p_i s_j + C q_i r_j + D q_i s_j,
+        d_ij = p_j q_i - p_i q_j,   e_ij = r_j s_i - r_i s_j   (i < j),
+
+    so that 1/f_ij^2 = L^2 q_i^2 s_j^2 / F_ij^2.  Scaling row i by
+    D_i = lcm_j F_ij^2 makes N_ij = D_i / F_ij^2 an integer matrix, and
+
+        det(1/f^2) = L^{2n} prod(q_i^2) prod(s_j^2) det(N) / prod(D_i)
+        det(1/f)   = (BC - AD)^{n(n-1)/2} prod(d_ij) prod(e_ij)
+                     L^n prod(q_i) prod(s_j) / prod(F_ij)
+
+    (the second is cauchy_det_closed in these coordinates), whence
+
+        perm = L^n prod(q_i) prod(s_j) prod(F_ij) det(N)
+               / (prod(D_i) (BC - AD)^{n(n-1)/2} prod(d_ij) prod(e_ij)).
+
+    det(N) comes from det_bareiss on Python ints, and the only Fraction is
+    the final quotient.  Poles are found in row-major order, as the closed
+    form finds them.  Points in Q(sqrt(d)) or floats are refused; the
+    field route det_bareiss(build_cauchy(pc, f, power=2)) /
+    cauchy_det_closed(pc, f) takes them.
     """
     if f.disc == 0:
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
-    closed = cauchy_det_closed(pc, f)
-    return det_bareiss(build_cauchy(pc, f, power=2)) / closed
+    if pc.ys is None or len(pc.xs) != len(pc.ys):
+        raise DomainError("need equally many x and y points")
+    instead = "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
+    n = len(pc.xs)
+    scale, (a, b, c, d) = _integer_form((f.a, f.b, f.c, f.d), instead)
+    xs = _numerators_denominators(pc.xs, "points", instead)  # (p, q)
+    ys = _numerators_denominators(pc.ys, "points", instead)  # (r, s)
+    table = _form_table((a, b, c, d), xs, ys)
+    f_prod = math.prod(v for row in table for v in row)
+    lcms, quotients, order = _row_lcm_scaling(table)
+    # The permanent does not see the order of the x points; det(N) and
+    # prod(d_ij) change sign together.
+    xs = _reordered(xs, order)
+    det_n = det_bareiss(SquareMatrix([[u * u for u in quotients[i]] for i in order]))
+    d_prod = math.prod(v for row in _differences(xs) + _differences(ys) for v in row)
+    num = scale**n * math.prod(xs[1] + ys[1]) * f_prod * det_n
+    den = math.prod(lcms) ** 2 * (b * c - a * d) ** (n * (n - 1) // 2) * d_prod
+    return Fraction(num, den)
 
 
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
@@ -332,7 +475,9 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
              / (prod(D_i) (b^2 - ac)^{n(n-1)} L^{2n(n-1)} prod(d_ij))
 
     for 2n points, so Pf(M) comes from the integer elimination and the
-    only Fraction is the final quotient.
+    only Fraction is the final quotient.  Points in Q(sqrt(d)) or floats
+    are refused; pf_elimination(build_schur(pc, g, power=2)) /
+    schur_pf_closed(pc, g) takes them.
     """
     if g.disc == 0:
         raise DegenerateFormError(
@@ -342,38 +487,25 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     if m % 2 != 0:
         raise DomainError("need an even number of x points")
     half = m // 2
-    scale = math.lcm(g.a.denominator, g.b.denominator, g.c.denominator)
-    ga, gb, gc = (int(c * scale) for c in (g.a, g.b, g.c))
-    ps = [x.numerator for x in pc.xs]
-    qs = [x.denominator for x in pc.xs]
-    gs = [[1] * m for _ in range(m)]  # the diagonal 1 is neutral in the lcm
-    ds = [[0] * m for _ in range(m)]
-    g_prod = d_prod = 1
-    for i in range(m):
-        pi, qi = ps[i], qs[i]
-        for j in range(i + 1, m):
-            pj, qj = ps[j], qs[j]
-            gv = ga * pi * pj + gb * (pi * qj + pj * qi) + gc * qi * qj
-            if gv == 0:
-                raise PoleError(
-                    f"g(x_{i + 1}, x_{j + 1}) = 0", pair=(i + 1, j + 1)
-                )
-            dv = pj * qi - pi * qj
-            gs[i][j] = gs[j][i] = gv
-            ds[i][j] = dv
-            g_prod *= gv
-            d_prod *= dv
-    dens = [math.lcm(*row) for row in gs]
+    instead = "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
+    scale, (ga, gb, gc) = _integer_form((g.a, g.b, g.c), instead)
+    xs = _numerators_denominators(pc.xs, "points", instead)  # (p, q)
+    gs = _form_table((ga, gb, gb, gc), xs)
+    dens, quotients, order = _row_lcm_scaling(gs)
+    # The Hafnian does not see the order of the points; Pf(M) and
+    # prod(d_ij) change sign together.
+    xs = _reordered(xs, order)
+    quotients = [[quotients[i][j] for j in order] for i in order]
+    ds = _differences(xs)
     mat = [
         [0] * (i + 1)
-        + [
-            (dens[i] // gs[i][j]) * (dens[j] // gs[i][j]) * ds[i][j]
-            for j in range(i + 1, m)
-        ]
+        + [quotients[i][j] * quotients[j][i] * dv for j, dv in enumerate(ds[i], i + 1)]
         for i in range(m)
     ]
+    g_prod = math.prod(v for i, row in enumerate(gs) for v in row[i + 1:])
+    d_prod = math.prod(v for row in ds for v in row)
     disc = gb * gb - ga * gc  # = L^2 (b^2 - ac)
-    num = scale**half * math.prod(qs) * g_prod * pf_fraction_free(mat)
+    num = scale**half * math.prod(xs[1]) * g_prod * pf_fraction_free(mat)
     den = math.prod(dens) * disc ** (half * (half - 1)) * d_prod
     return Fraction(num, den)
 

@@ -405,12 +405,18 @@ def run_suite(
     """Cross-product of identities x sizes x trials, deterministic per seed.
 
     Failures do not stop the run; they are data.  Reports come back sorted
-    by (identity, size, trial).
+    by (identity, size, trial).  A sweep that would check nothing (no sizes,
+    or fewer than one trial) is refused with DomainError.
     """
+    sizes = sorted(sizes)
+    if not sizes:
+        raise DomainError("need at least one size")
+    if trials_per_size < 1:
+        raise DomainError(f"need at least one trial per size, got {trials_per_size}")
     identities = [i for i in IdentityId if only is None or i in only]
     reports = []
     for identity in sorted(identities, key=lambda i: i.value):
-        for size in sorted(sizes):
+        for size in sizes:
             for trial in range(trials_per_size):
                 pc, form, z = make_instance(seed, identity, size, trial)
                 report = check_identity(identity, pc, form=form, z=z)

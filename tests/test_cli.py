@@ -258,6 +258,20 @@ def test_verify_malformed_sizes_refused(capsys, sizes):
     assert "argument --sizes: not a size list" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--trials", "0"), "argument --trials: must be >= 1, got 0"),
+        (("--trials", "-2"), "argument --trials: must be >= 1, got -2"),
+        (("--sizes", ","), "argument --sizes: no sizes in ','"),
+    ],
+)
+def test_verify_empty_sweep_refused(capsys, argv, message):
+    code, err = refused(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err
+
+
 def test_verify_unknown_identity_lists_valid_ids(capsys):
     code, err = refused(capsys, "verify", "--only", "FOO")
     assert code == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from pfhaf.kernels import (
     perm_oracle,
     perm_ryser,
     pf_elimination,
+    pf_fraction_free,
     pf_oracle,
 )
 from pfhaf.matrix import SquareMatrix
@@ -33,6 +35,7 @@ from pfhaf.structured import (
     sqrt_disc,
     substitution_witness,
 )
+from pfhaf.verify import gen_points
 
 XPY = BilinearForm.from_name("x+y")
 GXPY = SymmetricForm.from_name("x+y")
@@ -69,6 +72,35 @@ def test_point_config_rejects_duplicates():
         PointConfig([F(1), F(1)])
     with pytest.raises(DomainError):
         PointConfig([F(1), F(2)], [F(3), F(3)])
+
+
+def test_int_points_and_coefficients_stay_exact():
+    pc = PointConfig([1, 2], [3, 4])
+    f = BilinearForm(0, 1, 1, 0)
+    assert all(type(v) is F for v in pc.xs + pc.ys)
+    assert all(type(getattr(f, k)) is F for k in "abcd")
+    value = fast_cauchy_perm(pc, f)
+    assert type(value) is F and value == F(49, 600)
+    m = build_cauchy(pc, f)
+    assert m.entries == ((F(1, 4), F(1, 5)), (F(1, 5), F(1, 6)))
+    assert all(type(v) is F for row in m.entries for v in row)
+
+    g = SymmetricForm(0, 1, 0)
+    assert all(type(getattr(g, k)) is F for k in "abc")
+    pc4 = PointConfig([1, 2, 3, 4])
+    exact = PointConfig([F(1), F(2), F(3), F(4)])
+    closed = schur_pf_closed(pc4, g)
+    assert type(closed) is F and closed == schur_pf_closed(exact, GXPY)
+    m = build_schur(pc4, g)
+    assert m.entries == build_schur(exact, GXPY).entries
+    assert all(type(v) is F for row in m.entries for v in row)
+    value = fast_cauchy_hafnian(pc4, g)
+    assert type(value) is F and value == hf_oracle(build_hafnian_mat(exact, GXPY))
+
+    # values in Q(sqrt(d)) are left as they are
+    q = QuadExt(F(1), F(1), F(2))
+    assert PointConfig([q, 1]).xs == (q, F(1))
+    assert type(PointConfig([q, 1]).xs[0]) is QuadExt
 
 
 def test_form_names_and_discs():
@@ -319,6 +351,100 @@ def test_fast_cauchy_perm_equals_perm_ryser(f, xys):
     pc = PointConfig(*xys)
     fast = outcome(lambda: fast_cauchy_perm(pc, f))
     assert fast == outcome(lambda: perm_ryser(build_cauchy(pc, f)))
+
+
+def rational_route(pc, f):
+    """The permanent by elimination over the field of the entries."""
+    return det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_fast_cauchy_perm_matches_rational_route_past_ryser(n):
+    rng = random.Random(n)
+    # coefficient denominators 2, 3, 5 and 7 make L = 210
+    while True:
+        nums = (rng.choice([-13, -11, -1, 1, 11, 13]) for _ in range(4))
+        f = BilinearForm(*(F(p, q) for p, q in zip(nums, (2, 3, 5, 7))))
+        if f.disc != 0:
+            break
+    assert math.lcm(*(getattr(f, k).denominator for k in "abcd")) == 210
+    pc = gen_points(
+        rng.randrange(2**31), n, ys=n, positive=False, lo=-40, hi=40, max_den=9,
+        no_pole=f,
+    )
+    points = pc.xs + pc.ys
+    assert min(points) < 0 and max(x.denominator for x in points) > 1
+    value = fast_cauchy_perm(pc, f)
+    assert type(value) is F and value == rational_route(pc, f)
+
+
+def test_fast_cauchy_perm_small_and_pole_cases_match_rational_route():
+    f = BilinearForm(F(1, 2), F(-2, 3), F(3, 5), F(1, 7))
+    for pc in (PointConfig([], []), PointConfig([F(-3, 4)], [F(5, 2)])):
+        value = fast_cauchy_perm(pc, f)
+        assert type(value) is F and value == rational_route(pc, f)
+    # x + y vanishes at (2, 1) and (3, 3); the first in row-major order wins,
+    # reported as the closed form reports it
+    pc = PointConfig([F(1), F(-1, 2), F(2)], [F(1, 2), F(5), F(-2)])
+    with pytest.raises(PoleError) as fast:
+        fast_cauchy_perm(pc, XPY)
+    with pytest.raises(PoleError) as ref:
+        cauchy_det_closed(pc, XPY)
+    assert (str(fast.value), fast.value.pair) == (str(ref.value), ref.value.pair)
+    assert fast.value.pair == (2, 1)
+
+
+def test_fast_paths_eliminate_python_ints(monkeypatch):
+    seen = []
+
+    def recording(kernel):
+        def wrapped(m, *args):
+            rows = getattr(m, "entries", m)
+            seen.append((kernel.__name__, {type(v) for row in rows for v in row}))
+            return kernel(m, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(structured, "det_bareiss", recording(det_bareiss))
+    monkeypatch.setattr(structured, "pf_fraction_free", recording(pf_fraction_free))
+    f = BilinearForm(F(1, 2), F(-2, 3), F(3, 5), F(1, 7))
+    pc = PointConfig([F(-3, 2), F(1, 3), F(5)], [F(2, 7), F(-4), F(9, 5)])
+    assert fast_cauchy_perm(pc, f) == perm_oracle(build_cauchy(pc, f))
+    g = SymmetricForm(F(1, 2), F(-1, 3), F(5, 4))
+    pc = PointConfig([F(-7, 2), F(-1, 3), F(2, 5), F(3)])
+    assert fast_cauchy_hafnian(pc, g) == hf_oracle(build_hafnian_mat(pc, g))
+    assert seen == [("det_bareiss", {int}), ("pf_fraction_free", {int})]
+
+
+def test_fast_paths_refuse_points_outside_q():
+    s2 = QuadExt(F(0), F(1), F(2))
+    quads = [s2 + k for k in (1, 2, 3, 4)]
+    pc = PointConfig(quads[:2], quads[2:])
+    with pytest.raises(DomainError) as exc:
+        fast_cauchy_perm(pc, XPY)
+    assert "rational points, got QuadExt" in str(exc.value)
+    route = "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
+    assert f"use {route} instead" in str(exc.value)
+    # the route it names takes those points
+    assert rational_route(pc, XPY) == perm_oracle(build_cauchy(pc, XPY))
+
+    pc = PointConfig(quads)
+    with pytest.raises(DomainError) as exc:
+        fast_cauchy_hafnian(pc, GXPY)
+    assert "rational points, got QuadExt" in str(exc.value)
+    route = "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
+    assert f"use {route} instead" in str(exc.value)
+    field = pf_elimination(build_schur(pc, GXPY, power=2)) / schur_pf_closed(pc, GXPY)
+    assert field == hf_oracle(build_hafnian_mat(pc, GXPY))
+
+    with pytest.raises(DomainError, match="rational points, got float"):
+        fast_cauchy_perm(PointConfig([0.5], [1.5]), XPY)
+    with pytest.raises(DomainError, match="rational points, got float"):
+        fast_cauchy_hafnian(PointConfig([0.5, 1.5]), GXPY)
+    with pytest.raises(DomainError, match="rational form coefficients, got float"):
+        fast_cauchy_perm(PointConfig([1], [2]), BilinearForm(0.5, 1, 1, 0))
+    with pytest.raises(DomainError, match="rational form coefficients, got float"):
+        fast_cauchy_hafnian(PointConfig([1, 2]), SymmetricForm(0.5, 1, 0))
 
 
 def test_fast_paths_reject_degenerate_disc():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pfhaf.errors import GenError
+from pfhaf.errors import DomainError, GenError
 from pfhaf.kernels import det_bareiss, pf_elimination
 from pfhaf.matrix import SquareMatrix, minor
 from pfhaf.structured import BilinearForm, PointConfig, SymmetricForm
@@ -198,7 +198,10 @@ def test_run_suite_only_filter_and_zero_trials():
     reports = run_suite(1, [2, 3], 3, only=only)
     assert len(reports) == 6
     assert all(r.identity == "CARLITZ" for r in reports)
-    assert run_suite(1, [1, 2], 0) == []
+    # a sweep that checks nothing is refused, not reported as passed
+    for sizes, trials in (([1, 2], 0), ([1, 2], -1), ([], 3)):
+        with pytest.raises(DomainError):
+            run_suite(1, sizes, trials)
 
 
 def test_report_json_shape():
