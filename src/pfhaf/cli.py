@@ -96,15 +96,24 @@ def _parse_identities(text: str):
         ) from None
 
 
+def _integer(text: str, valid: str) -> int:
+    """int(text), or an argparse error saying what a valid value is (left
+    to argparse, a ValueError would name the type function instead)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{valid}, got {text!r}") from None
+
+
 def _digits(text: str) -> int:
-    value = int(text)
+    value = _integer(text, "digits must be an integer >= 0")
     if value < 0:
         raise argparse.ArgumentTypeError(f"digits must be >= 0, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text, "must be an integer >= 1")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

@@ -43,6 +43,33 @@ def _require_matchable(m: SquareMatrix, ok: bool, what: str):
         raise DomainError(f"matrix is not {what}")
 
 
+def _leibniz_sum(m: SquareMatrix, signed: bool):
+    """Sum over permutations p of prod_i m[i][p(i)], each term weighted by
+    sgn(p) when ``signed``: the definition of det, or of perm."""
+    e = m.entries
+    total = 0
+    for p in permutations(range(m.n)):
+        term = _perm_sign(p) if signed else 1
+        for i in range(m.n):
+            term *= e[i][p[i]]
+        total += term
+    return total
+
+
+def _matching_sum(m: SquareMatrix, signed: bool):
+    """Sum over perfect matchings of prod m[a][b] over their pairs (a, b),
+    each term weighted by the sign of the matching read as a permutation
+    in F_{2n} when ``signed``: the definition of Pf, or of Hf."""
+    e = m.entries
+    total = 0
+    for matching in _matchings(list(range(m.n))):
+        term = _perm_sign([idx for pair in matching for idx in pair]) if signed else 1
+        for a, b in matching:
+            term *= e[a][b]
+        total += term
+    return total
+
+
 def _matchings(indices):
     """Yield perfect matchings of ``indices`` as lists of pairs (a, b), a < b,
     sorted by first element; this is exactly the F_{2n} normal form."""
@@ -64,14 +91,7 @@ def det_oracle(m: SquareMatrix):
     """Leibniz-expansion determinant; n <= 8."""
     if m.n > DET_ORACLE_MAX:
         raise SizeError(f"det_oracle guard is n <= {DET_ORACLE_MAX}, got {m.n}")
-    e = m.entries
-    total = 0
-    for p in permutations(range(m.n)):
-        term = _perm_sign(p)
-        for i in range(m.n):
-            term *= e[i][p[i]]
-        total += term
-    return total
+    return _leibniz_sum(m, signed=True)
 
 
 def det_bareiss(m: SquareMatrix):
@@ -112,14 +132,7 @@ def perm_oracle(m: SquareMatrix):
     """Definition-level permanent (unsigned Leibniz sum); n <= 8."""
     if m.n > PERM_ORACLE_MAX:
         raise SizeError(f"perm_oracle guard is n <= {PERM_ORACLE_MAX}, got {m.n}")
-    e = m.entries
-    total = 0
-    for p in permutations(range(m.n)):
-        term = 1
-        for i in range(m.n):
-            term *= e[i][p[i]]
-        total += term
-    return total
+    return _leibniz_sum(m, signed=False)
 
 
 def perm_ryser(m: SquareMatrix):
@@ -174,17 +187,7 @@ def pf_oracle(m: SquareMatrix):
     _require_matchable(m, m.skew, "skew-symmetric")
     if m.n > MATCHING_ORACLE_MAX:
         raise SizeError(f"pf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
-    if m.n == 0:
-        return 1
-    e = m.entries
-    total = 0
-    for matching in _matchings(list(range(m.n))):
-        flat = [idx for pair in matching for idx in pair]
-        term = _perm_sign(flat)
-        for a, b in matching:
-            term *= e[a][b]
-        total += term
-    return total
+    return _matching_sum(m, signed=True)
 
 
 def pf_fraction_free(a, div=operator.floordiv):
@@ -279,16 +282,7 @@ def hf_oracle(m: SquareMatrix):
     _require_matchable(m, m.symmetric, "symmetric")
     if m.n > MATCHING_ORACLE_MAX:
         raise SizeError(f"hf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
-    if m.n == 0:
-        return 1
-    e = m.entries
-    total = 0
-    for matching in _matchings(list(range(m.n))):
-        term = 1
-        for a, b in matching:
-            term *= e[a][b]
-        total += term
-    return total
+    return _matching_sum(m, signed=False)
 
 
 def hf_recursive(m: SquareMatrix):

@@ -168,28 +168,56 @@ class SymmetricForm:
         return cls(*(parse_rat(obj[k]) for k in "abc"))
 
 
+# -- the form at the points ------------------------------------------------
+
+
+def _xy_count(pc: PointConfig) -> int:
+    """n, for n x points and n y points; anything else is refused."""
+    if pc.ys is None or len(pc.xs) != len(pc.ys):
+        raise DomainError("need equally many x and y points")
+    return len(pc.xs)
+
+
+def _half_count(pc: PointConfig) -> int:
+    """n, for 2n x points; an odd count is refused."""
+    if len(pc.xs) % 2 != 0:
+        raise DomainError("need an even number of x points")
+    return len(pc.xs) // 2
+
+
+def _pole(row, i: int, lo: int, symmetric: bool) -> PoleError:
+    """The PoleError for the first zero of ``row``, the form at the pairs
+    (i, lo), (i, lo + 1), ... (0-based), named by its 1-based pair."""
+    j = lo + row.index(0) + 1
+    at = f"g(x_{i + 1}, x_{j})" if symmetric else f"f(x_{i + 1}, y_{j})"
+    return PoleError(f"{at} = 0", pair=(i + 1, j))
+
+
+def pair_table(form, xs, ys=None):
+    """The rows of f(x_i, y_j) over all pairs or, with ys None, of
+    g(x_i, x_j) over j > i.  The first zero in row-major order raises
+    PoleError naming its pair."""
+    table = []
+    for i, x in enumerate(xs):
+        lo = 0 if ys is not None else i + 1
+        row = [form(x, y) for y in (ys if ys is not None else xs[lo:])]
+        if 0 in row:
+            raise _pole(row, i, lo, ys is None)
+        table.append(row)
+    return table
+
+
 # -- builders --------------------------------------------------------------
 
 
 def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatrix:
     """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}."""
-    if pc.ys is None or len(pc.xs) != len(pc.ys):
-        raise DomainError("need equally many x and y points")
+    _xy_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    rows = []
-    for i, x in enumerate(pc.xs):
-        row = []
-        for j, y in enumerate(pc.ys):
-            v = f(x, y)
-            if v == 0:
-                raise PoleError(
-                    f"f(x_{i + 1}, y_{j + 1}) = 0 at ({render_rat(x)}, {render_rat(y)})",
-                    pair=(i + 1, j + 1),
-                )
-            row.append(1 / v ** power)
-        rows.append(row)
-    return SquareMatrix(rows)
+    return SquareMatrix(
+        [[1 / v ** power for v in row] for row in pair_table(f, pc.xs, pc.ys)]
+    )
 
 
 def build_schur(
@@ -204,22 +232,15 @@ def build_schur(
     The two orientations are kept explicit because the identities
     themselves use both; normalizing silently would hide sign bugs.
     """
-    n = len(pc.xs)
-    if n % 2 != 0:
-        raise DomainError("need an even number of x points")
+    n = 2 * _half_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     if orientation not in ("ji", "ij"):
         raise DomainError("orientation must be 'ji' or 'ij'")
     xs = pc.xs
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gv = g(xs[i], xs[j])
-            if gv == 0:
-                raise PoleError(
-                    f"g(x_{i + 1}, x_{j + 1}) = 0", pair=(i + 1, j + 1)
-                )
+    for i, row in enumerate(pair_table(g, xs)):
+        for j, gv in enumerate(row, i + 1):
             num = xs[j] - xs[i] if orientation == "ji" else xs[i] - xs[j]
             v = num / gv ** power
             rows[i][j] = v
@@ -233,18 +254,10 @@ def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
     The diagonal is stored as 0: the Hafnian never reads it, and
     g(x_i, x_i) may legitimately be a pole.
     """
-    n = len(pc.xs)
-    if n % 2 != 0:
-        raise DomainError("need an even number of x points")
-    xs = pc.xs
+    n = 2 * _half_count(pc)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gv = g(xs[i], xs[j])
-            if gv == 0:
-                raise PoleError(
-                    f"g(x_{i + 1}, x_{j + 1}) = 0", pair=(i + 1, j + 1)
-                )
+    for i, row in enumerate(pair_table(g, pc.xs)):
+        for j, gv in enumerate(row, i + 1):
             rows[i][j] = rows[j][i] = 1 / gv
     return SquareMatrix(rows, kind="symmetric")
 
@@ -258,22 +271,15 @@ def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
         (bc - ad)^{n(n-1)/2} * prod_{i<j} (x_j - x_i)(y_j - y_i)
                              / prod_{i,j} f(x_i, y_j)
     """
-    if pc.ys is None or len(pc.xs) != len(pc.ys):
-        raise DomainError("need equally many x and y points")
+    n = _xy_count(pc)
     xs, ys = pc.xs, pc.ys
-    n = len(xs)
     num = Fraction(1)
     for i in range(n):
         for j in range(i + 1, n):
             num *= (xs[j] - xs[i]) * (ys[j] - ys[i])
     den = Fraction(1)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            v = f(x, y)
-            if v == 0:
-                raise PoleError(
-                    f"f(x_{i + 1}, y_{j + 1}) = 0", pair=(i + 1, j + 1)
-                )
+    for row in pair_table(f, xs, ys):
+        for v in row:
             den *= v
     prefactor = (-f.disc) ** (n * (n - 1) // 2)
     return prefactor * num / den
@@ -286,19 +292,11 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
     where the matrix is 2n x 2n.
     """
-    m = len(pc.xs)
-    if m % 2 != 0:
-        raise DomainError("need an even number of x points")
-    half = m // 2
+    half = _half_count(pc)
     xs = pc.xs
     prod = Fraction(1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            gv = g(xs[i], xs[j])
-            if gv == 0:
-                raise PoleError(
-                    f"g(x_{i + 1}, x_{j + 1}) = 0", pair=(i + 1, j + 1)
-                )
+    for i, row in enumerate(pair_table(g, xs)):
+        for j, gv in enumerate(row, i + 1):
             prod *= (xs[j] - xs[i]) / gv
     return g.disc ** (half * (half - 1)) * prod
 
@@ -309,8 +307,9 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 # x = p/q becomes the pair (p, q), a form becomes L times itself with L the
 # lcm of its coefficient denominators, and each row of the squared
 # matrix is cleared of denominators by the lcm of its entries; rows with
-# smaller scalings are eliminated first.  The helpers below are the one
-# place where a form meets the points.
+# smaller scalings are eliminated first.  The helpers below are shared by
+# both; _form_table is pair_table in these coordinates, with the same pole
+# rule.
 
 
 def _numerators_denominators(values, what: str, instead: str):
@@ -344,8 +343,7 @@ def _form_table(coeffs, xs, ys=None):
     With ys None the form is symmetric (B = C) and ys = xs: only pairs
     i < j are evaluated, the lower triangle mirrors the upper one, and the
     diagonal holds 1, which leaves the row lcms alone.  The first zero in
-    row-major order raises PoleError naming its pair, as the builders and
-    closed forms do.
+    row-major order raises PoleError naming its pair, as in pair_table.
     """
     a, b, c, d = coeffs
     ps, qs = xs
@@ -356,9 +354,7 @@ def _form_table(coeffs, xs, ys=None):
         u, v = a * p + c * q, b * p + d * q
         row = [u * r + v * s for r, s in zip(rs[lo:], ss[lo:])]
         if 0 in row:
-            j = lo + row.index(0) + 1
-            at = f"f(x_{i + 1}, y_{j})" if ys is not None else f"g(x_{i + 1}, x_{j})"
-            raise PoleError(f"{at} = 0", pair=(i + 1, j))
+            raise _pole(row, i, lo, ys is None)
         table.append(row)
     if ys is None:
         table = [
@@ -434,10 +430,8 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
-    if pc.ys is None or len(pc.xs) != len(pc.ys):
-        raise DomainError("need equally many x and y points")
+    n = _xy_count(pc)
     instead = "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
-    n = len(pc.xs)
     scale, (a, b, c, d) = _integer_form((f.a, f.b, f.c, f.d), instead)
     xs = _numerators_denominators(pc.xs, "points", instead)  # (p, q)
     ys = _numerators_denominators(pc.ys, "points", instead)  # (r, s)
@@ -483,10 +477,8 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
         raise DegenerateFormError(
             "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead"
         )
-    m = len(pc.xs)
-    if m % 2 != 0:
-        raise DomainError("need an even number of x points")
-    half = m // 2
+    half = _half_count(pc)
+    m = 2 * half
     instead = "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
     scale, (ga, gb, gc) = _integer_form((g.a, g.b, g.c), instead)
     xs = _numerators_denominators(pc.xs, "points", instead)  # (p, q)
@@ -581,9 +573,7 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     start = time.perf_counter()
     if g.disc == 0:
         raise DegenerateFormError("b^2 - ac = 0: substitution needs disc != 0")
-    m = len(pc.xs)
-    if m % 2 != 0:
-        raise DomainError("need an even number of x points")
+    m = 2 * _half_count(pc)
 
     if g.a == 0 and g.c == 0:
         # g = b (x + y): already the classical case, map is identity-like.

@@ -14,11 +14,11 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, GenError
+from .errors import DomainError, GenError, PoleError
 from .kernels import det_bareiss, hf_recursive, perm_ryser, pf_elimination
 from .matrix import SquareMatrix, minor
 from .report import IdentityReport
@@ -27,10 +27,12 @@ from .structured import (
     BilinearForm,
     PointConfig,
     SymmetricForm,
+    _exact,
     build_cauchy,
     build_hafnian_mat,
     build_schur,
     cauchy_det_closed,
+    pair_table,
     schur_pf_closed,
 )
 
@@ -54,16 +56,23 @@ class IdentityId(Enum):
     DEGENERATE_PF = "DEGENERATE_PF"
 
 
-# identities over pairs (x_i, y_j) vs. a single x list of even length
-_XY_IDS = {
-    IdentityId.CAUCHY1,
-    IdentityId.CAUCHY2,
-    IdentityId.BORCH1,
-    IdentityId.BORCH2,
-    IdentityId.GEN_DET,
-    IdentityId.GEN_BORCH,
+# identity -> (family, form class, named form or None for a random one).
+# The bilinear families run over pairs (x_i, y_j), the symmetric ones over
+# a single x list of even length.
+_FORMS = {
+    IdentityId.CAUCHY1: ("DET", BilinearForm, "x+y"),
+    IdentityId.CAUCHY2: ("DET", BilinearForm, "1-xy"),
+    IdentityId.GEN_DET: ("DET", BilinearForm, None),
+    IdentityId.BORCH1: ("BORCH", BilinearForm, "x+y"),
+    IdentityId.BORCH2: ("BORCH", BilinearForm, "1-xy"),
+    IdentityId.GEN_BORCH: ("BORCH", BilinearForm, None),
+    IdentityId.SCHUR1: ("SCHUR", SymmetricForm, "x+y"),
+    IdentityId.SCHUR2: ("SCHUR", SymmetricForm, "1-xy"),
+    IdentityId.GEN_SCHUR: ("SCHUR", SymmetricForm, None),
+    IdentityId.MAIN1: ("MAIN", SymmetricForm, "x+y"),
+    IdentityId.MAIN2: ("MAIN", SymmetricForm, "1-xy"),
+    IdentityId.GEN_MAIN: ("MAIN", SymmetricForm, None),
 }
-_LEMMA_IDS = {IdentityId.LEMMA1, IdentityId.LEMMA2}
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,10 @@ class Rank2Spec:
     v: tuple
     s: tuple
     t: tuple
+
+    def __post_init__(self):
+        for name in ("u", "v", "s", "t"):
+            object.__setattr__(self, name, tuple(map(_exact, getattr(self, name))))
 
     @property
     def n(self) -> int:
@@ -141,17 +154,13 @@ def gen_points(
         xs = draw(m, ())
         ys_list = draw(ys, xs) if ys is not None else None
         if no_pole is not None:
+            pts = None
             if isinstance(no_pole, BilinearForm):
                 pts = ys_list if ys_list is not None else xs
-                if any(no_pole(x, y) == 0 for x in xs for y in pts):
-                    continue
-            else:
-                if any(
-                    no_pole(xs[i], xs[j]) == 0
-                    for i in range(m)
-                    for j in range(i + 1, m)
-                ):
-                    continue
+            try:
+                pair_table(no_pole, xs, pts)
+            except PoleError:
+                continue
         return PointConfig(xs, ys_list)
     raise GenError("could not satisfy pole-freedom constraints")
 
@@ -172,20 +181,12 @@ def gen_rank2(seed: int, n: int) -> Rank2Spec:
     raise GenError("could not build a rank-2 spec with nonzero entries")
 
 
-def _gen_bilinear_form(rng: random.Random) -> BilinearForm:
+def _gen_form(rng: random.Random, cls):
+    """A random BilinearForm or SymmetricForm with nonzero discriminant."""
     while True:
-        coeffs = [_random_rat(rng, -5, 5, 3) for _ in range(4)]
+        coeffs = [_random_rat(rng, -5, 5, 3) for _ in fields(cls)]
         if any(coeffs):
-            form = BilinearForm(*coeffs)
-            if form.disc != 0:
-                return form
-
-
-def _gen_symmetric_form(rng: random.Random) -> SymmetricForm:
-    while True:
-        coeffs = [_random_rat(rng, -5, 5, 3) for _ in range(3)]
-        if any(coeffs):
-            form = SymmetricForm(*coeffs)
+            form = cls(*coeffs)
             if form.disc != 0:
                 return form
 
@@ -211,60 +212,34 @@ def _check(identity: IdentityId, pc, form, z):
     if z is not None:
         params["z"] = render_rat(z)
 
-    if identity in (IdentityId.CAUCHY1, IdentityId.CAUCHY2, IdentityId.GEN_DET):
-        if identity is IdentityId.GEN_DET:
-            f = form
-        else:
-            f = BilinearForm.from_name(
-                "x+y" if identity is IdentityId.CAUCHY1 else "1-xy"
-            )
-        params["f"] = f.to_json()
-        lhs = det_bareiss(build_cauchy(pc, f, power=1))
-        rhs = cauchy_det_closed(pc, f)
-        return lhs, rhs, params
-
-    if identity in (IdentityId.BORCH1, IdentityId.BORCH2, IdentityId.GEN_BORCH):
-        if identity is IdentityId.GEN_BORCH:
-            f = form
-        else:
-            f = BilinearForm.from_name(
-                "x+y" if identity is IdentityId.BORCH1 else "1-xy"
-            )
-        params["f"] = f.to_json()
-        lhs = det_bareiss(build_cauchy(pc, f, power=2))
-        rhs = cauchy_det_closed(pc, f) * perm_ryser(build_cauchy(pc, f, power=1))
-        return lhs, rhs, params
-
-    if identity in (IdentityId.SCHUR1, IdentityId.SCHUR2, IdentityId.GEN_SCHUR):
-        if identity is IdentityId.GEN_SCHUR:
-            g = form
-        else:
-            g = SymmetricForm.from_name(
-                "x+y" if identity is IdentityId.SCHUR1 else "1-xy"
-            )
-        params["g"] = g.to_json()
-        lhs = pf_elimination(build_schur(pc, g, power=1, orientation="ji"))
-        rhs = schur_pf_closed(pc, g)
-        return lhs, rhs, params
-
-    if identity in (IdentityId.MAIN1, IdentityId.MAIN2, IdentityId.GEN_MAIN):
+    entry = _FORMS.get(identity)
+    if entry is not None:
+        family, cls, name = entry
+        if name is not None:
+            form = cls.from_name(name)
+        params["f" if cls is BilinearForm else "g"] = form.to_json()
+        if family == "DET":
+            lhs = det_bareiss(build_cauchy(pc, form, power=1))
+            return lhs, cauchy_det_closed(pc, form), params
+        if family == "BORCH":
+            lhs = det_bareiss(build_cauchy(pc, form, power=2))
+            closed = cauchy_det_closed(pc, form)
+            return lhs, closed * perm_ryser(build_cauchy(pc, form, power=1)), params
+        if family == "SCHUR":
+            lhs = pf_elimination(build_schur(pc, form, power=1, orientation="ji"))
+            return lhs, schur_pf_closed(pc, form), params
         # MAIN1/MAIN2 are stated with numerators x_i - x_j (orientation
         # "ij"); the generalized form uses x_j - x_i. Both are checked as
         # printed: flipping all m(m-1)/2 numerators of the closed-form
         # product flips its sign that many times.
         m = len(pc.xs)
-        if identity is IdentityId.GEN_MAIN:
-            g = form
+        if name is None:
             orientation, sign = "ji", 1
         else:
-            g = SymmetricForm.from_name(
-                "x+y" if identity is IdentityId.MAIN1 else "1-xy"
-            )
             orientation, sign = "ij", (-1) ** (m // 2 * (m - 1))
-        params["g"] = g.to_json()
-        lhs = pf_elimination(build_schur(pc, g, power=2, orientation=orientation))
-        haf = hf_recursive(build_hafnian_mat(pc, g))
-        rhs = sign * schur_pf_closed(pc, g) * haf
+        lhs = pf_elimination(build_schur(pc, form, power=2, orientation=orientation))
+        haf = hf_recursive(build_hafnian_mat(pc, form))
+        rhs = sign * schur_pf_closed(pc, form) * haf
         return lhs, rhs, params
 
     if identity is IdentityId.LEMMA1:
@@ -365,35 +340,34 @@ def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
     """Deterministic (pc, form, z) for one suite cell."""
     s = _sub_seed(seed, identity, size, trial)
     rng = random.Random(s)
-    form = None
-    z = None
 
     if identity is IdentityId.CARLITZ:
         return None, gen_rank2(s, size), None
 
-    if identity in _XY_IDS:
-        if identity is IdentityId.GEN_DET or identity is IdentityId.GEN_BORCH:
-            form = _gen_bilinear_form(rng)
-            pole_form = form
-        elif identity in (IdentityId.CAUCHY2, IdentityId.BORCH2):
-            pole_form = BilinearForm.from_name("1-xy")
-        else:
-            pole_form = None
-        pc = gen_points(rng.randrange(2**31), size, ys=size, no_pole=pole_form)
-        return pc, form, None
+    entry = _FORMS.get(identity)
+    if entry is None:
+        pc = gen_points(rng.randrange(2**31), 2 * size)
+        z = None
+        if identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
+            z = _gen_z(rng, pc.xs)
+        return pc, None, z
 
-    count = 2 * size
-    if identity is IdentityId.GEN_SCHUR or identity is IdentityId.GEN_MAIN:
-        form = _gen_symmetric_form(rng)
-        pole_form = form
-    elif identity in (IdentityId.SCHUR2, IdentityId.MAIN2):
-        pole_form = SymmetricForm.from_name("1-xy")
-    else:
-        pole_form = None
-    pc = gen_points(rng.randrange(2**31), count, no_pole=pole_form)
-    if identity in _LEMMA_IDS:
-        z = _gen_z(rng, pc.xs)
-    return pc, form, z
+    _, cls, name = entry
+    form = pole_form = None
+    if name is None:
+        form = pole_form = _gen_form(rng, cls)
+    elif name != "x+y":
+        # x + y has no zero at positive points; 1 - xy and the random forms
+        # constrain the sampling.
+        pole_form = cls.from_name(name)
+    xy = cls is BilinearForm
+    pc = gen_points(
+        rng.randrange(2**31),
+        size if xy else 2 * size,
+        ys=size if xy else None,
+        no_pole=pole_form,
+    )
+    return pc, form, None
 
 
 def run_suite(

@@ -272,6 +272,28 @@ def test_verify_empty_sweep_refused(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--trials", "x"), "argument --trials: must be an integer >= 1, got 'x'"),
+        (
+            ("eval", "--csv", "m.csv", "--fn", "det", "--decimal", "x"),
+            "argument --decimal: digits must be an integer >= 0, got 'x'",
+        ),
+        (
+            ("structured", "--xs", "1,2", "--target", "hafnian", "--decimal", "1.5"),
+            "argument --decimal: digits must be an integer >= 0, got '1.5'",
+        ),
+    ],
+    ids=["verify-trials", "eval-decimal", "structured-decimal"],
+)
+def test_non_integer_count_names_the_valid_range(capsys, argv, message):
+    code, err = refused(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert "_positive" not in err and "_digits" not in err and "invalid" not in err
+
+
 def test_verify_unknown_identity_lists_valid_ids(capsys):
     code, err = refused(capsys, "verify", "--only", "FOO")
     assert code == 2

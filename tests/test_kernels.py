@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfhaf.errors import DomainError, SizeError
 from pfhaf.kernels import (
@@ -176,11 +177,34 @@ def test_pf_4x4_three_matchings():
     assert pf_elimination(m) == expected
 
 
-def test_pf_squared_is_det():
-    rng = random.Random(15)
-    for _ in range(10):
-        m = rand_skew(rng, 6)
-        assert pf_elimination(m) ** 2 == det_bareiss(m)
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def skew_matrices(draw, radicand=None):
+    """Skew matrices of size 2..8 over Q, or over Q(sqrt(radicand)).  About
+    half the entries are zero, and a_12 is zero in about half the draws,
+    which forces a pivot swap in the Pfaffian elimination (the determinant
+    elimination swaps at every zero diagonal pivot)."""
+    n = 2 * draw(st.integers(1, 4))
+    zero, entry = F(0), rationals
+    if radicand is not None:
+        zero = QuadExt(F(0), F(0), radicand)
+        entry = st.builds(QuadExt, rationals, rationals, st.just(radicand))
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.one_of(st.just(zero), entry))
+            rows[i][j], rows[j][i] = v, -v
+    if draw(st.booleans()):
+        rows[0][1] = rows[1][0] = zero
+    return SquareMatrix(rows, kind="skew")
+
+
+@settings(deadline=None)
+@given(st.one_of(skew_matrices(), skew_matrices(F(2))))
+def test_pf_squared_is_det(m):
+    assert pf_elimination(m) ** 2 == det_bareiss(m)
 
 
 def test_pf_elimination_matches_oracle():

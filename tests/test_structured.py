@@ -326,6 +326,40 @@ def test_fast_cauchy_hafnian_pole_names_pair():
     assert exc.value.pair == (2, 3)  # (3/2)(4)/2 - 3 = 0
 
 
+@pytest.mark.parametrize(
+    "name, f_pair, g_pair", [("x+y", (2, 1), (2, 3)), ("1-xy", (2, 2), (2, 5))]
+)
+@pytest.mark.parametrize("as_fractions", [False, True])
+def test_one_pole_rule(name, f_pair, g_pair, as_fractions):
+    # Two poles per form: x + y at f (2, 1), (3, 2) and g (2, 3), (4, 5);
+    # 1 - xy at f (2, 2), (3, 1) and g (2, 5), (3, 4).  The first in
+    # row-major order is reported, with one message format everywhere.
+    xs, ys = [1, F(-1, 2), 2], [F(1, 2), -2, 3]
+    ws = [1, F(-1, 2), F(1, 2), 2, -2, 3]
+    if as_fractions:
+        xs, ys, ws = ([F(v) for v in p] for p in (xs, ys, ws))
+
+    def pole(fn, *args, **kw):
+        with pytest.raises(PoleError) as exc:
+            fn(*args, **kw)
+        return str(exc.value), exc.value.pair
+
+    pc, f = PointConfig(xs, ys), BilinearForm.from_name(name)
+    expected = ("f(x_{}, y_{}) = 0".format(*f_pair), f_pair)
+    assert pole(build_cauchy, pc, f) == expected
+    assert pole(build_cauchy, pc, f, power=2) == expected
+    assert pole(cauchy_det_closed, pc, f) == expected
+    assert pole(fast_cauchy_perm, pc, f) == expected
+
+    pc, g = PointConfig(ws), SymmetricForm.from_name(name)
+    expected = ("g(x_{}, x_{}) = 0".format(*g_pair), g_pair)
+    assert pole(build_schur, pc, g) == expected
+    assert pole(build_schur, pc, g, power=2, orientation="ij") == expected
+    assert pole(build_hafnian_mat, pc, g) == expected
+    assert pole(schur_pf_closed, pc, g) == expected
+    assert pole(fast_cauchy_hafnian, pc, g) == expected
+
+
 def outcome(fn):
     """What fn returns, or the pair named by the PoleError it raises."""
     try:

@@ -85,6 +85,16 @@ def test_rank_one_spec_satisfies_reciprocal_identity():
     assert rep.passed
 
 
+def test_int_rank2_spec_equals_fraction_spec():
+    data = ((1, 2, 3), (1, 5, 7), (2, 1, 4), (3, 1, 1))
+    rep = check_identity(IdentityId.CARLITZ, None, form=Rank2Spec(*data))
+    ref = check_identity(
+        IdentityId.CARLITZ, None, form=Rank2Spec(*(tuple(map(F, v)) for v in data))
+    )
+    assert rep.passed
+    assert (rep.lhs, rep.rhs, rep.params) == (ref.lhs, ref.rhs, ref.params)
+
+
 # -- individual identities -------------------------------------------------
 
 
