@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from .errors import PfhafError
+from .errors import DomainError, PfhafError
 from .kernels import det_bareiss, evaluate, hf_recursive, perm_ryser, pf_elimination
 from .matrix import SquareMatrix
 from .scalar import parse_rat, render_scalar, unlimited_digits
@@ -57,8 +57,15 @@ def _load_matrix(args) -> SquareMatrix:
                 if row
             ]
         return SquareMatrix(rows)
-    with open(args.input) as fh:
-        return SquareMatrix.from_json(json.load(fh))
+    return SquareMatrix.from_json(_read_json(args.input))
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _parse_scalar_list(text: str):
@@ -140,8 +147,7 @@ def cmd_eval(args) -> int:
 
 def cmd_structured(args) -> int:
     if args.points:
-        with open(args.points) as fh:
-            pc = PointConfig.from_json(json.load(fh))
+        pc = PointConfig.from_json(_read_json(args.points))
     else:
         xs = _parse_scalar_list(args.xs)
         ys = _parse_scalar_list(args.ys) if args.ys else None

@@ -84,6 +84,15 @@ def _matchings(indices):
             yield [(a, b)] + tail
 
 
+def _exact_division(entries):
+    """The division of a fraction-free elimination whose every division is
+    exact: floor division when all ``entries`` are Python ints, which keeps
+    the intermediates ints, and field division otherwise."""
+    if all(isinstance(v, int) for v in entries):
+        return operator.floordiv
+    return operator.truediv
+
+
 # -- determinant -----------------------------------------------------------
 
 
@@ -105,8 +114,7 @@ def det_bareiss(m: SquareMatrix):
     if n == 0:
         return 1
     a = [list(row) for row in m.entries]
-    integral = all(isinstance(v, int) for row in a for v in row)
-    div = operator.floordiv if integral else operator.truediv
+    div = _exact_division(v for row in a for v in row)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -190,7 +198,7 @@ def pf_oracle(m: SquareMatrix):
     return _matching_sum(m, signed=True)
 
 
-def pf_fraction_free(a, div=operator.floordiv):
+def pf_fraction_free(a):
     """Pfaffian of the skew matrix whose strict upper triangle is held in the
     rows ``a`` (list of lists, overwritten; nothing on or below the diagonal
     is read).
@@ -203,15 +211,17 @@ def pf_fraction_free(a, div=operator.floordiv):
         a'_ij = (p a_ij - a_ki a_{k+1,j} + a_{k+1,i} a_kj) / p_prev
 
     with pivot p = a_{k,k+1} and p_prev the previous pivot (1 at the
-    start).  The division is exact, so over the integers ``div`` is floor
-    division and every intermediate is an integer minor; over a field
-    (QuadExt entries) it is ordinary division.  The last pivot is the
-    Pfaffian.  A zero pivot is replaced by swapping index k+1 with a later
-    index (sign flip); if row k has no nonzero entry the Pfaffian is 0.
+    start).  The division is exact: when the upper triangle holds only
+    Python ints it is floor division and every intermediate is an integer
+    minor; otherwise (Fraction or QuadExt entries) it is field division, as
+    in det_bareiss.  The last pivot is the Pfaffian.  A zero pivot is
+    replaced by swapping index k+1 with a later index (sign flip); if row k
+    has no nonzero entry the Pfaffian is 0.
     """
     n = len(a)
     if n == 0:
         return 1
+    div = _exact_division(v for i, row in enumerate(a) for v in row[i + 1:])
     sign = 1
     prev = 1
     for k in range(0, n, 2):
@@ -258,7 +268,7 @@ def pf_elimination(m: SquareMatrix):
         return 1
     e = m.entries
     if not all(isinstance(v, (int, Fraction)) for row in e for v in row):
-        return pf_fraction_free([list(row) for row in e], operator.truediv)
+        return pf_fraction_free([list(row) for row in e])
     dens = [math.lcm(*(v.denominator for v in row)) for row in e]
     a = [
         [0] * (i + 1)

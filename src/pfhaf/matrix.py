@@ -98,7 +98,10 @@ class SquareMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SquareMatrix":
-        rows = [[parse_rat(v) for v in row] for row in obj["entries"]]
+        rows = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise DomainError('matrix JSON needs an "entries" list of rows')
+        rows = [[parse_rat(v) for v in row] for row in rows]
         if "n" in obj and obj["n"] != len(rows):
             raise DomainError("declared dimension does not match entries")
         return cls(rows, kind=obj.get("kind"))

@@ -46,7 +46,10 @@ def parse_rat(text: str) -> Fraction:
     """Parse "p/q" or "p" (optional sign) into an exact rational.
 
     Unicode minus signs are accepted so rendered values round-trip.
+    Anything but a string is refused: a JSON number may already be a float.
     """
+    if not isinstance(text, str):
+        raise DomainError(f'not a rational: {text!r} (write it as text, e.g. "3/4")')
     s = text.strip().replace("−", "-")
     try:
         return unlimited_digits(Fraction, s)

@@ -71,6 +71,9 @@ class PointConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
+        lists = isinstance(obj, dict) and isinstance(obj.get("xs"), list)
+        if not lists or not isinstance(obj.get("ys", []), list):
+            raise DomainError('points JSON needs an "xs" list (and may have "ys")')
         xs = [parse_rat(v) for v in obj["xs"]]
         ys = [parse_rat(v) for v in obj["ys"]] if "ys" in obj else None
         return cls(xs, ys)
@@ -118,10 +121,6 @@ class BilinearForm:
     def to_json(self) -> dict:
         return {k: render_rat(getattr(self, k)) for k in "abcd"}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BilinearForm":
-        return cls(*(parse_rat(obj[k]) for k in "abcd"))
-
 
 @dataclass(frozen=True)
 class SymmetricForm:
@@ -162,10 +161,6 @@ class SymmetricForm:
 
     def to_json(self) -> dict:
         return {k: render_rat(getattr(self, k)) for k in "abc"}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SymmetricForm":
-        return cls(*(parse_rat(obj[k]) for k in "abc"))
 
 
 # -- the form at the points ------------------------------------------------
@@ -536,16 +531,25 @@ def sqrt_disc(disc: Rat):
 
 
 def moebius_for_form(g: SymmetricForm) -> MoebiusMap:
-    """The substitution that reduces the form g to the classical x + y case:
+    """The substitution that reduces the form g to the classical x + y case.
 
-        A = 1/2,  B = (b + sqrt(b^2 - ac))/(2a),  C = a,  D = b - sqrt(b^2 - ac)
+    With s = sqrt(b^2 - ac), for a != 0
 
-    Requires a != 0 and a nonzero discriminant.
+        A = 1/2,  B = (b + s)/(2a),  C = a,  D = b - s,
+
+    and for a = 0 the affine map phi(z) = b z + c/2 (A = b, B = c/2, C = 0,
+    D = 1) with s = -b, a rational square root of b^2 - ac = b^2.  Both
+    maps have BC - AD = s and satisfy, with u(z) = C z + D,
+
+        phi_i + phi_j = g(x_i, x_j) / (u_i u_j)
+        phi_j - phi_i = -s (x_j - x_i) / (u_i u_j).
+
+    Requires a nonzero discriminant.
     """
     if g.disc == 0:
         raise DegenerateFormError("b^2 - ac = 0: no Moebius reduction")
     if g.a == 0:
-        raise DomainError("Moebius constants need a != 0")
+        return MoebiusMap(A=g.b, B=g.c / 2, C=Fraction(0), D=Fraction(1))
     s = sqrt_disc(g.disc)
     half = Fraction(1, 2)
     return MoebiusMap(
@@ -562,57 +566,35 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
 
     Checks, in Q(sqrt(b^2 - ac)) when the discriminant is not a rational
     square:
-      * the images phi(x_i) satisfy the classical identities (the x + y
-        Schur identity and the Pfaffian-Hafnian identity),
-      * the entrywise factorizations linking the phi-matrices to the
-        g-matrices at the original points hold,
+      * the entrywise factorizations of moebius_for_form linking the
+        images phi(x_i) to g at the original points,
+      * the images satisfy the classical identities (the x + y Schur
+        identity and the Pfaffian-Hafnian identity),
       * the generalized identities for g hold at the original points.
     All comparisons are bit-exact; any surviving odd power of sqrt(disc)
-    shows up as a failed comparison, never as a guess.
+    shows up as a failed comparison, never as a guess.  A pole of g at the
+    points raises PoleError as pair_table does; lhs and rhs of the report
+    are the two sides of the generalized Pfaffian-Hafnian identity.
     """
     start = time.perf_counter()
-    if g.disc == 0:
-        raise DegenerateFormError("b^2 - ac = 0: substitution needs disc != 0")
+    mob = moebius_for_form(g)
     m = 2 * _half_count(pc)
-
-    if g.a == 0 and g.c == 0:
-        # g = b (x + y): already the classical case, map is identity-like.
-        return _witness_report(pc, g, "rational", {}, start)
-
-    form = g
-    if g.a == 0:
-        # c != 0: the roles swap through x -> 1/x, which turns g into
-        # g'(x, y) = c x y + b (x + y) with a' = c != 0 and equal
-        # discriminant; g' is then checked at the original points.
-        if any(x == 0 for x in pc.xs):
-            raise DomainError("x -> 1/x branch rejects points with x_i = 0")
-        form = SymmetricForm(g.c, g.b, Fraction(0))
-
-    mob = moebius_for_form(form)
-    s = sqrt_disc(form.disc)
-    field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     xs = pc.xs
+    table = pair_table(g, xs)
+    s = mob.B * mob.C - mob.A * mob.D
+    field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     # The map is injective, so the images are distinct points.
     images = PointConfig([mob.apply(x) for x in xs])
     phi = images.xs
-
-    checks = {}
-
-    # Entrywise factorizations: with u_i = C x_i + D,
-    #   phi_j - phi_i = -s (x_j - x_i) / (u_i u_j)
-    #   phi_i + phi_j = g(x_i, x_j) / (u_i u_j)    (g' when a = 0)
     u = [mob.C * x + mob.D for x in xs]
-    ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            gv = form(xs[i], xs[j])
-            if phi[i] + phi[j] == 0 or gv == 0:
-                raise PoleError(f"pole among Moebius images at pair ({i + 1}, {j + 1})")
-            if (phi[j] - phi[i]) * u[i] * u[j] != -s * (xs[j] - xs[i]):
-                ok = False
-            if (phi[i] + phi[j]) * u[i] * u[j] != gv:
-                ok = False
-    checks["entrywise_factorization"] = ok
+    checks = {
+        "entrywise_factorization": all(
+            (phi[j] - phi[i]) * u[i] * u[j] == -s * (xs[j] - xs[i])
+            and (phi[i] + phi[j]) * u[i] * u[j] == gv
+            for i, row in enumerate(table)
+            for j, gv in enumerate(row, i + 1)
+        )
+    }
 
     # The classical x + y identities at the images: the Schur identity, and
     # the Pfaffian-Hafnian identity as MAIN1 states it, with numerators
@@ -625,13 +607,7 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     haf = hf_recursive(build_hafnian_mat(images, classical))
     checks["classical_pf_hf_at_images"] = lhs == (-1) ** (m // 2 * (m - 1)) * closed * haf
 
-    return _witness_report(pc, g, field, checks, start)
-
-
-def _witness_report(pc, g, field, checks, start) -> IdentityReport:
-    """Add the generalized Schur and Pfaffian-Hafnian identities for g at
-    the given points, evaluated exactly over the rationals, to ``checks``
-    and report; lhs and rhs are the two sides of the Pfaffian-Hafnian one."""
+    # The generalized identities for g at the points, over the rationals.
     closed = schur_pf_closed(pc, g)
     schur = pf_elimination(build_schur(pc, g, power=1, orientation="ji"))
     checks["generalized_schur_at_points"] = schur == closed

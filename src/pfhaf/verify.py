@@ -133,8 +133,8 @@ def gen_points(
     rejected while any pair hits a zero of the form.  Raises GenError when
     the constraints cannot be met within the attempt budget.
     """
-    if positive and hi < lo:
-        raise GenError("empty range")
+    if hi < lo:
+        raise GenError(f"empty range {lo}..{hi}")
     rng = random.Random(seed)
 
     def draw(count, taken):

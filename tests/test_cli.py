@@ -319,6 +319,25 @@ def test_structured_negative_decimal_refused(capsys):
     assert "argument --decimal: digits must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["eval", "--fn", "det", "--input"], '{"n": 2}', '"entries"'),
+        (["eval", "--fn", "det", "--input"], '{"entries": [["1"]', "not valid JSON"),
+        (["eval", "--fn", "det", "--input"], '{"entries": [[1, 2], [3, 4]]}', "not a rational: 1"),
+        (["eval", "--fn", "det", "--input"], '{"entries": [1, 2]}', '"entries"'),
+        (["structured", "--target", "pf", "--points"], '{"ys": ["1", "2"]}', '"xs"'),
+        (["structured", "--target", "pf", "--points"], '{"xs": 5}', '"xs"'),
+    ],
+)
+def test_malformed_json_is_error(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("error:") and message in err
+
+
 def test_missing_file_is_error(capsys):
     code, _, err = run(capsys, "eval", "--input", "/nonexistent.json", "--fn", "det")
     assert code == 1

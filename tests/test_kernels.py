@@ -17,6 +17,7 @@ from pfhaf.kernels import (
     perm_oracle,
     perm_ryser,
     pf_elimination,
+    pf_fraction_free,
     pf_oracle,
 )
 from pfhaf.matrix import SquareMatrix
@@ -243,6 +244,19 @@ def test_pf_elimination_sparse_mixed_denominators():
         if rows[0][1] == 0 and expected != 0:
             swapped += 1
     assert swapped > 20
+
+
+def test_pf_fraction_free_divides_fractions_exactly():
+    # upper triangle 1/2, 1/3, 2/7, 5/3, 1/5, 3/4: floor division would give 0
+    upper = iter([F(1, 2), F(1, 3), F(2, 7), F(5, 3), F(1, 5), F(3, 4)])
+    rows = [[F(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            rows[i][j] = next(upper)
+            rows[j][i] = -rows[i][j]
+    expected = pf_oracle(SquareMatrix(rows, kind="skew"))
+    assert expected == F(659, 840)
+    assert pf_fraction_free([list(row) for row in rows]) == expected
 
 
 def test_pf_elimination_quadratic_extension():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pfhaf import structured
 from pfhaf.errors import DegenerateFormError, DomainError, PoleError
@@ -127,11 +127,11 @@ def test_forms_evaluate_their_polynomials(a, b, c, d, x, y):
         assert BilinearForm(a, b, c, d)(x, y) == a * x * y + b * x + c * y + d
 
 
-def test_form_json_round_trip():
+def test_form_to_json():
     f = BilinearForm(F(1, 2), F(-1), F(0), F(3))
-    assert BilinearForm.from_json(f.to_json()) == f
+    assert f.to_json() == {"a": "1/2", "b": "-1", "c": "0", "d": "3"}
     g = SymmetricForm(F(2), F(1, 3), F(-1))
-    assert SymmetricForm.from_json(g.to_json()) == g
+    assert g.to_json() == {"a": "2", "b": "1/3", "c": "-1"}
 
 
 # -- builders --------------------------------------------------------------
@@ -553,8 +553,11 @@ def test_sqrt_disc_branches():
 def test_moebius_for_form_rejects():
     with pytest.raises(DegenerateFormError):
         moebius_for_form(SymmetricForm(F(1), F(1), F(1)))
-    with pytest.raises(DomainError):
-        moebius_for_form(GXPY)  # a = 0
+    # a = 0 maps affinely, phi(z) = b z + c/2: x + y is already classical
+    assert moebius_for_form(GXPY) == MoebiusMap(F(1), F(0), F(0), F(1))
+    assert moebius_for_form(SymmetricForm(0, 3, 1)) == MoebiusMap(
+        F(3), F(1, 2), F(0), F(1)
+    )
 
 
 # -- substitution witness --------------------------------------------------
@@ -608,6 +611,47 @@ def test_witness_classical_case():
     rep = substitution_witness(PointConfig([F(1), F(2), F(3), F(4)]), GXPY)
     assert rep.passed
     assert rep.params["field"] == "rational"
+
+
+def test_witness_a_zero_form_at_any_points():
+    # g = x + y + 1 has no pole at either point set; x_i = 0 is allowed
+    g = SymmetricForm(0, 1, 1)
+    for xs in ([F(1), F(-1, 2), F(2), F(3)], [F(0), F(1), F(2), F(5, 3)]):
+        rep = substitution_witness(PointConfig(xs), g)
+        assert rep.passed and len(rep.params["checks"]) == 5
+        assert rep.params["field"] == "rational"
+
+
+def test_witness_pole_is_named_by_its_pair():
+    # g = xy + x + y: g(1, -1/2) = -1/2 + 1 - 1/2 = 0
+    pc = PointConfig([F(1), F(-1, 2), F(2), F(3)])
+    with pytest.raises(PoleError) as exc:
+        substitution_witness(pc, SymmetricForm(1, 1, 0))
+    assert str(exc.value) == "g(x_1, x_2) = 0" and exc.value.pair == (1, 2)
+
+
+# a = 0 and c = 0 forms, as well as the ones symmetric_forms draws
+witness_forms = st.one_of(
+    symmetric_forms,
+    st.tuples(coefs.filter(bool), coefs).map(lambda t: SymmetricForm(0, *t)),
+    st.tuples(coefs, coefs.filter(bool)).map(lambda t: SymmetricForm(t[0], t[1], 0)),
+)
+
+
+@given(witness_forms, st.integers(1, 3).flatmap(lambda n: distinct_points(2 * n)))
+def test_witness_passes_or_names_the_pole_of_g(g, xs):
+    mob = moebius_for_form(g)
+    assume(all(mob.C * x + mob.D != 0 for x in xs))  # the map's own pole
+    pc = PointConfig(xs)
+    try:
+        schur_pf_closed(pc, g)
+    except PoleError as pole:
+        with pytest.raises(PoleError) as exc:
+            substitution_witness(pc, g)
+        assert (str(exc.value), exc.value.pair) == (str(pole), pole.pair)
+        return
+    rep = substitution_witness(pc, g)
+    assert rep.passed and len(rep.params["checks"]) == 5
 
 
 def test_witness_rejects_degenerate():

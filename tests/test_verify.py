@@ -55,6 +55,12 @@ def test_gen_points_impossible_raises():
         gen_points(0, 5, lo=1, hi=1, max_den=1)  # only one value available
 
 
+def test_gen_points_empty_range_raises_gen_error():
+    for positive in (True, False):
+        with pytest.raises(GenError, match="empty range"):
+            gen_points(0, 2, positive=positive, lo=5, hi=1)
+
+
 def test_gen_rank2_is_rank_at_most_two():
     spec = gen_rank2(11, 5)
     m = spec.matrix()
