@@ -14,6 +14,7 @@ from pfhaf import (
     BilinearForm,
     IdentityId,
     PointConfig,
+    SquareMatrix,
     SymmetricForm,
     build_cauchy,
     build_hafnian_mat,
@@ -66,9 +67,11 @@ print("\nSchur Pfaffian:", pf_elimination(schur), "=", prod)
 #        Pf((x_i - x_j)/(x_i + x_j)^2)
 #            = prod_{i<j} (x_i - x_j)/(x_i + x_j) * Hf(1/(x_i + x_j)).
 #    Just as Borchardt's identity yields a fast permanent, this yields a
-#    fast Hafnian for these structured matrices.
+#    fast Hafnian for these structured matrices.  build_schur has numerators
+#    x_j - x_i, so the printed matrix is its negation.
 
-lhs = pf_elimination(build_schur(xs4, g, power=2, orientation="ij"))
+printed = [[-v for v in row] for row in build_schur(xs4, g, power=2).entries]
+lhs = pf_elimination(SquareMatrix(printed, kind="skew"))
 prod_ij = F(1)
 for i in range(4):
     for j in range(i + 1, 4):

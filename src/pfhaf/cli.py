@@ -90,6 +90,8 @@ def _parse_sizes(text: str):
         ) from None
     if not out:
         raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
+    if min(out) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {min(out)}")
     return sorted(set(out))
 
 
@@ -165,9 +167,7 @@ def cmd_structured(args) -> int:
         form = _parse_form(SymmetricForm, args.g or "x+y")
         if args.target == "pf":
             value = schur_pf_closed(pc, form)
-            check = lambda: pf_elimination(
-                build_schur(pc, form, power=1, orientation="ji")
-            )
+            check = lambda: pf_elimination(build_schur(pc, form, power=1))
         else:
             value = fast_cauchy_hafnian(pc, form)
             check = lambda: hf_recursive(build_hafnian_mat(pc, form))

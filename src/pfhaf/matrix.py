@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .scalar import parse_rat, render_rat
+from .scalar import parse_rat
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
@@ -88,13 +88,6 @@ class SquareMatrix:
         return f"SquareMatrix(n={self.n}, kind={self.kind!r})"
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "entries": [[render_rat(v) for v in row] for row in self.entries],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SquareMatrix":

@@ -1,7 +1,7 @@
 """Cauchy-type structured matrices and their polynomial-time fast paths.
 
 Builders produce the matrices 1/f(x_i, y_j)^p (general), the skew
-matrices +-(x_j - x_i)/g(x_i, x_j)^p and the symmetric matrix
+matrices (x_j - x_i)/g(x_i, x_j)^p and the symmetric matrix
 1/g(x_i, x_j), for the two-parameter form families
 
     f(x, y) = a*x*y + b*x + c*y + d        (discriminant a*d - b*c)
@@ -215,29 +215,16 @@ def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatr
     )
 
 
-def build_schur(
-    pc: PointConfig,
-    g: SymmetricForm,
-    power: int = 1,
-    orientation: str = "ji",
-) -> SquareMatrix:
-    """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power (orientation
-    "ji") or its negation (x_i - x_j)/g^power (orientation "ij").
-
-    The two orientations are kept explicit because the identities
-    themselves use both; normalizing silently would hide sign bugs.
-    """
+def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatrix:
+    """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in {1, 2}."""
     n = 2 * _half_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    if orientation not in ("ji", "ij"):
-        raise DomainError("orientation must be 'ji' or 'ij'")
     xs = pc.xs
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i, row in enumerate(pair_table(g, xs)):
         for j, gv in enumerate(row, i + 1):
-            num = xs[j] - xs[i] if orientation == "ji" else xs[i] - xs[j]
-            v = num / gv ** power
+            v = (xs[j] - xs[i]) / gv ** power
             rows[i][j] = v
             rows[j][i] = -v
     return SquareMatrix(rows, kind="skew")
@@ -281,7 +268,7 @@ def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
 
 
 def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
-    """Closed-form Pf of build_schur(pc, g, power=1, orientation="ji"):
+    """Closed-form Pf of build_schur(pc, g, power=1):
 
         (b^2 - ac)^{n(n-1)} * prod_{i<j} (x_j - x_i)/g(x_i, x_j)
 
@@ -446,9 +433,8 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     """Hafnian of the matrix 1/g(x_i, x_j) in O(n^3) ops.
 
-    Divides Pf((x_j - x_i)/g^2) by the closed-form Pf((x_j - x_i)/g); both
-    use the same "ji" orientation so the sign conventions cancel.  Requires
-    b^2 - ac != 0 and distinct xs (the closed form is the divisor).
+    Divides Pf((x_j - x_i)/g^2) by the closed-form Pf((x_j - x_i)/g).
+    Requires b^2 - ac != 0 and distinct xs (the closed form is the divisor).
 
     Everything runs on integers.  With x_i = p_i/q_i and L the lcm of the
     coefficient denominators of g, set G_ij = L q_i q_j g(x_i, x_j) and
@@ -550,10 +536,14 @@ def moebius_for_form(g: SymmetricForm) -> MoebiusMap:
         raise DegenerateFormError("b^2 - ac = 0: no Moebius reduction")
     if g.a == 0:
         return MoebiusMap(A=g.b, B=g.c / 2, C=Fraction(0), D=Fraction(1))
-    s = sqrt_disc(g.disc)
-    half = Fraction(1, 2)
+    return _moebius_for_root(g, sqrt_disc(g.disc))
+
+
+def _moebius_for_root(g: SymmetricForm, s) -> MoebiusMap:
+    """The a != 0 map of moebius_for_form for the root s of b^2 - ac; its
+    pole is (s - b)/a."""
     return MoebiusMap(
-        A=half + 0 * s,
+        A=Fraction(1, 2) + 0 * s,
         B=(g.b + s) / (2 * g.a),
         C=g.a + 0 * s,
         D=g.b - s,
@@ -573,20 +563,33 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
       * the generalized identities for g hold at the original points.
     All comparisons are bit-exact; any surviving odd power of sqrt(disc)
     shows up as a failed comparison, never as a guess.  A pole of g at the
-    points raises PoleError as pair_table does; lhs and rhs of the report
-    are the two sides of the generalized Pfaffian-Hafnian identity.
+    points raises PoleError as pair_table does.  A point at the map's own
+    pole (s - b)/a selects the map of the root -s instead; PoleError is
+    raised only when the points hold the poles of both.  lhs and rhs of the
+    report are the two sides of the generalized Pfaffian-Hafnian identity.
     """
     start = time.perf_counter()
     mob = moebius_for_form(g)
-    m = 2 * _half_count(pc)
+    _half_count(pc)  # an odd count is refused before any pole
     xs = pc.xs
     table = pair_table(g, xs)
     s = mob.B * mob.C - mob.A * mob.D
+    u = [mob.C * x + mob.D for x in xs]
+    if 0 in u:
+        # g has no pole at the map's own pole (s - b)/a; the map of the
+        # other root -s moves it to (-s - b)/a.
+        hit = xs[u.index(0)]
+        mob, s = _moebius_for_root(g, -s), -s
+        u = [mob.C * x + mob.D for x in xs]
+        if 0 in u:
+            raise PoleError(
+                f"Moebius map poles at {render_scalar(hit)} and "
+                f"{render_scalar(xs[u.index(0)])}, one for each root of b^2 - ac"
+            )
     field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     # The map is injective, so the images are distinct points.
     images = PointConfig([mob.apply(x) for x in xs])
     phi = images.xs
-    u = [mob.C * x + mob.D for x in xs]
     checks = {
         "entrywise_factorization": all(
             (phi[j] - phi[i]) * u[i] * u[j] == -s * (xs[j] - xs[i])
@@ -595,25 +598,19 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
             for j, gv in enumerate(row, i + 1)
         )
     }
-
-    # The classical x + y identities at the images: the Schur identity, and
-    # the Pfaffian-Hafnian identity as MAIN1 states it, with numerators
-    # phi_i - phi_j.
-    classical = SymmetricForm.from_name("x+y")
-    closed = schur_pf_closed(images, classical)
-    schur = pf_elimination(build_schur(images, classical, power=1, orientation="ji"))
-    checks["classical_schur_at_images"] = schur == closed
-    lhs = pf_elimination(build_schur(images, classical, power=2, orientation="ij"))
-    haf = hf_recursive(build_hafnian_mat(images, classical))
-    checks["classical_pf_hf_at_images"] = lhs == (-1) ** (m // 2 * (m - 1)) * closed * haf
-
-    # The generalized identities for g at the points, over the rationals.
-    closed = schur_pf_closed(pc, g)
-    schur = pf_elimination(build_schur(pc, g, power=1, orientation="ji"))
-    checks["generalized_schur_at_points"] = schur == closed
-    lhs = pf_elimination(build_schur(pc, g, power=2, orientation="ji"))
-    rhs = closed * hf_recursive(build_hafnian_mat(pc, g))
-    checks["generalized_pf_hf_at_points"] = lhs == rhs
+    # The classical x + y identities at the images, then the generalized
+    # ones for g at the points: the Schur identity and the Pfaffian-Hafnian
+    # identity, both with numerators x_j - x_i.
+    for kind, where, pts, form in (
+        ("classical", "images", images, SymmetricForm.from_name("x+y")),
+        ("generalized", "points", pc, g),
+    ):
+        closed = schur_pf_closed(pts, form)
+        schur = pf_elimination(build_schur(pts, form, power=1))
+        checks[f"{kind}_schur_at_{where}"] = schur == closed
+        lhs = pf_elimination(build_schur(pts, form, power=2))
+        rhs = closed * hf_recursive(build_hafnian_mat(pts, form))
+        checks[f"{kind}_pf_hf_at_{where}"] = lhs == rhs
     return IdentityReport(
         identity="SUBSTITUTION",
         params={

@@ -131,8 +131,11 @@ def gen_points(
 
     ``no_pole`` is a SymmetricForm or BilinearForm; sampled points are
     rejected while any pair hits a zero of the form.  Raises GenError when
-    the constraints cannot be met within the attempt budget.
+    the constraints cannot be met within the attempt budget, DomainError
+    for a negative count.
     """
+    if min(m, ys or 0) < 0:
+        raise DomainError(f"point counts must be >= 0, got {min(m, ys or 0)}")
     if hi < lo:
         raise GenError(f"empty range {lo}..{hi}")
     rng = random.Random(seed)
@@ -192,8 +195,8 @@ def _gen_form(rng: random.Random, cls):
 
 
 def _gen_z(rng: random.Random, xs) -> Fraction:
-    # z range deliberately disjoint from the default x range, so poles at
-    # +-x_k cannot occur and no resampling loop is needed.
+    # z is drawn from [10.1, 200], which overlaps the default x range
+    # [0.1, 100]; a z at +-x_k is a pole of LEMMA1/LEMMA2 and is redrawn.
     for _ in range(_MAX_ATTEMPTS):
         z = _random_rat(rng, 101, 200, 10)
         if all(z != x and z != -x for x in xs):
@@ -226,20 +229,16 @@ def _check(identity: IdentityId, pc, form, z):
             closed = cauchy_det_closed(pc, form)
             return lhs, closed * perm_ryser(build_cauchy(pc, form, power=1)), params
         if family == "SCHUR":
-            lhs = pf_elimination(build_schur(pc, form, power=1, orientation="ji"))
+            lhs = pf_elimination(build_schur(pc, form, power=1))
             return lhs, schur_pf_closed(pc, form), params
-        # MAIN1/MAIN2 are stated with numerators x_i - x_j (orientation
-        # "ij"); the generalized form uses x_j - x_i. Both are checked as
-        # printed: flipping all m(m-1)/2 numerators of the closed-form
-        # product flips its sign that many times.
-        m = len(pc.xs)
-        if name is None:
-            orientation, sign = "ji", 1
-        else:
-            orientation, sign = "ij", (-1) ** (m // 2 * (m - 1))
-        lhs = pf_elimination(build_schur(pc, form, power=2, orientation=orientation))
-        haf = hf_recursive(build_hafnian_mat(pc, form))
-        rhs = sign * schur_pf_closed(pc, form) * haf
+        lhs = pf_elimination(build_schur(pc, form, power=2))
+        rhs = schur_pf_closed(pc, form) * hf_recursive(build_hafnian_mat(pc, form))
+        if name is not None:
+            # MAIN1/MAIN2 are printed with numerators x_i - x_j.  Negating
+            # the m x m skew matrix multiplies its Pfaffian by (-1)^{m/2},
+            # and so does flipping the m(m-1)/2 factors of the closed form.
+            sign = (-1) ** (len(pc.xs) // 2)
+            lhs, rhs = sign * lhs, sign * rhs
         return lhs, rhs, params
 
     if identity is IdentityId.LEMMA1:
@@ -385,6 +384,8 @@ def run_suite(
     sizes = sorted(sizes)
     if not sizes:
         raise DomainError("need at least one size")
+    if sizes[0] < 1:
+        raise DomainError(f"sizes must be >= 1, got {sizes[0]}")
     if trials_per_size < 1:
         raise DomainError(f"need at least one trial per size, got {trials_per_size}")
     identities = [i for i in IdentityId if only is None or i in only]

@@ -61,7 +61,10 @@ def test_criterion_2_pfaffian_hafnian_hand_instance():
     xs = [F(1), F(2), F(3), F(4)]
     pc = PointConfig(xs)
     g = SymmetricForm.from_name("x+y")
-    lhs_mat = build_schur(pc, g, power=2, orientation="ij")
+    # the identity is printed with numerators x_i - x_j: negate build_schur's
+    lhs_mat = SquareMatrix(
+        [[-v for v in row] for row in build_schur(pc, g, power=2).entries], kind="skew"
+    )
     prod = F(1)
     for i in range(4):
         for j in range(i + 1, 4):

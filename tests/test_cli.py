@@ -264,6 +264,8 @@ def test_verify_malformed_sizes_refused(capsys, sizes):
         (("--trials", "0"), "argument --trials: must be >= 1, got 0"),
         (("--trials", "-2"), "argument --trials: must be >= 1, got -2"),
         (("--sizes", ","), "argument --sizes: no sizes in ','"),
+        (("--sizes", "0"), "argument --sizes: sizes must be >= 1, got 0"),
+        (("--sizes", "-1"), "argument --sizes: sizes must be >= 1, got -1"),
     ],
 )
 def test_verify_empty_sweep_refused(capsys, argv, message):

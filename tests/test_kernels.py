@@ -64,6 +64,30 @@ def perm_matrix_sign(perm):
     return sign
 
 
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def scalars(radicand):
+    """(zero, strategy for entries) over Q, or over Q(sqrt(radicand))."""
+    if radicand is None:
+        return F(0), rationals
+    entry = st.builds(QuadExt, rationals, rationals, st.just(radicand))
+    return QuadExt(F(0), F(0), radicand), entry
+
+
+@st.composite
+def square_matrices(draw, radicand=None):
+    """Matrices of size 1..6 over Q, or over Q(sqrt(radicand)).  a_11 is
+    zero in about half the draws, which forces a row swap in det_bareiss
+    unless the whole first column is zero."""
+    n = draw(st.integers(1, 6))
+    zero, entry = scalars(radicand)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = zero
+    return SquareMatrix(rows)
+
+
 # -- determinant -----------------------------------------------------------
 
 
@@ -83,11 +107,10 @@ def test_det_oracle_guard():
         det_oracle(eye(9))
 
 
-def test_det_bareiss_matches_oracle():
-    rng = random.Random(10)
-    for _ in range(10):
-        m = rand_matrix(rng, 5)
-        assert det_bareiss(m) == det_oracle(m)
+@settings(deadline=None)
+@given(st.one_of(square_matrices(), square_matrices(F(2))))
+def test_det_bareiss_matches_oracle(m):
+    assert det_bareiss(m) == det_oracle(m)
 
 
 def test_det_bareiss_int_entries_stay_exact():
@@ -132,11 +155,10 @@ def test_perm_oracle_guard():
         perm_oracle(eye(9))
 
 
-def test_perm_ryser_matches_oracle():
-    rng = random.Random(12)
-    for _ in range(20):
-        m = rand_matrix(rng, 6)
-        assert perm_ryser(m) == perm_oracle(m)
+@settings(deadline=None)
+@given(square_matrices())
+def test_perm_ryser_matches_oracle(m):
+    assert perm_ryser(m) == perm_oracle(m)
 
 
 def test_perm_ryser_all_ones():
@@ -178,9 +200,6 @@ def test_pf_4x4_three_matchings():
     assert pf_elimination(m) == expected
 
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-
-
 @st.composite
 def skew_matrices(draw, radicand=None):
     """Skew matrices of size 2..8 over Q, or over Q(sqrt(radicand)).  About
@@ -188,10 +207,7 @@ def skew_matrices(draw, radicand=None):
     which forces a pivot swap in the Pfaffian elimination (the determinant
     elimination swaps at every zero diagonal pivot)."""
     n = 2 * draw(st.integers(1, 4))
-    zero, entry = F(0), rationals
-    if radicand is not None:
-        zero = QuadExt(F(0), F(0), radicand)
-        entry = st.builds(QuadExt, rationals, rationals, st.just(radicand))
+    zero, entry = scalars(radicand)
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -206,6 +222,9 @@ def skew_matrices(draw, radicand=None):
 @given(st.one_of(skew_matrices(), skew_matrices(F(2))))
 def test_pf_squared_is_det(m):
     assert pf_elimination(m) ** 2 == det_bareiss(m)
+    # negating a 2n x 2n skew matrix multiplies its Pfaffian by (-1)^n
+    neg = SquareMatrix([[-v for v in row] for row in m.entries], kind="skew")
+    assert pf_elimination(neg) == (-1) ** (m.n // 2) * pf_elimination(m)
 
 
 def test_pf_elimination_matches_oracle():

@@ -165,20 +165,6 @@ def test_build_schur_example():
     assert m.kind == "skew"
 
 
-def test_build_schur_orientations_negate():
-    pc = PointConfig([F(1), F(2), F(3), F(5)])
-    a = build_schur(pc, GXPY, orientation="ji")
-    b = build_schur(pc, GXPY, orientation="ij")
-    assert all(
-        a.entries[i][j] == -b.entries[i][j] for i in range(4) for j in range(4)
-    )
-    # negating a 2n x 2n skew matrix scales Pf by (-1)^n
-    assert pf_elimination(b) == pf_elimination(a)
-    a6 = build_schur(PointConfig([F(i) for i in (1, 2, 3, 5, 7, 11)]), GXPY)
-    b6 = build_schur(PointConfig([F(i) for i in (1, 2, 3, 5, 7, 11)]), GXPY, orientation="ij")
-    assert pf_elimination(b6) == -pf_elimination(a6)
-
-
 def test_build_hafnian_mat_entries():
     pc = PointConfig([F(1), F(2), F(3), F(4)])
     m = build_hafnian_mat(pc, GXPY)
@@ -197,8 +183,6 @@ def test_builders_reject_bad_input():
         build_cauchy(PointConfig([F(1)], [F(2)]), XPY, power=3)
     with pytest.raises(DomainError):
         build_schur(PointConfig([F(1), F(2), F(3)]), GXPY)  # odd
-    with pytest.raises(DomainError):
-        build_schur(PointConfig([F(1), F(2)]), GXPY, orientation="xy")
 
 
 # -- closed forms ----------------------------------------------------------
@@ -354,7 +338,7 @@ def test_one_pole_rule(name, f_pair, g_pair, as_fractions):
     pc, g = PointConfig(ws), SymmetricForm.from_name(name)
     expected = ("g(x_{}, x_{}) = 0".format(*g_pair), g_pair)
     assert pole(build_schur, pc, g) == expected
-    assert pole(build_schur, pc, g, power=2, orientation="ij") == expected
+    assert pole(build_schur, pc, g, power=2) == expected
     assert pole(build_hafnian_mat, pc, g) == expected
     assert pole(schur_pf_closed, pc, g) == expected
     assert pole(fast_cauchy_hafnian, pc, g) == expected
@@ -640,8 +624,8 @@ witness_forms = st.one_of(
 
 @given(witness_forms, st.integers(1, 3).flatmap(lambda n: distinct_points(2 * n)))
 def test_witness_passes_or_names_the_pole_of_g(g, xs):
-    mob = moebius_for_form(g)
-    assume(all(mob.C * x + mob.D != 0 for x in xs))  # the map's own pole
+    # for a != 0 the two maps' poles are the x with (a x + b)^2 = b^2 - ac
+    assume(g.a == 0 or sum((g.a * x + g.b) ** 2 == g.disc for x in xs) < 2)
     pc = PointConfig(xs)
     try:
         schur_pf_closed(pc, g)
@@ -652,6 +636,18 @@ def test_witness_passes_or_names_the_pole_of_g(g, xs):
         return
     rep = substitution_witness(pc, g)
     assert rep.passed and len(rep.params["checks"]) == 5
+
+
+def test_witness_takes_the_other_root_at_the_map_pole():
+    # g = xy - 1, s = 1: the map's pole is (s - b)/a = 1, where g has none
+    g = SymmetricForm(1, 0, -1)
+    rep = substitution_witness(PointConfig([1, 2, 3, 5]), g)
+    assert rep.passed and len(rep.params["checks"]) == 5
+    assert rep.lhs == rep.rhs == "223/132300"
+    # 1 and -1 are the poles of the maps of both roots
+    with pytest.raises(PoleError, match="poles at 1 and -1") as exc:
+        substitution_witness(PointConfig([1, -1, 2, 3]), g)
+    assert exc.value.pair is None
 
 
 def test_witness_rejects_degenerate():

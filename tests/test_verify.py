@@ -53,6 +53,9 @@ def test_gen_points_no_pole():
 def test_gen_points_impossible_raises():
     with pytest.raises(GenError):
         gen_points(0, 5, lo=1, hi=1, max_den=1)  # only one value available
+    for m, ys in ((-3, None), (2, -1)):
+        with pytest.raises(DomainError, match="counts must be >= 0"):
+            gen_points(1, m, ys=ys)
 
 
 def test_gen_points_empty_range_raises_gen_error():
@@ -215,9 +218,9 @@ def test_run_suite_only_filter_and_zero_trials():
     assert len(reports) == 6
     assert all(r.identity == "CARLITZ" for r in reports)
     # a sweep that checks nothing is refused, not reported as passed
-    for sizes, trials in (([1, 2], 0), ([1, 2], -1), ([], 3)):
+    for sizes, trials in (([1, 2], 0), ([1, 2], -1), ([], 3), ([0, 1], 1), ([-2], 1)):
         with pytest.raises(DomainError):
-            run_suite(1, sizes, trials)
+            run_suite(1, sizes, trials, only={IdentityId.SCHUR1})
 
 
 def test_report_json_shape():
