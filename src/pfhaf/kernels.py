@@ -106,7 +106,7 @@ def det_oracle(m: SquareMatrix):
 def det_bareiss(m: SquareMatrix):
     """Exact determinant by fraction-free (Bareiss) elimination, O(n^3).
 
-    Works over any exact field scalar (Rat or QuadExt), and over Python
+    Works over any exact field scalar (Fraction or QuadExt), and over Python
     ints, where every division is exact and so is floor division.  Singular
     input returns 0.
     """

@@ -7,10 +7,11 @@ removed; internally everything is plain 0-based tuples.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .scalar import parse_rat
+from .scalar import exact, parse_rat
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
@@ -28,7 +29,8 @@ def classify(rows: Sequence[Sequence]) -> str:
 
 
 class SquareMatrix:
-    """Immutable n x n matrix of exact scalars.
+    """Immutable n x n matrix of exact scalars: ints (kept as ints),
+    Fractions or QuadExt values; any other entry raises DomainError.
 
     One scan of the entries on construction sets ``skew`` (zero diagonal,
     a_ij = -a_ji) and ``symmetric`` (a_ij = a_ji off the diagonal); a zero
@@ -46,6 +48,10 @@ class SquareMatrix:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DomainError("matrix is not square")
+        for row in entries:  # ints and Fractions skip the domain check
+            for v in row:
+                if type(v) is not Fraction and type(v) is not int:
+                    exact(v, "matrix entries")
         if kind is not None and kind not in _KINDS:
             raise DomainError(f"unknown kind {kind!r}")
         skew = all(entries[i][i] == 0 for i in range(n))

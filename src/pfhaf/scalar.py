@@ -1,6 +1,6 @@
 """Exact scalars: arbitrary-precision rationals and the quadratic extension Q(sqrt(d)).
 
-The base scalar is ``fractions.Fraction`` (re-exported as ``Rat``): it is
+The base scalar is ``fractions.Fraction``: it is
 arbitrary precision, always stored in lowest terms with a positive
 denominator, and every arithmetic operation is exact.  The quadratic
 extension ``QuadExt`` represents numbers p + q*sqrt(d) with rational p, q
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,12 +82,21 @@ def rat_sqrt(r: Fraction) -> Fraction:
     return Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
 
 
-def _as_rat(value) -> Fraction:
+def rational(value, what: str = "scalars") -> Fraction:
+    """The domain check for Q: an int becomes a Fraction, a Fraction passes,
+    anything else (float, str, None, ...) raises DomainError naming it."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to Rat")
+    raise DomainError(
+        f"need exact rational {what}, got {type(value).__name__}; pass Fractions"
+    )
+
+
+def exact(value, what: str = "scalars"):
+    """The domain check for Q and Q(sqrt(d)): a QuadExt passes, else rational()."""
+    return value if isinstance(value, (Fraction, QuadExt)) else rational(value, what)
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class QuadExt:
     """An element p + q*sqrt(d) of the quadratic field Q(sqrt(d)).
 
     The radicand d is fixed per computation context and must not be the
-    square of a rational (use plain Rat in that case).  Negative radicands
+    square of a rational (use a Fraction in that case).  Negative radicands
     are allowed: sqrt(d) is then a formal symbol with sqrt(d)^2 = d, which
     is all the identity checks ever rely on.
     """
@@ -107,12 +114,12 @@ class QuadExt:
     d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _as_rat(self.p))
-        object.__setattr__(self, "q", _as_rat(self.q))
-        object.__setattr__(self, "d", _as_rat(self.d))
+        for name in "pqd":
+            value = rational(getattr(self, name), "QuadExt parts")
+            object.__setattr__(self, name, value)
         if rat_is_square(self.d):
             raise DomainError(
-                f"radicand {render_rat(self.d)} is a rational square; use Rat"
+                f"radicand {render_rat(self.d)} is a rational square; use a Fraction"
             )
 
     # -- helpers -----------------------------------------------------------
@@ -133,7 +140,7 @@ class QuadExt:
                     f"mixed radicands {render_rat(self.d)} and {render_rat(other.d)}"
                 )
             return other
-        return self._with(_as_rat(other), ZERO)
+        return self._with(rational(other, "operands"), ZERO)
 
     def norm(self) -> Fraction:
         """(p + q*sqrt(d)) * (p - q*sqrt(d)) = p^2 - q^2*d, a rational."""
@@ -158,7 +165,7 @@ class QuadExt:
 
     def __mul__(self, other):
         if not isinstance(other, QuadExt):
-            r = _as_rat(other)
+            r = rational(other, "operands")
             return self._with(self.p * r, self.q * r)
         o = self._coerce(other)
         return self._with(
@@ -215,7 +222,5 @@ class QuadExt:
 
 
 def render_scalar(value) -> str:
-    """Render a Rat or QuadExt for CLI/JSON output."""
-    if isinstance(value, QuadExt):
-        return str(value)
-    return render_rat(_as_rat(value))
+    """Render a Fraction, int or QuadExt for CLI/JSON output."""
+    return str(value) if isinstance(value, QuadExt) else render_rat(rational(value))

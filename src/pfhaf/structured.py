@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import DegenerateFormError, DomainError, PoleError
@@ -32,41 +32,36 @@ from .matrix import SquareMatrix
 from .report import IdentityReport
 from .scalar import (
     QuadExt,
-    Rat,
+    exact,
     parse_rat,
     rat_is_square,
     rat_sqrt,
+    rational,
     render_rat,
     render_scalar,
 )
 
 
-def _exact(v):
-    """A Python int as a Fraction, so that 1/v and (x_j - x_i)/g stay exact;
-    Fractions and QuadExt values pass unchanged."""
-    return Fraction(v) if isinstance(v, int) else v
-
-
 @dataclass(frozen=True)
 class PointConfig:
-    """Distinct rational sample points x_1..x_m (optionally y_1..y_n)."""
+    """Distinct sample points x_1..x_m (optionally y_1..y_n) in Q or Q(sqrt(d))."""
 
     xs: tuple
     ys: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(map(_exact, self.xs)))
+        object.__setattr__(self, "xs", tuple(exact(x, "points") for x in self.xs))
         if len(set(self.xs)) != len(self.xs):
             raise DomainError("x points must be distinct")
         if self.ys is not None:
-            object.__setattr__(self, "ys", tuple(map(_exact, self.ys)))
+            object.__setattr__(self, "ys", tuple(exact(y, "points") for y in self.ys))
             if len(set(self.ys)) != len(self.ys):
                 raise DomainError("y points must be distinct")
 
     def to_json(self) -> dict:
-        out = {"xs": [render_rat(x) for x in self.xs]}
+        out = {"xs": [render_scalar(x) for x in self.xs]}
         if self.ys is not None:
-            out["ys"] = [render_rat(y) for y in self.ys]
+            out["ys"] = [render_scalar(y) for y in self.ys]
         return out
 
     @classmethod
@@ -79,23 +74,42 @@ class PointConfig:
         return cls(xs, ys)
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """f(x, y) = a*x*y + b*x + c*y + d."""
-
-    a: Rat
-    b: Rat
-    c: Rat
-    d: Rat
+class _Form:
+    """What the two form classes share: the coefficients, read by
+    rational(), the forms known by name (each class's ``_NAMED`` maps a
+    name to coefficients), and the JSON text."""
 
     def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, _exact(getattr(self, name)))
-        if self.a == self.b == self.c == self.d == 0:
+        names = [f.name for f in fields(self)]
+        for k in names:
+            object.__setattr__(self, k, rational(getattr(self, k), "form coefficients"))
+        if not any(getattr(self, k) for k in names):
             raise DomainError("form must be nonzero")
 
+    @classmethod
+    def from_name(cls, name: str):
+        coeffs = cls._NAMED.get(name.replace(" ", ""))
+        if coeffs is None:
+            raise DomainError(f"unknown form name {name!r}")
+        return cls(*coeffs)
+
+    def to_json(self) -> dict:
+        return {f.name: render_rat(getattr(self, f.name)) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class BilinearForm(_Form):
+    """f(x, y) = a*x*y + b*x + c*y + d with rational coefficients."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+
+    _NAMED = {"x+y": (0, 1, 1, 0), "1-xy": (-1, 0, 0, 1), "1-x*y": (-1, 0, 0, 1)}
+
     @property
-    def disc(self) -> Rat:
+    def disc(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
     def __call__(self, x, y):
@@ -109,35 +123,19 @@ class BilinearForm:
             v = self.a * x * y + v if v else self.a * x * y
         return v
 
-    @classmethod
-    def from_name(cls, name: str) -> "BilinearForm":
-        key = name.replace(" ", "")
-        if key == "x+y":
-            return cls(Fraction(0), Fraction(1), Fraction(1), Fraction(0))
-        if key in ("1-xy", "1-x*y"):
-            return cls(Fraction(-1), Fraction(0), Fraction(0), Fraction(1))
-        raise DomainError(f"unknown form name {name!r}")
-
-    def to_json(self) -> dict:
-        return {k: render_rat(getattr(self, k)) for k in "abcd"}
-
 
 @dataclass(frozen=True)
-class SymmetricForm:
-    """g(x, y) = a*x*y + b*(x + y) + c; symmetric in x and y."""
+class SymmetricForm(_Form):
+    """g(x, y) = a*x*y + b*(x + y) + c, rational and symmetric in x and y."""
 
-    a: Rat
-    b: Rat
-    c: Rat
+    a: Fraction
+    b: Fraction
+    c: Fraction
 
-    def __post_init__(self):
-        for name in "abc":
-            object.__setattr__(self, name, _exact(getattr(self, name)))
-        if self.a == self.b == self.c == 0:
-            raise DomainError("form must be nonzero")
+    _NAMED = {"x+y": (0, 1, 0), "1-xy": (-1, 0, 1), "1-x*y": (-1, 0, 1)}
 
     @property
-    def disc(self) -> Rat:
+    def disc(self) -> Fraction:
         return self.b * self.b - self.a * self.c
 
     def __call__(self, x, y):
@@ -149,18 +147,6 @@ class SymmetricForm:
         if self.a:
             v = self.a * x * y + v if v else self.a * x * y
         return v
-
-    @classmethod
-    def from_name(cls, name: str) -> "SymmetricForm":
-        key = name.replace(" ", "")
-        if key == "x+y":
-            return cls(Fraction(0), Fraction(1), Fraction(0))
-        if key in ("1-xy", "1-x*y"):
-            return cls(Fraction(-1), Fraction(0), Fraction(1))
-        raise DomainError(f"unknown form name {name!r}")
-
-    def to_json(self) -> dict:
-        return {k: render_rat(getattr(self, k)) for k in "abc"}
 
 
 # -- the form at the points ------------------------------------------------
@@ -294,26 +280,25 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 # rule.
 
 
-def _numerators_denominators(values, what: str, instead: str):
-    """([p_i], [q_i]) with v_i = p_i/q_i, q_i > 0, for rational ``values``.
+def _numerators_denominators(points, instead: str):
+    """([p_i], [q_i]) with x_i = p_i/q_i, q_i > 0, for rational ``points``.
 
-    The integer route has no room for QuadExt or float values: they are
+    The integer route has no room for points in Q(sqrt(d)): they are
     refused with DomainError naming ``instead``, the field route."""
-    for v in values:
-        if not isinstance(v, Fraction):
+    for x in points:
+        if not isinstance(x, Fraction):
             raise DomainError(
-                f"the integer fast path needs rational {what}, got "
-                f"{type(v).__name__}; use {instead} instead"
+                "the integer fast path needs rational points, got "
+                f"{type(x).__name__}; use {instead} instead"
             )
-    return [v.numerator for v in values], [v.denominator for v in values]
+    return [x.numerator for x in points], [x.denominator for x in points]
 
 
-def _integer_form(coeffs, instead: str):
-    """(L, [L c for c in coeffs]) with L the lcm of the coefficient
-    denominators, so that the scaled coefficients are integers."""
-    nums, dens = _numerators_denominators(coeffs, "form coefficients", instead)
-    scale = math.lcm(*dens)
-    return scale, [p * (scale // q) for p, q in zip(nums, dens)]
+def _integer_form(coeffs):
+    """(L, [L c for c in coeffs]) with L the lcm of the denominators of the
+    rational coefficients, so that the scaled coefficients are integers."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
 def _form_table(coeffs, xs, ys=None):
@@ -404,7 +389,7 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
 
     det(N) comes from det_bareiss on Python ints, and the only Fraction is
     the final quotient.  Poles are found in row-major order, as the closed
-    form finds them.  Points in Q(sqrt(d)) or floats are refused; the
+    form finds them.  Points in Q(sqrt(d)) are refused; the
     field route det_bareiss(build_cauchy(pc, f, power=2)) /
     cauchy_det_closed(pc, f) takes them.
     """
@@ -414,9 +399,9 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
         )
     n = _xy_count(pc)
     instead = "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
-    scale, (a, b, c, d) = _integer_form((f.a, f.b, f.c, f.d), instead)
-    xs = _numerators_denominators(pc.xs, "points", instead)  # (p, q)
-    ys = _numerators_denominators(pc.ys, "points", instead)  # (r, s)
+    scale, (a, b, c, d) = _integer_form((f.a, f.b, f.c, f.d))
+    xs = _numerators_denominators(pc.xs, instead)  # (p, q)
+    ys = _numerators_denominators(pc.ys, instead)  # (r, s)
     table = _form_table((a, b, c, d), xs, ys)
     f_prod = math.prod(v for row in table for v in row)
     lcms, quotients, order = _row_lcm_scaling(table)
@@ -450,8 +435,8 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
              / (prod(D_i) (b^2 - ac)^{n(n-1)} L^{2n(n-1)} prod(d_ij))
 
     for 2n points, so Pf(M) comes from the integer elimination and the
-    only Fraction is the final quotient.  Points in Q(sqrt(d)) or floats
-    are refused; pf_elimination(build_schur(pc, g, power=2)) /
+    only Fraction is the final quotient.  Points in Q(sqrt(d)) are
+    refused; pf_elimination(build_schur(pc, g, power=2)) /
     schur_pf_closed(pc, g) takes them.
     """
     if g.disc == 0:
@@ -461,8 +446,8 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     half = _half_count(pc)
     m = 2 * half
     instead = "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
-    scale, (ga, gb, gc) = _integer_form((g.a, g.b, g.c), instead)
-    xs = _numerators_denominators(pc.xs, "points", instead)  # (p, q)
+    scale, (ga, gb, gc) = _integer_form((g.a, g.b, g.c))
+    xs = _numerators_denominators(pc.xs, instead)  # (p, q)
     gs = _form_table((ga, gb, gb, gc), xs)
     dens, quotients, order = _row_lcm_scaling(gs)
     # The Hafnian does not see the order of the points; Pf(M) and
@@ -490,7 +475,7 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
 class MoebiusMap:
     """Fractional linear map z -> (A z + B)/(C z + D), AD - BC != 0.
 
-    Coefficients live in Rat or in one quadratic extension.
+    Coefficients live in Q or in one quadratic extension.
     """
 
     A: object
@@ -509,8 +494,8 @@ class MoebiusMap:
         return (self.A * x + self.B) / den
 
 
-def sqrt_disc(disc: Rat):
-    """sqrt(b^2 - ac) as a Rat when possible, else as a QuadExt element."""
+def sqrt_disc(disc: Fraction):
+    """sqrt(b^2 - ac) as a Fraction when possible, else as a QuadExt element."""
     if rat_is_square(disc):
         return rat_sqrt(disc)
     return QuadExt(Fraction(0), Fraction(1), disc)

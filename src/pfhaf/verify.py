@@ -22,12 +22,11 @@ from .errors import DomainError, GenError, PoleError
 from .kernels import det_bareiss, hf_recursive, perm_ryser, pf_elimination
 from .matrix import SquareMatrix, minor
 from .report import IdentityReport
-from .scalar import Rat, render_rat, render_scalar
+from .scalar import exact, render_scalar
 from .structured import (
     BilinearForm,
     PointConfig,
     SymmetricForm,
-    _exact,
     build_cauchy,
     build_hafnian_mat,
     build_schur,
@@ -78,7 +77,7 @@ _FORMS = {
 @dataclass(frozen=True)
 class Rank2Spec:
     """Data for a rank <= 2 matrix a_ij = u_i*v_j + s_i*t_j with no zero
-    entries."""
+    entries: a zero raises PoleError naming its 1-based pair (i, j)."""
 
     u: tuple
     v: tuple
@@ -86,24 +85,31 @@ class Rank2Spec:
     t: tuple
 
     def __post_init__(self):
-        for name in ("u", "v", "s", "t"):
-            object.__setattr__(self, name, tuple(map(_exact, getattr(self, name))))
+        for k in "uvst":
+            data = tuple(exact(x, "rank-2 data") for x in getattr(self, k))
+            object.__setattr__(self, k, data)
+        if len({len(self.u), len(self.v), len(self.s), len(self.t)}) != 1:
+            raise DomainError("rank-2 data u, v, s, t need equal lengths")
+        rows = [
+            [ui * vj + si * tj for vj, tj in zip(self.v, self.t)]
+            for ui, si in zip(self.u, self.s)
+        ]
+        for i, row in enumerate(rows, 1):
+            if 0 in row:
+                j = row.index(0) + 1
+                raise PoleError(f"rank-2 entry a_({i}, {j}) = 0", pair=(i, j))
+        object.__setattr__(self, "_matrix", SquareMatrix(rows))
 
     @property
     def n(self) -> int:
         return len(self.u)
 
     def matrix(self) -> SquareMatrix:
-        rows = [
-            [self.u[i] * self.v[j] + self.s[i] * self.t[j] for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return SquareMatrix(rows)
+        """The matrix, built once at construction."""
+        return self._matrix
 
     def to_json(self) -> dict:
-        return {
-            k: [render_rat(v) for v in getattr(self, k)] for k in ("u", "v", "s", "t")
-        }
+        return {k: [render_scalar(v) for v in getattr(self, k)] for k in "uvst"}
 
 
 # -- generators ------------------------------------------------------------
@@ -177,10 +183,10 @@ def gen_rank2(seed: int, n: int) -> Rank2Spec:
         u, v, s, t = (
             tuple(_random_rat(rng, -9, 9, 4) for _ in range(n)) for _ in range(4)
         )
-        if all(
-            u[i] * v[j] + s[i] * t[j] != 0 for i in range(n) for j in range(n)
-        ):
+        try:
             return Rank2Spec(u, v, s, t)
+        except PoleError:
+            continue
     raise GenError("could not build a rank-2 spec with nonzero entries")
 
 
@@ -209,17 +215,30 @@ def _gen_z(rng: random.Random, xs) -> Fraction:
 
 def _check(identity: IdentityId, pc, form, z):
     """Return (lhs, rhs, params) for one identity instance."""
+    if not isinstance(identity, IdentityId):
+        raise DomainError(f"unknown identity {identity!r}")
+    if identity is not IdentityId.CARLITZ and not isinstance(pc, PointConfig):
+        raise DomainError(
+            f"{identity.value} requires a PointConfig, got {type(pc).__name__}"
+        )
     params = {}
     if pc is not None:
         params["points"] = pc.to_json()
     if z is not None:
-        params["z"] = render_rat(z)
+        z = exact(z, "sample point z")
+        params["z"] = render_scalar(z)
+    elif identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
+        raise DomainError(f"{identity.value} requires a sample point z")
 
     entry = _FORMS.get(identity)
     if entry is not None:
         family, cls, name = entry
         if name is not None:
             form = cls.from_name(name)
+        elif not isinstance(form, cls):
+            raise DomainError(
+                f"{identity.value} requires a {cls.__name__}, got {type(form).__name__}"
+            )
         params["f" if cls is BilinearForm else "g"] = form.to_json()
         if family == "DET":
             lhs = det_bareiss(build_cauchy(pc, form, power=1))
@@ -242,8 +261,6 @@ def _check(identity: IdentityId, pc, form, z):
         return lhs, rhs, params
 
     if identity is IdentityId.LEMMA1:
-        if z is None:
-            raise DomainError("LEMMA1 requires a sample point z")
         xs = pc.xs
         if any(z == x or z == -x for x in xs):
             raise DomainError("z must avoid +-x_k")
@@ -264,8 +281,6 @@ def _check(identity: IdentityId, pc, form, z):
         return lhs, rhs, params
 
     if identity is IdentityId.LEMMA2:
-        if z is None:
-            raise DomainError("LEMMA2 requires a sample point z")
         xs = pc.xs
         if any(z == -x for x in xs):
             raise DomainError("z must avoid -x_k")
@@ -297,22 +312,20 @@ def _check(identity: IdentityId, pc, form, z):
         rhs = det_bareiss(inv1) * perm_ryser(inv1)
         return lhs, rhs, params
 
-    if identity is IdentityId.DEGENERATE_PF:
-        xs = pc.xs
-        m = len(xs)
-        rows = [[xs[j] - xs[i] for j in range(m)] for i in range(m)]
-        lhs = pf_elimination(SquareMatrix(rows, kind="skew"))
-        rhs = xs[1] - xs[0] if m == 2 else Fraction(0)
-        return lhs, rhs, params
-
-    raise DomainError(f"unknown identity {identity}")
+    # IdentityId.DEGENERATE_PF
+    xs = pc.xs
+    m = len(xs)
+    rows = [[xs[j] - xs[i] for j in range(m)] for i in range(m)]
+    lhs = pf_elimination(SquareMatrix(rows, kind="skew"))
+    rhs = xs[1] - xs[0] if m == 2 else Fraction(0)
+    return lhs, rhs, params
 
 
 def check_identity(
     identity: IdentityId,
     pc: PointConfig | None,
     form=None,
-    z: Rat | None = None,
+    z: Fraction | None = None,
 ) -> IdentityReport:
     """Evaluate both sides of one identity instance, bit-exactly."""
     start = time.perf_counter()

@@ -227,11 +227,10 @@ def test_pf_squared_is_det(m):
     assert pf_elimination(neg) == (-1) ** (m.n // 2) * pf_elimination(m)
 
 
-def test_pf_elimination_matches_oracle():
-    rng = random.Random(16)
-    for _ in range(30):
-        m = rand_skew(rng, 8)
-        assert pf_elimination(m) == pf_oracle(m)
+@settings(deadline=None)
+@given(st.one_of(skew_matrices(), skew_matrices(F(2))))
+def test_pf_elimination_matches_oracle(m):
+    assert pf_elimination(m) == pf_oracle(m)
 
 
 def test_pf_elimination_zero_pivots():

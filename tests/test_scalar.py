@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfhaf.errors import DomainError
+from pfhaf.matrix import SquareMatrix
 from pfhaf.scalar import (
     QuadExt,
     parse_rat,
@@ -13,6 +14,8 @@ from pfhaf.scalar import (
     rat_sqrt,
     render_rat,
 )
+from pfhaf.structured import BilinearForm, PointConfig, SymmetricForm
+from pfhaf.verify import IdentityId, Rank2Spec, check_identity
 
 rats = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -151,3 +154,45 @@ def test_quad_norm_and_conjugate():
     a = q2(F(1, 2), F(3, 4))
     assert a.norm() == F(1, 4) - F(9, 16) * 2
     assert a * q2(a.p, -a.q) == a.norm()
+
+
+# -- the exact domain at every constructor ---------------------------------
+
+# where -> (make(v), the type an int v comes back as, whether a QuadExt v
+# is taken).  make returns the stored scalar; for z, which is not stored,
+# it returns whether the check passed, and the type is None.
+BOUNDARY = {
+    "SquareMatrix": (lambda v: SquareMatrix([[v, 1], [1, 0]]).entries[0][0], int, True),
+    "PointConfig xs": (lambda v: PointConfig([v, 2]).xs[0], F, True),
+    "PointConfig ys": (lambda v: PointConfig([1], [v]).ys[0], F, True),
+    "BilinearForm": (lambda v: BilinearForm(v, 1, 1, 0).a, F, False),
+    "SymmetricForm": (lambda v: SymmetricForm(v, 1, 0).a, F, False),
+    "Rank2Spec": (lambda v: Rank2Spec((v,), (1,), (1,), (1,)).u[0], F, True),
+    "QuadExt": (lambda v: QuadExt(F(1), F(1), v).d, F, False),
+    "check_identity z": (
+        lambda v: check_identity(IdentityId.LEMMA1, PointConfig([1, 2]), z=v).passed,
+        None,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("where", BOUNDARY)
+def test_one_exact_domain_at_every_constructor(where):
+    make, int_type, takes_quadext = BOUNDARY[where]
+    for bad in (0.5, "1/2", None):
+        # check_identity reads z=None as no z, which LEMMA1 refuses
+        refused = f"got {type(bad).__name__}; pass Fractions|requires a sample point z"
+        with pytest.raises(DomainError, match=refused):
+            make(bad)
+    kept = make(3)
+    if int_type is not None:
+        assert type(kept) is int_type and kept == 3
+    else:
+        assert kept is True
+    root2 = QuadExt(F(0), F(1), F(2))
+    if takes_quadext:
+        assert make(root2) in (root2, True)
+    else:
+        with pytest.raises(DomainError, match="got QuadExt; pass Fractions"):
+            make(root2)

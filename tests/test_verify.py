@@ -2,10 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from pfhaf.errors import DomainError, GenError
+from pfhaf.errors import DomainError, GenError, PoleError
 from pfhaf.kernels import det_bareiss, pf_elimination
 from pfhaf.matrix import SquareMatrix, minor
-from pfhaf.structured import BilinearForm, PointConfig, SymmetricForm
+from pfhaf.scalar import QuadExt
+from pfhaf.structured import (
+    BilinearForm,
+    PointConfig,
+    SymmetricForm,
+    substitution_witness,
+)
 from pfhaf.verify import (
     IdentityId,
     Rank2Spec,
@@ -104,6 +110,18 @@ def test_int_rank2_spec_equals_fraction_spec():
     assert (rep.lhs, rep.rhs, rep.params) == (ref.lhs, ref.rhs, ref.params)
 
 
+def test_rank2_spec_refuses_zero_entries():
+    # a_21 = u_2 v_1 + s_2 t_1 = 2 - 2
+    with pytest.raises(PoleError, match=r"a_\(2, 1\) = 0") as exc:
+        Rank2Spec((1, 2), (1, 1), (1, 1), (-2, 3))
+    assert exc.value.pair == (2, 1)
+    with pytest.raises(PoleError) as exc:
+        Rank2Spec((1, 2), (1, 1), (1, 1), (-1, 3))
+    assert exc.value.pair == (1, 1)
+    with pytest.raises(DomainError, match="equal lengths"):
+        Rank2Spec((1, 2), (1,), (1, 2), (1, 2))
+
+
 # -- individual identities -------------------------------------------------
 
 
@@ -154,6 +172,43 @@ def test_degenerate_pf_values():
     )
     assert rep4.passed
     assert rep4.lhs == "0"
+
+
+def test_check_identity_names_what_is_missing():
+    pc = PointConfig([1, 2, 3, 4], [5, 6, 7, 8])
+    for identity in IdentityId:
+        if identity is not IdentityId.CARLITZ:
+            missing = f"{identity.value} requires a PointConfig"
+            with pytest.raises(DomainError, match=missing):
+                check_identity(identity, None)
+    for identity, cls in (
+        (IdentityId.GEN_DET, "BilinearForm"),
+        (IdentityId.GEN_BORCH, "BilinearForm"),
+        (IdentityId.GEN_SCHUR, "SymmetricForm"),
+        (IdentityId.GEN_MAIN, "SymmetricForm"),
+    ):
+        with pytest.raises(DomainError, match=f"requires a {cls}, got NoneType"):
+            check_identity(identity, pc)
+    with pytest.raises(DomainError, match="requires a SymmetricForm, got BilinearForm"):
+        check_identity(IdentityId.GEN_SCHUR, pc, form=BilinearForm(0, 1, 1, 0))
+    for identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
+        with pytest.raises(DomainError, match="sample point z, got float"):
+            check_identity(identity, pc, z=5.5)
+        int_z = check_identity(identity, pc, z=11)
+        assert int_z.passed
+        assert int_z.params == check_identity(identity, pc, z=F(11)).params
+    with pytest.raises(DomainError, match="unknown identity 'SCHUR1'"):
+        check_identity("SCHUR1", pc)
+
+
+def test_points_in_a_quadratic_field_are_reported():
+    xs = [QuadExt(F(k), F(1), F(2)) for k in range(1, 5)]
+    pc = PointConfig(xs)
+    assert pc.to_json() == {"xs": [f"{k}+1*sqrt(2)" for k in range(1, 5)]}
+    rep = check_identity(IdentityId.SCHUR1, pc)
+    assert rep.passed and rep.params["points"] == pc.to_json()
+    rep = substitution_witness(pc, SymmetricForm(1, 2, 3))
+    assert rep.passed and rep.params["points"] == pc.to_json()
 
 
 def test_main1_with_repeated_point_both_sides_vanish():
