@@ -48,26 +48,6 @@ def _print_value(value, decimal: int | None):
         print(f"~ {_decimal_str(Fraction(value), decimal)} (approximate)")
 
 
-def _load_matrix(args) -> SquareMatrix:
-    if args.csv:
-        with open(args.csv, newline="") as fh:
-            rows = [
-                [parse_rat(cell) for cell in row]
-                for row in csv.reader(fh)
-                if row
-            ]
-        return SquareMatrix(rows)
-    return SquareMatrix.from_json(_read_json(args.input))
-
-
-def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _parse_scalar_list(text: str):
     return [parse_rat(part) for part in text.split(",") if part.strip()]
 
@@ -132,48 +112,46 @@ def _parse_form(cls, text: str):
     """A named form ("x+y", "1-xy") or its comma-separated coefficients."""
     try:
         return cls.from_name(text)
-    except PfhafError:
-        coeffs = _parse_scalar_list(text)
-        if len(coeffs) != len(fields(cls)):
-            raise
-        return cls(*coeffs)
+    except DomainError:
+        coeffs = text.split(",")
+    names = [f.name for f in fields(cls)]
+    if len(coeffs) != len(names):
+        raise DomainError(
+            f"--form takes a named form ({', '.join(cls._NAMED)}) or the "
+            f"{len(names)} coefficients {','.join(names)} of a {cls.__name__}, "
+            f"got {text!r}"
+        )
+    return cls(*(parse_rat(c) for c in coeffs))
+
+
+# target -> (form class, value, --crosscheck kernel, the matrix it reads);
+# the value is fast(pc, form) and the crosscheck kernel(build(pc, form)).
+_TARGETS = {
+    "det": (BilinearForm, cauchy_det_closed, det_bareiss, build_cauchy),
+    "perm": (BilinearForm, fast_cauchy_perm, perm_ryser, build_cauchy),
+    "pf": (SymmetricForm, schur_pf_closed, pf_elimination, build_schur),
+    "hafnian": (SymmetricForm, fast_cauchy_hafnian, hf_recursive, build_hafnian_mat),
+}
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    _print_value(evaluate(_load_matrix(args), args.fn, args.algorithm), args.decimal)
+    with open(args.csv, newline="") as fh:
+        rows = [[parse_rat(cell) for cell in row] for row in csv.reader(fh) if row]
+    _print_value(evaluate(SquareMatrix(rows), args.fn, args.algorithm), args.decimal)
     return 0
 
 
 def cmd_structured(args) -> int:
-    if args.points:
-        pc = PointConfig.from_json(_read_json(args.points))
-    else:
-        xs = _parse_scalar_list(args.xs)
-        ys = _parse_scalar_list(args.ys) if args.ys else None
-        pc = PointConfig(xs, ys)
-
-    if args.target in ("det", "perm"):
-        form = _parse_form(BilinearForm, args.f or "x+y")
-        if args.target == "det":
-            value = cauchy_det_closed(pc, form)
-            check = lambda: det_bareiss(build_cauchy(pc, form, power=1))
-        else:
-            value = fast_cauchy_perm(pc, form)
-            check = lambda: perm_ryser(build_cauchy(pc, form, power=1))
-    else:
-        form = _parse_form(SymmetricForm, args.g or "x+y")
-        if args.target == "pf":
-            value = schur_pf_closed(pc, form)
-            check = lambda: pf_elimination(build_schur(pc, form, power=1))
-        else:
-            value = fast_cauchy_hafnian(pc, form)
-            check = lambda: hf_recursive(build_hafnian_mat(pc, form))
-
+    cls, fast, kernel, build = _TARGETS[args.target]
+    ys = _parse_scalar_list(args.ys) if args.ys is not None else None
+    pc = PointConfig(_parse_scalar_list(args.xs), ys)
+    form = _parse_form(cls, args.form)
+    value = fast(pc, form)
     if args.crosscheck:
-        reference = check()
+        reference = kernel(build(pc, form))
         if reference != value:
             print(
                 f"crosscheck FAILED: fast={render_scalar(value)} "
@@ -209,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a functional on a matrix file")
-    src = p_eval.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="matrix JSON file")
-    src.add_argument("--csv", help="plain numeric grid, entries parsed as rationals")
+    p_eval.add_argument("--csv", required=True, help="CSV grid of rationals, e.g. 3/4")
     p_eval.add_argument("--fn", required=True, choices=["det", "perm", "pf", "hf"])
     p_eval.add_argument("--algorithm", default="fast", choices=["fast", "oracle"])
     p_eval.add_argument("--decimal", type=_digits, default=None)
@@ -220,15 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser(
         "structured", help="fast paths for Cauchy-type structured matrices"
     )
-    pts = p_st.add_mutually_exclusive_group(required=True)
-    pts.add_argument("--xs", help="comma-separated rational x points")
-    pts.add_argument("--points", help="PointConfig JSON file")
-    p_st.add_argument("--ys", help="comma-separated rational y points")
-    p_st.add_argument("--f", help='bilinear form: "x+y", "1-xy" or "a,b,c,d"')
-    p_st.add_argument("--g", help='symmetric form: "x+y", "1-xy" or "a,b,c"')
-    p_st.add_argument(
-        "--target", required=True, choices=["det", "perm", "pf", "hafnian"]
-    )
+    p_st.add_argument("--xs", required=True, help="comma-separated rational x points")
+    p_st.add_argument("--ys", help="comma-separated rational y points (det, perm)")
+    form_help = '"x+y" (default), "1-xy", "a,b,c,d" of f (det, perm) or "a,b,c" of g'
+    p_st.add_argument("--form", default="x+y", help=form_help)
+    p_st.add_argument("--target", required=True, choices=list(_TARGETS))
     p_st.add_argument("--crosscheck", action="store_true")
     p_st.add_argument("--decimal", type=_digits, default=None)
     p_st.set_defaults(func=cmd_structured)
@@ -254,10 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PfhafError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PfhafError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .scalar import exact, parse_rat
+from .scalar import exact
 
 GENERAL = "general"
 SYMMETRIC = "symmetric"
@@ -44,7 +44,10 @@ class SquareMatrix:
     __slots__ = ("n", "entries", "skew", "symmetric")
 
     def __init__(self, rows: Sequence[Sequence], kind: str | None = None):
-        entries = tuple(tuple(row) for row in rows)
+        try:
+            entries = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise DomainError(f"need a sequence of row sequences: {exc}") from None
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DomainError("matrix is not square")
@@ -92,18 +95,6 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"SquareMatrix(n={self.n}, kind={self.kind!r})"
-
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SquareMatrix":
-        rows = obj.get("entries") if isinstance(obj, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise DomainError('matrix JSON needs an "entries" list of rows')
-        rows = [[parse_rat(v) for v in row] for row in rows]
-        if "n" in obj and obj["n"] != len(rows):
-            raise DomainError("declared dimension does not match entries")
-        return cls(rows, kind=obj.get("kind"))
 
 
 def check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:

@@ -44,7 +44,7 @@ def parse_rat(text: str) -> Fraction:
     """Parse "p/q" or "p" (optional sign) into an exact rational.
 
     Unicode minus signs are accepted so rendered values round-trip.
-    Anything but a string is refused: a JSON number may already be a float.
+    Anything but a string is refused with DomainError.
     """
     if not isinstance(text, str):
         raise DomainError(f'not a rational: {text!r} (write it as text, e.g. "3/4")')

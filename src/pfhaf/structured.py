@@ -33,7 +33,6 @@ from .report import IdentityReport
 from .scalar import (
     QuadExt,
     exact,
-    parse_rat,
     rat_is_square,
     rat_sqrt,
     rational,
@@ -50,28 +49,21 @@ class PointConfig:
     ys: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(exact(x, "points") for x in self.xs))
-        if len(set(self.xs)) != len(self.xs):
-            raise DomainError("x points must be distinct")
-        if self.ys is not None:
-            object.__setattr__(self, "ys", tuple(exact(y, "points") for y in self.ys))
-            if len(set(self.ys)) != len(self.ys):
-                raise DomainError("y points must be distinct")
+        for k in ("xs", "ys") if self.ys is not None else ("xs",):
+            points = getattr(self, k)
+            try:
+                points = tuple(exact(v, "points") for v in points)
+            except TypeError as exc:
+                raise DomainError(f"{k} must be a sequence of points: {exc}") from None
+            if len(set(points)) != len(points):
+                raise DomainError(f"{k[0]} points must be distinct")
+            object.__setattr__(self, k, points)
 
     def to_json(self) -> dict:
         out = {"xs": [render_scalar(x) for x in self.xs]}
         if self.ys is not None:
             out["ys"] = [render_scalar(y) for y in self.ys]
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PointConfig":
-        lists = isinstance(obj, dict) and isinstance(obj.get("xs"), list)
-        if not lists or not isinstance(obj.get("ys", []), list):
-            raise DomainError('points JSON needs an "xs" list (and may have "ys")')
-        xs = [parse_rat(v) for v in obj["xs"]]
-        ys = [parse_rat(v) for v in obj["ys"]] if "ys" in obj else None
-        return cls(xs, ys)
 
 
 class _Form:
@@ -160,7 +152,9 @@ def _xy_count(pc: PointConfig) -> int:
 
 
 def _half_count(pc: PointConfig) -> int:
-    """n, for 2n x points; an odd count is refused."""
+    """n, for 2n x points; an odd count or any y point is refused."""
+    if pc.ys is not None:
+        raise DomainError("a symmetric form reads x points only; got y points")
     if len(pc.xs) % 2 != 0:
         raise DomainError("need an even number of x points")
     return len(pc.xs) // 2

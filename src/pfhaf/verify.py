@@ -86,7 +86,10 @@ class Rank2Spec:
 
     def __post_init__(self):
         for k in "uvst":
-            data = tuple(exact(x, "rank-2 data") for x in getattr(self, k))
+            try:
+                data = tuple(exact(x, "rank-2 data") for x in getattr(self, k))
+            except TypeError as exc:
+                raise DomainError(f"rank-2 {k} must be a sequence: {exc}") from None
             object.__setattr__(self, k, data)
         if len({len(self.u), len(self.v), len(self.s), len(self.t)}) != 1:
             raise DomainError("rank-2 data u, v, s, t need equal lengths")
@@ -138,10 +141,12 @@ def gen_points(
     ``no_pole`` is a SymmetricForm or BilinearForm; sampled points are
     rejected while any pair hits a zero of the form.  Raises GenError when
     the constraints cannot be met within the attempt budget, DomainError
-    for a negative count.
+    for a negative count or a max_den below 1.
     """
     if min(m, ys or 0) < 0:
         raise DomainError(f"point counts must be >= 0, got {min(m, ys or 0)}")
+    if max_den < 1:
+        raise DomainError(f"max_den must be >= 1, got {max_den}")
     if hi < lo:
         raise GenError(f"empty range {lo}..{hi}")
     rng = random.Random(seed)
@@ -221,6 +226,17 @@ def _check(identity: IdentityId, pc, form, z):
         raise DomainError(
             f"{identity.value} requires a PointConfig, got {type(pc).__name__}"
         )
+    family, cls, name = _FORMS.get(identity, (None, None, None))
+    # What the identity reads; anything else given is refused, not dropped.
+    for what, given, reads in (
+        ("PointConfig", pc, identity is not IdentityId.CARLITZ),
+        ("y points", getattr(pc, "ys", None), cls is BilinearForm),
+        ("form", form, identity is IdentityId.CARLITZ or (cls and name is None)),
+        ("sample point z", z, identity in (IdentityId.LEMMA1, IdentityId.LEMMA2)),
+    ):
+        if given is not None and not reads:
+            hint = f"; GEN_{family} takes one" if what == "form" and name else ""
+            raise DomainError(f"{identity.value} takes no {what}{hint}")
     params = {}
     if pc is not None:
         params["points"] = pc.to_json()
@@ -230,9 +246,7 @@ def _check(identity: IdentityId, pc, form, z):
     elif identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
         raise DomainError(f"{identity.value} requires a sample point z")
 
-    entry = _FORMS.get(identity)
-    if entry is not None:
-        family, cls, name = entry
+    if cls is not None:
         if name is not None:
             form = cls.from_name(name)
         elif not isinstance(form, cls):

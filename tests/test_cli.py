@@ -1,11 +1,22 @@
 import hashlib
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from pfhaf.cli import main
-from pfhaf.scalar import parse_rat
+from pfhaf.kernels import det_oracle, hf_oracle, perm_oracle, pf_oracle
+from pfhaf.scalar import parse_rat, render_scalar
+from pfhaf.structured import (
+    BilinearForm,
+    PointConfig,
+    SymmetricForm,
+    build_cauchy,
+    build_hafnian_mat,
+    build_schur,
+)
 
 
 def run(capsys, *argv):
@@ -17,12 +28,10 @@ def run(capsys, *argv):
 # -- eval ------------------------------------------------------------------
 
 
-def test_eval_pf_json(tmp_path, capsys):
-    path = tmp_path / "m.json"
-    path.write_text(
-        json.dumps({"n": 2, "kind": "skew", "entries": [["0", "1"], ["-1", "0"]]})
-    )
-    code, out, _ = run(capsys, "eval", "--input", str(path), "--fn", "pf")
+def test_eval_pf_csv(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0,1\n-1,0\n")
+    code, out, _ = run(capsys, "eval", "--csv", str(path), "--fn", "pf")
     assert code == 0
     assert out.strip() == "1"
 
@@ -136,7 +145,7 @@ def test_structured_pole_is_error(capsys):
         "1,2",
         "--ys",
         "1/2,1/3",
-        "--f",
+        "--form",
         "1-xy",
         "--target",
         "perm",
@@ -151,7 +160,7 @@ def test_structured_degenerate_form_suggests_fallback(capsys):
         "structured",
         "--xs",
         "1,2",
-        "--g",
+        "--form",
         "1,2,4",
         "--target",
         "hafnian",
@@ -159,6 +168,73 @@ def test_structured_degenerate_form_suggests_fallback(capsys):
     assert code == 1
     assert "hf_recursive" in err
     assert "--algorithm" not in err  # structured has no such flag
+
+
+XY = PointConfig([1, 2, 3], [4, 5, 6])
+XS = PointConfig([1, 2, 3, 4])
+# target -> (points, form class, oracle, the matrix the oracle reads)
+TARGETS = {
+    "det": (XY, BilinearForm, det_oracle, build_cauchy),
+    "perm": (XY, BilinearForm, perm_oracle, build_cauchy),
+    "pf": (XS, SymmetricForm, pf_oracle, build_schur),
+    "hafnian": (XS, SymmetricForm, hf_oracle, build_hafnian_mat),
+}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_structured_target_table(capsys, target):
+    pc, cls, oracle, build = TARGETS[target]
+    bilinear = cls is BilinearForm
+    xs = ["structured", "--target", target, "--xs", ",".join(map(str, pc.xs))]
+    ys = ["--ys", ",".join(map(str, pc.ys)) if bilinear else "5,6,7,8"]
+    argv = xs + ys if bilinear else xs
+    coeffs = (2, 1, 3, -1) if bilinear else (1, 2, -3)
+    for text, form in (
+        ("1-xy", cls.from_name("1-xy")),
+        (",".join(map(str, coeffs)), cls(*coeffs)),
+    ):
+        code, out, _ = run(capsys, *argv, "--form", text, "--crosscheck")
+        assert code == 0
+        assert out.strip() == render_scalar(oracle(build(pc, form)))
+    # a coefficient count of the other form class names this one's
+    wrong, expected = (
+        ("1,2,3", "4 coefficients a,b,c,d of a BilinearForm")
+        if bilinear
+        else ("1,2,3,4", "3 coefficients a,b,c of a SymmetricForm")
+    )
+    code, out, err = run(capsys, *argv, "--form", wrong)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and expected in err
+    # the bilinear targets need the y points, the symmetric ones refuse them
+    code, out, err = run(capsys, *(xs if bilinear else xs + ys))
+    assert (code, out) == (1, "")
+    refused = "need equally many x and y points" if bilinear else "got y points"
+    assert err.startswith("error:") and refused in err
+
+
+# the "Command line" examples of README.md, each run through main; a file
+# a line names is this skew matrix, in a temporary directory.
+README = Path(__file__).resolve().parent.parent / "README.md"
+SKEW_CSV = "0,1,2,3\n-1,0,4,5\n-2,-4,0,6\n-3,-5,-6,0\n"
+
+
+def readme_commands():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("pfhaf ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys, line):
+    command, _, value = line.partition("#")
+    argv = shlex.split(command)[1:]
+    if "--csv" in argv:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / argv[argv.index("--csv") + 1]).write_text(SKEW_CSV)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if value.strip():
+        assert out.splitlines()[0] == value.strip()
 
 
 # -- verify ----------------------------------------------------------------
@@ -322,25 +398,22 @@ def test_structured_negative_decimal_refused(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, text, message",
+    "text, message",
     [
-        (["eval", "--fn", "det", "--input"], '{"n": 2}', '"entries"'),
-        (["eval", "--fn", "det", "--input"], '{"entries": [["1"]', "not valid JSON"),
-        (["eval", "--fn", "det", "--input"], '{"entries": [[1, 2], [3, 4]]}', "not a rational: 1"),
-        (["eval", "--fn", "det", "--input"], '{"entries": [1, 2]}', '"entries"'),
-        (["structured", "--target", "pf", "--points"], '{"ys": ["1", "2"]}', '"xs"'),
-        (["structured", "--target", "pf", "--points"], '{"xs": 5}', '"xs"'),
+        ("0,1\n-1\n", "not square"),
+        ("0,1\n-1,x\n", "not a rational: 'x'"),
     ],
+    ids=["ragged", "not-rational"],
 )
-def test_malformed_json_is_error(tmp_path, capsys, argv, text, message):
-    path = tmp_path / "in.json"
+def test_malformed_csv_is_error(tmp_path, capsys, text, message):
+    path = tmp_path / "m.csv"
     path.write_text(text)
-    code, _, err = run(capsys, *argv, str(path))
+    code, _, err = run(capsys, "eval", "--fn", "det", "--csv", str(path))
     assert code == 1
     assert err.startswith("error:") and message in err
 
 
 def test_missing_file_is_error(capsys):
-    code, _, err = run(capsys, "eval", "--input", "/nonexistent.json", "--fn", "det")
+    code, _, err = run(capsys, "eval", "--csv", "/nonexistent.csv", "--fn", "det")
     assert code == 1
     assert "error:" in err

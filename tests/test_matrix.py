@@ -160,14 +160,3 @@ def test_permutation_conjugation_preserves_kind():
         [[m.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     )
     assert conj.kind == "skew"
-
-
-def test_json_round_trip():
-    m = mat([[0, "1/3"], ["-1/3", 0]], kind="skew")
-    obj = {"n": 2, "kind": "skew", "entries": [["0", "1/3"], ["-1/3", "0"]]}
-    assert SquareMatrix.from_json(obj) == m
-
-
-def test_json_dimension_mismatch():
-    with pytest.raises(DomainError):
-        SquareMatrix.from_json({"n": 3, "entries": [["1"]]})

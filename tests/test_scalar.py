@@ -196,3 +196,24 @@ def test_one_exact_domain_at_every_constructor(where):
     else:
         with pytest.raises(DomainError, match="got QuadExt; pass Fractions"):
             make(root2)
+
+
+# call -> (make, what its refusal says: the argument and the type it got)
+NOT_A_SEQUENCE = {
+    "PointConfig(5)": (lambda: PointConfig(5), "xs must be a sequence.*'int'"),
+    "PointConfig(None)": (lambda: PointConfig(None), "xs must be .*'NoneType'"),
+    "PointConfig([1], 2.5)": (lambda: PointConfig([1], 2.5), "ys must be .*'float'"),
+    "SquareMatrix(5)": (lambda: SquareMatrix(5), "row sequences: 'int'"),
+    "SquareMatrix([1, 2])": (lambda: SquareMatrix([1, 2]), "row sequences: 'int'"),
+    "Rank2Spec(None, ...)": (
+        lambda: Rank2Spec(None, (1,), (1,), (1,)),
+        "rank-2 u must be a sequence: 'NoneType'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_SEQUENCE)
+def test_a_container_that_is_not_a_sequence_is_refused(call):
+    make, message = NOT_A_SEQUENCE[call]
+    with pytest.raises(DomainError, match=message):
+        make()

@@ -185,6 +185,21 @@ def test_builders_reject_bad_input():
         build_schur(PointConfig([F(1), F(2), F(3)]), GXPY)  # odd
 
 
+@pytest.mark.parametrize(
+    "functional",
+    [
+        build_schur,
+        build_hafnian_mat,
+        schur_pf_closed,
+        fast_cauchy_hafnian,
+        substitution_witness,
+    ],
+)
+def test_symmetric_functionals_refuse_y_points(functional):
+    with pytest.raises(DomainError, match="x points only; got y points"):
+        functional(PointConfig([1, 2], [3, 4]), SymmetricForm(1, 2, 3))
+
+
 # -- closed forms ----------------------------------------------------------
 
 

@@ -62,6 +62,9 @@ def test_gen_points_impossible_raises():
     for m, ys in ((-3, None), (2, -1)):
         with pytest.raises(DomainError, match="counts must be >= 0"):
             gen_points(1, m, ys=ys)
+    for max_den in (0, -2):
+        with pytest.raises(DomainError, match=f"max_den must be >= 1, got {max_den}"):
+            gen_points(1, 4, max_den=max_den)
 
 
 def test_gen_points_empty_range_raises_gen_error():
@@ -175,20 +178,21 @@ def test_degenerate_pf_values():
 
 
 def test_check_identity_names_what_is_missing():
-    pc = PointConfig([1, 2, 3, 4], [5, 6, 7, 8])
+    xy = PointConfig([1, 2, 3, 4], [5, 6, 7, 8])
+    pc = PointConfig([1, 2, 3, 4])
     for identity in IdentityId:
         if identity is not IdentityId.CARLITZ:
             missing = f"{identity.value} requires a PointConfig"
             with pytest.raises(DomainError, match=missing):
                 check_identity(identity, None)
-    for identity, cls in (
-        (IdentityId.GEN_DET, "BilinearForm"),
-        (IdentityId.GEN_BORCH, "BilinearForm"),
-        (IdentityId.GEN_SCHUR, "SymmetricForm"),
-        (IdentityId.GEN_MAIN, "SymmetricForm"),
+    for identity, points, cls in (
+        (IdentityId.GEN_DET, xy, "BilinearForm"),
+        (IdentityId.GEN_BORCH, xy, "BilinearForm"),
+        (IdentityId.GEN_SCHUR, pc, "SymmetricForm"),
+        (IdentityId.GEN_MAIN, pc, "SymmetricForm"),
     ):
         with pytest.raises(DomainError, match=f"requires a {cls}, got NoneType"):
-            check_identity(identity, pc)
+            check_identity(identity, points)
     with pytest.raises(DomainError, match="requires a SymmetricForm, got BilinearForm"):
         check_identity(IdentityId.GEN_SCHUR, pc, form=BilinearForm(0, 1, 1, 0))
     for identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
@@ -199,6 +203,45 @@ def test_check_identity_names_what_is_missing():
         assert int_z.params == check_identity(identity, pc, z=F(11)).params
     with pytest.raises(DomainError, match="unknown identity 'SCHUR1'"):
         check_identity("SCHUR1", pc)
+
+
+XY = PointConfig([1, 2], [3, 4])
+XS = PointConfig([1, 2, 3, 4])
+G = SymmetricForm(1, 2, 3)
+F_FORM = BilinearForm(1, 2, 3, 4)
+RANK2 = gen_rank2(1, 2)
+
+
+@pytest.mark.parametrize(
+    "identity, pc, form, z, message",
+    [
+        ("SCHUR1", XS, G, None, "SCHUR1 takes no form; GEN_SCHUR takes one"),
+        ("CAUCHY2", XY, F_FORM, None, "CAUCHY2 takes no form; GEN_DET takes one"),
+        ("GEN_DET", XY, F_FORM, F(9), "GEN_DET takes no sample point z"),
+        ("LEMMA1", XS, G, F(11), "LEMMA1 takes no form"),
+        ("LEMMA2", XS, G, F(11), "LEMMA2 takes no form"),
+        ("DEGENERATE_PF", XS, G, None, "DEGENERATE_PF takes no form"),
+        ("SCHUR1", XY, None, None, "SCHUR1 takes no y points"),
+        ("GEN_MAIN", XY, G, None, "GEN_MAIN takes no y points"),
+        ("DEGENERATE_PF", XY, None, None, "DEGENERATE_PF takes no y points"),
+        ("CARLITZ", XS, RANK2, None, "CARLITZ takes no PointConfig"),
+    ],
+    ids=[
+        "SCHUR1-form",
+        "CAUCHY2-form",
+        "GEN_DET-z",
+        "LEMMA1-form",
+        "LEMMA2-form",
+        "DEGENERATE_PF-form",
+        "SCHUR1-ys",
+        "GEN_MAIN-ys",
+        "DEGENERATE_PF-ys",
+        "CARLITZ-points",
+    ],
+)
+def test_check_identity_refuses_what_it_does_not_read(identity, pc, form, z, message):
+    with pytest.raises(DomainError, match=message):
+        check_identity(IdentityId(identity), pc, form=form, z=z)
 
 
 def test_points_in_a_quadratic_field_are_reported():
