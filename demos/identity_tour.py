@@ -71,7 +71,7 @@ print("\nSchur Pfaffian:", pf_elimination(schur), "=", prod)
 #    x_j - x_i, so the printed matrix is its negation.
 
 printed = [[-v for v in row] for row in build_schur(xs4, g, power=2).entries]
-lhs = pf_elimination(SquareMatrix(printed, kind="skew"))
+lhs = pf_elimination(SquareMatrix(printed))
 prod_ij = F(1)
 for i in range(4):
     for j in range(i + 1, 4):

@@ -33,7 +33,7 @@ mob = moebius_for_form(g)
 print("Moebius constants A, B, C, D =", mob.A, ",", mob.B, ",", mob.C, ",", mob.D)
 
 xs = PointConfig([F(1), F(2), F(3), F(5)])
-phi = [mob.apply(x) for x in xs.xs]
+phi = [(mob.A * x + mob.B) / (mob.C * x + mob.D) for x in xs.xs]
 print("\nimages phi(x_i):")
 for x, p in zip(xs.xs, phi):
     print(f"  phi({x}) = {p}")

@@ -140,6 +140,8 @@ _TARGETS = {
 def cmd_eval(args) -> int:
     with open(args.csv, newline="") as fh:
         rows = [[parse_rat(cell) for cell in row] for row in csv.reader(fh) if row]
+    if not rows:
+        raise DomainError(f"--csv {args.csv} has no rows")
     _print_value(evaluate(SquareMatrix(rows), args.fn, args.algorithm), args.decimal)
     return 0
 
@@ -147,7 +149,10 @@ def cmd_eval(args) -> int:
 def cmd_structured(args) -> int:
     cls, fast, kernel, build = _TARGETS[args.target]
     ys = _parse_scalar_list(args.ys) if args.ys is not None else None
-    pc = PointConfig(_parse_scalar_list(args.xs), ys)
+    xs = _parse_scalar_list(args.xs)
+    if not xs:
+        raise DomainError(f"--xs has no points: {args.xs!r}")
+    pc = PointConfig(xs, ys)
     form = _parse_form(cls, args.form)
     value = fast(pc, form)
     if args.crosscheck:

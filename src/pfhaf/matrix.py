@@ -13,13 +13,6 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 from .scalar import exact
 
-GENERAL = "general"
-SYMMETRIC = "symmetric"
-SKEW = "skew"
-
-_KINDS = (GENERAL, SYMMETRIC, SKEW)
-
-
 def classify(rows: Sequence[Sequence]) -> str:
     """Strictest symmetry tag of a square array: skew before symmetric.
 
@@ -35,15 +28,12 @@ class SquareMatrix:
     One scan of the entries on construction sets ``skew`` (zero diagonal,
     a_ij = -a_ji) and ``symmetric`` (a_ij = a_ji off the diagonal); a zero
     off-diagonal part can be both.  ``kind`` is read from these facts,
-    skew before symmetric: "skew", "symmetric" or "general".  A ``kind``
-    argument only asserts a fact ("general" asserts nothing) and raises
-    DomainError when the entries disagree, so
-    SquareMatrix(skew_rows, kind="general").kind is "skew".
+    skew before symmetric: "skew", "symmetric" or "general".
     """
 
     __slots__ = ("n", "entries", "skew", "symmetric")
 
-    def __init__(self, rows: Sequence[Sequence], kind: str | None = None):
+    def __init__(self, rows: Sequence[Sequence]):
         try:
             entries = tuple(tuple(row) for row in rows)
         except TypeError as exc:
@@ -55,8 +45,6 @@ class SquareMatrix:
             for v in row:
                 if type(v) is not Fraction and type(v) is not int:
                     exact(v, "matrix entries")
-        if kind is not None and kind not in _KINDS:
-            raise DomainError(f"unknown kind {kind!r}")
         skew = all(entries[i][i] == 0 for i in range(n))
         sym = True
         for i, row in enumerate(entries):
@@ -68,10 +56,6 @@ class SquareMatrix:
                     skew = False
             if not sym and not skew:
                 break
-        if kind == SKEW and not skew:
-            raise DomainError("entries are not skew-symmetric")
-        if kind == SYMMETRIC and not sym:
-            raise DomainError("entries are not symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "skew", skew)
@@ -79,7 +63,7 @@ class SquareMatrix:
 
     @property
     def kind(self) -> str:
-        return SKEW if self.skew else SYMMETRIC if self.symmetric else GENERAL
+        return "skew" if self.skew else "symmetric" if self.symmetric else "general"
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")

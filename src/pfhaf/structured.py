@@ -207,7 +207,7 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
             v = (xs[j] - xs[i]) / gv ** power
             rows[i][j] = v
             rows[j][i] = -v
-    return SquareMatrix(rows, kind="skew")
+    return SquareMatrix(rows)
 
 
 def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
@@ -221,7 +221,7 @@ def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
     for i, row in enumerate(pair_table(g, pc.xs)):
         for j, gv in enumerate(row, i + 1):
             rows[i][j] = rows[j][i] = 1 / gv
-    return SquareMatrix(rows, kind="symmetric")
+    return SquareMatrix(rows)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -467,7 +467,7 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
 
 @dataclass(frozen=True)
 class MoebiusMap:
-    """Fractional linear map z -> (A z + B)/(C z + D), AD - BC != 0.
+    """Fractional linear map z -> (A z + B)/(C z + D).
 
     Coefficients live in Q or in one quadratic extension.
     """
@@ -476,16 +476,6 @@ class MoebiusMap:
     B: object
     C: object
     D: object
-
-    def __post_init__(self):
-        if self.A * self.D - self.B * self.C == 0:
-            raise DomainError("degenerate Moebius map (AD - BC = 0)")
-
-    def apply(self, x):
-        den = self.C * x + self.D
-        if den == 0:
-            raise PoleError(f"Moebius map pole at {render_scalar(x)}")
-        return (self.A * x + self.B) / den
 
 
 def sqrt_disc(disc: Fraction):
@@ -567,7 +557,7 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
             )
     field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     # The map is injective, so the images are distinct points.
-    images = PointConfig([mob.apply(x) for x in xs])
+    images = PointConfig([(mob.A * x + mob.B) / ux for x, ux in zip(xs, u)])
     phi = images.xs
     checks = {
         "entrywise_factorization": all(

@@ -103,10 +103,6 @@ class Rank2Spec:
                 raise PoleError(f"rank-2 entry a_({i}, {j}) = 0", pair=(i, j))
         object.__setattr__(self, "_matrix", SquareMatrix(rows))
 
-    @property
-    def n(self) -> int:
-        return len(self.u)
-
     def matrix(self) -> SquareMatrix:
         """The matrix, built once at construction."""
         return self._matrix
@@ -330,7 +326,7 @@ def _check(identity: IdentityId, pc, form, z):
     xs = pc.xs
     m = len(xs)
     rows = [[xs[j] - xs[i] for j in range(m)] for i in range(m)]
-    lhs = pf_elimination(SquareMatrix(rows, kind="skew"))
+    lhs = pf_elimination(SquareMatrix(rows))
     rhs = xs[1] - xs[0] if m == 2 else Fraction(0)
     return lhs, rhs, params
 

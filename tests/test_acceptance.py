@@ -63,7 +63,7 @@ def test_criterion_2_pfaffian_hafnian_hand_instance():
     g = SymmetricForm.from_name("x+y")
     # the identity is printed with numerators x_i - x_j: negate build_schur's
     lhs_mat = SquareMatrix(
-        [[-v for v in row] for row in build_schur(pc, g, power=2).entries], kind="skew"
+        [[-v for v in row] for row in build_schur(pc, g, power=2).entries]
     )
     prod = F(1)
     for i in range(4):
@@ -105,7 +105,7 @@ def _rand_skew(rng, n):
         for j in range(i + 1, n):
             v = F(rng.randint(-9, 9), rng.randint(1, 5))
             rows[i][j], rows[j][i] = v, -v
-    return SquareMatrix(rows, kind="skew")
+    return SquareMatrix(rows)
 
 
 def _rand_symmetric(rng, n):

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,22 @@ def test_structured_degenerate_form_suggests_fallback(capsys):
     assert "--algorithm" not in err  # structured has no such flag
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--xs", "", "--target", "hafnian"),
+        ("--xs", " , ", "--target", "pf", "--crosscheck"),
+        ("--xs", "", "--ys", "", "--target", "perm"),
+    ],
+    ids=["hafnian", "pf-crosscheck", "perm"],
+)
+def test_structured_empty_points_refused(capsys, argv):
+    # the empty point set has value 1, but an empty --xs is a mistyped input
+    code, out, err = run(capsys, "structured", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--xs has no points" in err
+
+
 XY = PointConfig([1, 2, 3], [4, 5, 6])
 XS = PointConfig([1, 2, 3, 4])
 # target -> (points, form class, oracle, the matrix the oracle reads)
@@ -235,6 +253,22 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys, line):
     assert code == 0, err
     if value.strip():
         assert out.splitlines()[0] == value.strip()
+
+
+def test_readme_library_quick_start_runs():
+    # runs the "Library quick start" block, keeping each bare call's value
+    # under the name of the function it calls
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[stmt.value.func.id] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values["fast_cauchy_perm"] == Fraction(49, 600)
+    assert values["summarize"]["failed"] == 0
 
 
 # -- verify ----------------------------------------------------------------
@@ -402,8 +436,10 @@ def test_structured_negative_decimal_refused(capsys):
     [
         ("0,1\n-1\n", "not square"),
         ("0,1\n-1,x\n", "not a rational: 'x'"),
+        ("", "has no rows"),
+        ("\n\n\n", "has no rows"),
     ],
-    ids=["ragged", "not-rational"],
+    ids=["ragged", "not-rational", "empty", "blank-lines"],
 )
 def test_malformed_csv_is_error(tmp_path, capsys, text, message):
     path = tmp_path / "m.csv"

