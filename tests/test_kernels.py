@@ -22,7 +22,8 @@ from pfhaf.kernels import (
 )
 from pfhaf.matrix import SquareMatrix
 from pfhaf.scalar import QuadExt
-from pfhaf.structured import BilinearForm, PointConfig, build_cauchy
+from pfhaf.structured import BilinearForm, PointConfig, build_cauchy, fast_cauchy_perm
+from pfhaf.verify import gen_points
 
 
 def eye(n):
@@ -327,6 +328,89 @@ def test_pf_domain_errors():
         pf_oracle(odd)
     with pytest.raises(SizeError):
         pf_oracle(SquareMatrix([[F(0)] * 14 for _ in range(14)]))
+
+
+# -- cleared row denominators ----------------------------------------------
+
+
+mixed_denominators = st.sampled_from([1, 2, 3, 7, 12, 35])
+
+
+@st.composite
+def cleared_inputs(draw, skew=False):
+    """Matrices of ints and Fractions with mixed denominators and negative
+    entries: square of size 1..6, or skew of size 2..8.  A quarter of the
+    draws hold only ints, and about a third have a zero row (and column,
+    when skew)."""
+    n = 2 * draw(st.integers(1, 4)) if skew else draw(st.integers(1, 6))
+    ints = st.integers(-9, 9)
+    entry = ints
+    if draw(st.integers(0, 3)):
+        entry = st.one_of(ints, st.builds(F, ints, mixed_denominators))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if skew else 0, n):
+            rows[i][j] = draw(entry)
+            if skew:
+                rows[j][i] = -rows[i][j]
+    if draw(st.integers(0, 2)) == 0:
+        z = draw(st.integers(0, n - 1))
+        rows[z] = [0] * n
+        if skew:
+            for row in rows:
+                row[z] = 0
+    return SquareMatrix(rows)
+
+
+def value_type(rows):
+    """The type a kernel's value must have on ``rows``: int when every entry
+    is an int, Fraction when any entry is."""
+    return F if any(isinstance(v, F) for row in rows for v in row) else int
+
+
+@settings(deadline=None)
+@given(cleared_inputs())
+def test_det_perm_on_cleared_rows_match_oracles(m):
+    for fast, oracle in ((det_bareiss, det_oracle), (perm_ryser, perm_oracle)):
+        value = fast(m)
+        assert value == oracle(m)
+        assert type(value) is value_type(m.entries)
+
+
+@settings(deadline=None)
+@given(cleared_inputs(skew=True))
+def test_pf_on_cleared_rows_matches_oracle(m):
+    value = pf_elimination(m)
+    assert value == pf_oracle(m)
+    # the Pfaffian reads only the entries above the diagonal
+    assert type(value) is value_type(row[i + 1:] for i, row in enumerate(m.entries))
+
+
+def test_int_input_gives_int():
+    m = SquareMatrix([[0, 2], [-2, 0]])
+    assert [type(f(m)) for f in (det_bareiss, perm_ryser, pf_elimination)] == [int] * 3
+    assert pf_elimination(m) == 2
+    singular = SquareMatrix([[0, F(1, 2)], [0, 1]])
+    assert det_bareiss(singular) == 0 and type(det_bareiss(singular)) is F
+
+
+def test_ints_mixed_with_quadext_stay_in_the_field():
+    q = QuadExt(F(1), F(1), F(2))
+    diag = SquareMatrix([[1, 0, 0], [0, 1, 0], [0, 0, q]])
+    assert det_bareiss(diag) == perm_ryser(diag) == q
+    skew = SquareMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, q], [0, 0, -q, 0]])
+    assert pf_elimination(skew) == q
+    zero = SquareMatrix([[0, 1], [0, q]])
+    values = [det_bareiss(diag), perm_ryser(diag), pf_elimination(skew), det_bareiss(zero)]
+    assert all(type(v) is QuadExt for v in values)
+
+
+def test_perm_ryser_on_cauchy_matches_fast_path():
+    f = BilinearForm(F(2), F(-1, 3), F(5), F(7, 2))
+    pc = gen_points(14, 14, ys=14, max_den=10, no_pole=f)
+    slow = perm_ryser(build_cauchy(pc, f))
+    assert type(slow) is F
+    assert slow == fast_cauchy_perm(pc, f)
 
 
 # -- Hafnian ---------------------------------------------------------------
