@@ -13,6 +13,14 @@ O(n^3) algorithms for the permanent and the Hafnian of these matrices,
 which is the whole computational payoff: both functionals are
 exponential-time in general.
 
+A form meets rational points in one layer, on integers: the points and the
+form are written in homogeneous coordinates (x = p/q, and the form scaled
+by the lcm L of its coefficient denominators), the builders, the closed
+forms, the fast paths and gen_points' pole test read the integer table of
+the form at the points, and each value becomes at most one Fraction.
+Points in Q(sqrt(d)), alone or mixed with rational ones, are evaluated in
+their field by form(x, y).
+
 Note on signs: the product prefactor of the closed-form determinant is
 (-1)^{n(n-1)/2} (ad - bc)^{n(n-1)/2}, i.e. (bc - ad)^{n(n-1)/2}; writing
 the exponent of -1 as n(n-1) fails the classical f = x + y case already at
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .errors import DegenerateFormError, DomainError, PoleError
@@ -142,6 +150,13 @@ class SymmetricForm(_Form):
 
 
 # -- the form at the points ------------------------------------------------
+#
+# The homogeneous layer: with x_i = p_i/q_i, y_j = r_j/s_j (q_i, s_j > 0),
+# L the lcm of the coefficient denominators and A..D = L a..L d,
+#
+#     F_ij = L q_i s_j f(x_i, y_j) = A p_i r_j + B p_i s_j + C q_i r_j + D q_i s_j,
+#
+# and g is the bilinear form with B = C, so G_ij = L q_i q_j g(x_i, x_j).
 
 
 def _xy_count(pc: PointConfig) -> int:
@@ -168,10 +183,8 @@ def _pole(row, i: int, lo: int, symmetric: bool) -> PoleError:
     return PoleError(f"{at} = 0", pair=(i + 1, j))
 
 
-def pair_table(form, xs, ys=None):
-    """The rows of f(x_i, y_j) over all pairs or, with ys None, of
-    g(x_i, x_j) over j > i.  The first zero in row-major order raises
-    PoleError naming its pair."""
+def _field_table(form, xs, ys=None):
+    """pair_table by form(x, y), for points in Q(sqrt(d))."""
     table = []
     for i, x in enumerate(xs):
         lo = 0 if ys is not None else i + 1
@@ -182,49 +195,201 @@ def pair_table(form, xs, ys=None):
     return table
 
 
+def _form_table(coeffs, xs, ys=None):
+    """The integer form (A, B, C, D) at homogeneous points xs = (p, q) and
+    ys = (r, s): rows of F_ij over all pairs or, with ys None, of
+    F_ij with ys = xs over j > i.  The first zero in row-major order raises
+    PoleError naming its pair."""
+    a, b, c, d = coeffs
+    ps, qs = xs
+    rs, ss = xs if ys is None else ys
+    table = []
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        lo = 0 if ys is not None else i + 1
+        u, v = a * p + c * q, b * p + d * q
+        row = [u * r + v * s for r, s in zip(rs[lo:], ss[lo:])]
+        if 0 in row:
+            raise _pole(row, i, lo, ys is None)
+        table.append(row)
+    return table
+
+
+@dataclass(frozen=True)
+class _Homogeneous:
+    """A form at rational points in integer homogeneous coordinates: the
+    scale L, the integer coefficients (A, B, C, D), the points xs = (p, q)
+    and ys = (r, s), and the table of _form_table.  ys is None when the
+    pairs are (x_i, x_j), j > i."""
+
+    scale: int
+    coeffs: tuple
+    xs: tuple
+    ys: tuple | None
+    table: list
+
+
+def _homogeneous(form, xs, ys=None) -> _Homogeneous | None:
+    """The form at the points in homogeneous coordinates, or None when any
+    point lies in Q(sqrt(d)): the one place that reads the point type.  A
+    pole raises PoleError as pair_table does."""
+    points = xs if ys is None else (*xs, *ys)
+    if not all(isinstance(v, Fraction) for v in points):
+        return None
+    coeffs = [getattr(form, f.name) for f in fields(form)]
+    if isinstance(form, SymmetricForm):
+        coeffs.insert(2, coeffs[1])  # g is the bilinear form with B = C
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    coeffs = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+    hx = [x.numerator for x in xs], [x.denominator for x in xs]
+    hy = None
+    if ys is not None:
+        hy = [y.numerator for y in ys], [y.denominator for y in ys]
+    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
+
+
+def _differences(points):
+    """Rows of d_ij = p_j q_i - p_i q_j for j > i, so that
+    x_j - x_i = d_ij / (q_i q_j)."""
+    ps, qs = points
+    return [
+        [pj * qi - pi * qj for pj, qj in zip(ps[i + 1:], qs[i + 1:])]
+        for i, (pi, qi) in enumerate(zip(ps, qs))
+    ]
+
+
+def pair_table(form, xs, ys=None):
+    """The rows of f(x_i, y_j) over all pairs or, with ys None, of
+    g(x_i, x_j) over j > i.  The first zero in row-major order raises
+    PoleError naming its pair.  At rational points f(x_i, y_j) is
+    F_ij / (L q_i s_j)."""
+    h = _homogeneous(form, xs, ys)
+    if h is None:
+        return _field_table(form, xs, ys)
+    qs = h.xs[1]
+    ss = qs if ys is None else h.ys[1]
+    rows = []
+    for i, (q, row) in enumerate(zip(qs, h.table)):
+        columns = ss[i + 1:] if ys is None else ss
+        rows.append([Fraction(v, h.scale * q * s) for v, s in zip(row, columns)])
+    return rows
+
+
+def _mirrored(upper, skew: bool):
+    """The n x n rows of the matrix whose entries above the diagonal are
+    ``upper`` (rows over j > i), with zeros on the diagonal and the upper
+    entries reflected below it, negated when ``skew``."""
+    n = len(upper)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, v in enumerate(row, i + 1):
+            rows[i][j] = v
+            rows[j][i] = -v if skew else v
+    return rows
+
+
 # -- builders --------------------------------------------------------------
 
 
 def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatrix:
-    """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}."""
+    """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}.
+
+    At rational points the entries are (L q_i s_j)^power / F_ij^power."""
     _xy_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    return SquareMatrix(
-        [[1 / v ** power for v in row] for row in pair_table(f, pc.xs, pc.ys)]
-    )
-
-
-def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatrix:
-    """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in {1, 2}."""
-    n = 2 * _half_count(pc)
-    if power not in (1, 2):
-        raise DomainError("power must be 1 or 2")
-    xs = pc.xs
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(pair_table(g, xs)):
-        for j, gv in enumerate(row, i + 1):
-            v = (xs[j] - xs[i]) / gv ** power
-            rows[i][j] = v
-            rows[j][i] = -v
+    h = _homogeneous(f, pc.xs, pc.ys)
+    if h is None:
+        rows = [[1 / v ** power for v in row] for row in _field_table(f, pc.xs, pc.ys)]
+    else:
+        ss = h.ys[1]
+        rows = [
+            [Fraction((h.scale * q * s) ** power, v ** power) for v, s in zip(row, ss)]
+            for q, row in zip(h.xs[1], h.table)
+        ]
     return SquareMatrix(rows)
 
 
+def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatrix:
+    """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in {1, 2}.
+
+    At rational points the entries are L^power d_ij (q_i q_j)^(power - 1)
+    / G_ij^power, with d_ij = p_j q_i - p_i q_j."""
+    _half_count(pc)
+    if power not in (1, 2):
+        raise DomainError("power must be 1 or 2")
+    xs = pc.xs
+    h = _homogeneous(g, xs)
+    if h is None:
+        upper = [
+            [(xs[j] - xs[i]) / v ** power for j, v in enumerate(row, i + 1)]
+            for i, row in enumerate(_field_table(g, xs))
+        ]
+    else:
+        lp, qs = h.scale**power, h.xs[1]
+        upper = [
+            [
+                Fraction(lp * d * (qi * qj) ** (power - 1), v**power)
+                for v, d, qj in zip(row, ds, qs[i + 1:])
+            ]
+            for i, (qi, row, ds) in enumerate(zip(qs, h.table, _differences(h.xs)))
+        ]
+    return SquareMatrix(_mirrored(upper, skew=True))
+
+
 def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
-    """Symmetric matrix with off-diagonal entries 1/g(x_i, x_j).
+    """Symmetric matrix with off-diagonal entries 1/g(x_i, x_j), which are
+    L q_i q_j / G_ij at rational points.
 
     The diagonal is stored as 0: the Hafnian never reads it, and
     g(x_i, x_i) may legitimately be a pole.
     """
-    n = 2 * _half_count(pc)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(pair_table(g, pc.xs)):
-        for j, gv in enumerate(row, i + 1):
-            rows[i][j] = rows[j][i] = 1 / gv
-    return SquareMatrix(rows)
+    _half_count(pc)
+    h = _homogeneous(g, pc.xs)
+    if h is None:
+        upper = [[1 / v for v in row] for row in _field_table(g, pc.xs)]
+    else:
+        qs = h.xs[1]
+        upper = [
+            [Fraction(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
+            for i, (qi, row) in enumerate(zip(qs, h.table))
+        ]
+    return SquareMatrix(_mirrored(upper, skew=False))
 
 
 # -- closed forms ----------------------------------------------------------
+
+
+def _product(rows) -> int:
+    return math.prod(v for row in rows for v in row)
+
+
+def _closed_form(h: _Homogeneous):
+    """The closed form at rational points as integers (num, den).  With
+    e_ij = r_j s_i - r_i s_j, it is cauchy_det_closed for n x and n y
+    points,
+
+        (BC - AD)^{n(n-1)/2} L^n prod(q_i) prod(s_j) prod(d_ij) prod(e_ij)
+        / prod(F_ij),
+
+    and schur_pf_closed for 2n x points (B = C),
+
+        (B^2 - AC)^{n(n-1)} L^n prod(d_ij) / prod(G_ij).
+
+    Both are the Fraction formulas with L^2 (bc - ad) = BC - AD and
+    x_j - x_i = d_ij / (q_i q_j); only the product of the table is read,
+    so the points may come in any order.
+    """
+    a, b, c, d = h.coeffs
+    n = len(h.xs[0])
+    diffs = _differences(h.xs)
+    if h.ys is None:
+        n //= 2
+        power, weight = n * (n - 1), 1
+    else:
+        power, weight = n * (n - 1) // 2, math.prod(h.xs[1]) * math.prod(h.ys[1])
+        diffs += _differences(h.ys)
+    num = (b * c - a * d) ** power * h.scale**n * weight * _product(diffs)
+    return num, _product(h.table)
 
 
 def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
@@ -235,12 +400,15 @@ def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
     """
     n = _xy_count(pc)
     xs, ys = pc.xs, pc.ys
+    h = _homogeneous(f, xs, ys)
+    if h is not None:
+        return Fraction(*_closed_form(h))
     num = Fraction(1)
     for i in range(n):
         for j in range(i + 1, n):
             num *= (xs[j] - xs[i]) * (ys[j] - ys[i])
     den = Fraction(1)
-    for row in pair_table(f, xs, ys):
+    for row in _field_table(f, xs, ys):
         for v in row:
             den *= v
     prefactor = (-f.disc) ** (n * (n - 1) // 2)
@@ -256,8 +424,11 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
     """
     half = _half_count(pc)
     xs = pc.xs
+    h = _homogeneous(g, xs)
+    if h is not None:
+        return Fraction(*_closed_form(h))
     prod = Fraction(1)
-    for i, row in enumerate(pair_table(g, xs)):
+    for i, row in enumerate(_field_table(g, xs)):
         for j, gv in enumerate(row, i + 1):
             prod *= (xs[j] - xs[i]) / gv
     return g.disc ** (half * (half - 1)) * prod
@@ -265,74 +436,23 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
 # -- fast paths ------------------------------------------------------------
 #
-# Both fast paths work in integer homogeneous coordinates: a point
-# x = p/q becomes the pair (p, q), a form becomes L times itself with L the
-# lcm of its coefficient denominators, and each row of the squared
-# matrix is cleared of denominators by the lcm of its entries; rows with
-# smaller scalings are eliminated first.  The helpers below are shared by
-# both; _form_table is pair_table in these coordinates, with the same pole
-# rule.
+# Both fast paths run on the integers of the homogeneous layer.  Each row of
+# the squared matrix is cleared of denominators by the lcm of its entries,
+# rows with smaller scalings are eliminated first, and the integer det or
+# Pf is divided by _closed_form, the closed form as integers.
 
 
-def _numerators_denominators(points, instead: str):
-    """([p_i], [q_i]) with x_i = p_i/q_i, q_i > 0, for rational ``points``.
-
-    The integer route has no room for points in Q(sqrt(d)): they are
-    refused with DomainError naming ``instead``, the field route."""
-    for x in points:
-        if not isinstance(x, Fraction):
-            raise DomainError(
-                "the integer fast path needs rational points, got "
-                f"{type(x).__name__}; use {instead} instead"
-            )
-    return [x.numerator for x in points], [x.denominator for x in points]
-
-
-def _integer_form(coeffs):
-    """(L, [L c for c in coeffs]) with L the lcm of the denominators of the
-    rational coefficients, so that the scaled coefficients are integers."""
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
-
-
-def _form_table(coeffs, xs, ys=None):
-    """The integer form (A, B, C, D) at homogeneous points xs = (p, q) and
-    ys = (r, s), as an n x n table of rows:
-
-        F_ij = A p_i r_j + B p_i s_j + C q_i r_j + D q_i s_j.
-
-    With ys None the form is symmetric (B = C) and ys = xs: only pairs
-    i < j are evaluated, the lower triangle mirrors the upper one, and the
-    diagonal holds 1, which leaves the row lcms alone.  The first zero in
-    row-major order raises PoleError naming its pair, as in pair_table.
-    """
-    a, b, c, d = coeffs
-    ps, qs = xs
-    rs, ss = xs if ys is None else ys
-    table = []
-    for i, (p, q) in enumerate(zip(ps, qs)):
-        lo = 0 if ys is not None else i + 1
-        u, v = a * p + c * q, b * p + d * q
-        row = [u * r + v * s for r, s in zip(rs[lo:], ss[lo:])]
-        if 0 in row:
-            raise _pole(row, i, lo, ys is None)
-        table.append(row)
-    if ys is None:
-        table = [
-            [table[j][i - j - 1] for j in range(i)] + [1] + table[i]
-            for i in range(len(ps))
-        ]
-    return table
-
-
-def _differences(points):
-    """Rows of d_ij = p_j q_i - p_i q_j for j > i, so that
-    x_j - x_i = d_ij / (q_i q_j)."""
-    ps, qs = points
-    return [
-        [pj * qi - pi * qj for pj, qj in zip(ps[i + 1:], qs[i + 1:])]
-        for i, (pi, qi) in enumerate(zip(ps, qs))
-    ]
+def _rational(pc: PointConfig, form, instead: str) -> _Homogeneous:
+    """The form at the points of pc in homogeneous coordinates.  The integer
+    route has no room for points in Q(sqrt(d)): they are refused with
+    DomainError naming ``instead``, the field route."""
+    h = _homogeneous(form, pc.xs, pc.ys)
+    if h is None:
+        raise DomainError(
+            "the integer fast path needs rational points, got QuadExt; "
+            f"use {instead} instead"
+        )
+    return h
 
 
 def _row_lcm_scaling(table):
@@ -363,50 +483,35 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     (otherwise the closed form vanishes and the division-form shortcut is
     unavailable: fall back to perm_ryser).
 
-    Everything runs on integers.  With x_i = p_i/q_i, y_j = r_j/s_j, L the
-    lcm of the coefficient denominators of f and A..D = L a..L d, set
-
-        F_ij = L q_i s_j f(x_i, y_j) = A p_i r_j + B p_i s_j + C q_i r_j + D q_i s_j,
-        d_ij = p_j q_i - p_i q_j,   e_ij = r_j s_i - r_i s_j   (i < j),
-
-    so that 1/f_ij^2 = L^2 q_i^2 s_j^2 / F_ij^2.  Scaling row i by
+    Everything runs on integers.  In the homogeneous coordinates of
+    _homogeneous, 1/f_ij^2 = L^2 q_i^2 s_j^2 / F_ij^2.  Scaling row i by
     D_i = lcm_j F_ij^2 makes N_ij = D_i / F_ij^2 an integer matrix, and
 
-        det(1/f^2) = L^{2n} prod(q_i^2) prod(s_j^2) det(N) / prod(D_i)
-        det(1/f)   = (BC - AD)^{n(n-1)/2} prod(d_ij) prod(e_ij)
-                     L^n prod(q_i) prod(s_j) / prod(F_ij)
+        det(1/f^2) = L^{2n} prod(q_i^2) prod(s_j^2) det(N) / prod(D_i),
 
-    (the second is cauchy_det_closed in these coordinates), whence
-
-        perm = L^n prod(q_i) prod(s_j) prod(F_ij) det(N)
-               / (prod(D_i) (BC - AD)^{n(n-1)/2} prod(d_ij) prod(e_ij)).
-
-    det(N) comes from det_bareiss on Python ints, and the only Fraction is
-    the final quotient.  Poles are found in row-major order, as the closed
-    form finds them.  Points in Q(sqrt(d)) are refused; the
-    field route det_bareiss(build_cauchy(pc, f, power=2)) /
-    cauchy_det_closed(pc, f) takes them.
+    which is divided by det(1/f) from _closed_form.  det(N) comes from
+    det_bareiss on Python ints, and the only Fraction is the final
+    quotient.  Poles are found in row-major order, as the closed form finds
+    them.  Points in Q(sqrt(d)) are refused; the field route
+    det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)
+    takes them.
     """
     if f.disc == 0:
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
     n = _xy_count(pc)
-    instead = "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
-    scale, (a, b, c, d) = _integer_form((f.a, f.b, f.c, f.d))
-    xs = _numerators_denominators(pc.xs, instead)  # (p, q)
-    ys = _numerators_denominators(pc.ys, instead)  # (r, s)
-    table = _form_table((a, b, c, d), xs, ys)
-    f_prod = math.prod(v for row in table for v in row)
-    lcms, quotients, order = _row_lcm_scaling(table)
-    # The permanent does not see the order of the x points; det(N) and
-    # prod(d_ij) change sign together.
-    xs = _reordered(xs, order)
+    h = _rational(
+        pc, f, "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
+    )
+    lcms, quotients, order = _row_lcm_scaling(h.table)
+    # The permanent does not see the order of the x points; det(N) and the
+    # closed form change sign together.
+    h = replace(h, xs=_reordered(h.xs, order))
     det_n = det_bareiss(SquareMatrix([[u * u for u in quotients[i]] for i in order]))
-    d_prod = math.prod(v for row in _differences(xs) + _differences(ys) for v in row)
-    num = scale**n * math.prod(xs[1] + ys[1]) * f_prod * det_n
-    den = math.prod(lcms) ** 2 * (b * c - a * d) ** (n * (n - 1) // 2) * d_prod
-    return Fraction(num, den)
+    num, den = _closed_form(h)
+    weight = h.scale**n * math.prod(h.xs[1]) * math.prod(h.ys[1])
+    return Fraction(weight**2 * det_n * den, math.prod(lcms) ** 2 * num)
 
 
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
@@ -415,51 +520,44 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     Divides Pf((x_j - x_i)/g^2) by the closed-form Pf((x_j - x_i)/g).
     Requires b^2 - ac != 0 and distinct xs (the closed form is the divisor).
 
-    Everything runs on integers.  With x_i = p_i/q_i and L the lcm of the
-    coefficient denominators of g, set G_ij = L q_i q_j g(x_i, x_j) and
-    d_ij = p_j q_i - p_i q_j, so that
+    Everything runs on integers.  In the homogeneous coordinates of
+    _homogeneous, (x_j - x_i)/g^2 = L^2 q_i q_j d_ij / G_ij^2.  Scaling
+    index i by D_i = lcm_j |G_ij| makes D_i D_j d_ij / G_ij^2 an integer
+    skew matrix M, and multilinearity of Pf gives, for 2n points,
 
-        (x_j - x_i)/g   = L d_ij / G_ij
-        (x_j - x_i)/g^2 = L^2 q_i q_j d_ij / G_ij^2.
+        Pf((x_j - x_i)/g^2) = L^{2n} prod(q_i) Pf(M) / prod(D_i),
 
-    Scaling index i by D_i = lcm_j |G_ij| makes D_i D_j d_ij / G_ij^2 an
-    integer skew matrix M, and multilinearity of Pf gives
-
-        Hf = L^n prod(q_i) prod(G_ij) Pf(M)
-             / (prod(D_i) (b^2 - ac)^{n(n-1)} L^{2n(n-1)} prod(d_ij))
-
-    for 2n points, so Pf(M) comes from the integer elimination and the
-    only Fraction is the final quotient.  Points in Q(sqrt(d)) are
-    refused; pf_elimination(build_schur(pc, g, power=2)) /
-    schur_pf_closed(pc, g) takes them.
+    which is divided by Pf((x_j - x_i)/g) from _closed_form.  Pf(M) comes
+    from the integer elimination, and the only Fraction is the final
+    quotient.  Points in Q(sqrt(d)) are refused;
+    pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)
+    takes them.
     """
     if g.disc == 0:
         raise DegenerateFormError(
             "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead"
         )
-    half = _half_count(pc)
-    m = 2 * half
-    instead = "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
-    scale, (ga, gb, gc) = _integer_form((g.a, g.b, g.c))
-    xs = _numerators_denominators(pc.xs, instead)  # (p, q)
-    gs = _form_table((ga, gb, gb, gc), xs)
-    dens, quotients, order = _row_lcm_scaling(gs)
-    # The Hafnian does not see the order of the points; Pf(M) and
-    # prod(d_ij) change sign together.
-    xs = _reordered(xs, order)
+    m = 2 * _half_count(pc)
+    h = _rational(
+        pc, g, "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
+    )
+    # The table holds j > i; the row lcms read the whole symmetric table,
+    # with 1 on the diagonal.
+    gs = h.table
+    full = [[gs[j][i - j - 1] for j in range(i)] + [1] + gs[i] for i in range(m)]
+    dens, quotients, order = _row_lcm_scaling(full)
+    # The Hafnian does not see the order of the points; Pf(M) and the
+    # closed form change sign together.
+    h = replace(h, xs=_reordered(h.xs, order))
     quotients = [[quotients[i][j] for j in order] for i in order]
-    ds = _differences(xs)
     mat = [
         [0] * (i + 1)
-        + [quotients[i][j] * quotients[j][i] * dv for j, dv in enumerate(ds[i], i + 1)]
-        for i in range(m)
+        + [quotients[i][j] * quotients[j][i] * dv for j, dv in enumerate(ds, i + 1)]
+        for i, ds in enumerate(_differences(h.xs))
     ]
-    g_prod = math.prod(v for i, row in enumerate(gs) for v in row[i + 1:])
-    d_prod = math.prod(v for row in ds for v in row)
-    disc = gb * gb - ga * gc  # = L^2 (b^2 - ac)
-    num = scale**half * math.prod(xs[1]) * g_prod * pf_fraction_free(mat)
-    den = math.prod(dens) * disc ** (half * (half - 1)) * d_prod
-    return Fraction(num, den)
+    num, den = _closed_form(h)
+    weight = h.scale**m * math.prod(h.xs[1])
+    return Fraction(weight * pf_fraction_free(mat) * den, math.prod(dens) * num)
 
 
 # -- Moebius substitution --------------------------------------------------

@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, GenError, PoleError
+from . import kernels
+from .errors import DomainError, GenError, PoleError, SizeError
 from .kernels import det_bareiss, hf_recursive, perm_ryser, pf_elimination
 from .matrix import SquareMatrix, minor
 from .report import IdentityReport
@@ -27,11 +28,11 @@ from .structured import (
     BilinearForm,
     PointConfig,
     SymmetricForm,
+    _homogeneous,
     build_cauchy,
     build_hafnian_mat,
     build_schur,
     cauchy_det_closed,
-    pair_table,
     schur_pf_closed,
 )
 
@@ -135,9 +136,10 @@ def gen_points(
     satisfying the requested constraints.
 
     ``no_pole`` is a SymmetricForm or BilinearForm; sampled points are
-    rejected while any pair hits a zero of the form.  Raises GenError when
-    the constraints cannot be met within the attempt budget, DomainError
-    for a negative count or a max_den below 1.
+    rejected while any pair hits a zero of the form, read from the integer
+    table of the form at the points, with no Fraction made.  Raises
+    GenError when the constraints cannot be met within the attempt budget,
+    DomainError for a negative count or a max_den below 1.
     """
     if min(m, ys or 0) < 0:
         raise DomainError(f"point counts must be >= 0, got {min(m, ys or 0)}")
@@ -168,7 +170,7 @@ def gen_points(
             if isinstance(no_pole, BilinearForm):
                 pts = ys_list if ys_list is not None else xs
             try:
-                pair_table(no_pole, xs, pts)
+                _homogeneous(no_pole, xs, pts)
             except PoleError:
                 continue
         return PointConfig(xs, ys_list)
@@ -392,6 +394,21 @@ def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
     return pc, form, None
 
 
+def _largest_size(identity: IdentityId):
+    """(kernel, largest size) for an identity whose cells call a size-guarded
+    exponential kernel, read from that kernel's guard; None for the others.
+    A size-s cell runs perm_ryser on s x s (BORCH, CARLITZ) or hf_recursive
+    on 2s points (MAIN, LEMMA1), or on the (2s - 2)-point minors (LEMMA2)."""
+    family = _FORMS.get(identity, (identity.value,))[0]
+    if family in ("BORCH", "CARLITZ"):
+        return "perm_ryser", kernels.PERM_RYSER_MAX
+    if family in ("MAIN", "LEMMA1"):
+        return "hf_recursive", kernels.HF_RECURSIVE_MAX // 2
+    if family == "LEMMA2":
+        return "hf_recursive", kernels.HF_RECURSIVE_MAX // 2 + 1
+    return None
+
+
 def run_suite(
     seed: int,
     sizes,
@@ -402,7 +419,9 @@ def run_suite(
 
     Failures do not stop the run; they are data.  Reports come back sorted
     by (identity, size, trial).  A sweep that would check nothing (no sizes,
-    or fewer than one trial) is refused with DomainError.
+    or fewer than one trial) is refused with DomainError, and one with a
+    size beyond an identity's kernel guard with SizeError, before any cell
+    is computed.
     """
     sizes = sorted(sizes)
     if not sizes:
@@ -411,9 +430,18 @@ def run_suite(
         raise DomainError(f"sizes must be >= 1, got {sizes[0]}")
     if trials_per_size < 1:
         raise DomainError(f"need at least one trial per size, got {trials_per_size}")
-    identities = [i for i in IdentityId if only is None or i in only]
+    identities = sorted(
+        (i for i in IdentityId if only is None or i in only), key=lambda i: i.value
+    )
+    for identity in identities:
+        guard = _largest_size(identity)
+        if guard is not None and sizes[-1] > guard[1]:
+            raise SizeError(
+                f"{identity.value} at size {sizes[-1]} is beyond the {guard[0]} "
+                f"guard: {identity.value} supports sizes up to {guard[1]}"
+            )
     reports = []
-    for identity in sorted(identities, key=lambda i: i.value):
+    for identity in identities:
         for size in sizes:
             for trial in range(trials_per_size):
                 pc, form, z = make_instance(seed, identity, size, trial)

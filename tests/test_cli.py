@@ -298,6 +298,20 @@ def test_verify_only_filter_json_lines(capsys):
     assert all("elapsed" not in r for r in body)
 
 
+def test_verify_size_beyond_a_kernel_guard_is_refused_first(capsys):
+    # size 9 is within hf_recursive's guard and size 12 is not: the sweep is
+    # refused before size 9 is computed, so no report line is printed
+    code, out, err = run(
+        capsys, "verify", "--sizes", "9,12", "--only", "MAIN1", "--trials", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: MAIN1 at size 12 is beyond the hf_recursive guard: "
+        "MAIN1 supports sizes up to 11\n"
+    )
+
+
 def test_verify_deterministic_output(capsys):
     a = run(capsys, "verify", "--seed", "3", "--sizes", "1", "--trials", "2")
     b = run(capsys, "verify", "--seed", "3", "--sizes", "1", "--trials", "2")

@@ -1,6 +1,10 @@
+import hashlib
+import json
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +35,7 @@ from pfhaf.structured import (
     fast_cauchy_hafnian,
     fast_cauchy_perm,
     moebius_for_form,
+    pair_table,
     schur_pf_closed,
     sqrt_disc,
     substitution_witness,
@@ -244,6 +249,206 @@ def test_schur_pf_closed_matches_kernel():
             except PoleError:
                 continue
             assert schur_pf_closed(pc, g) == pf_elimination(m)
+
+
+# -- the homogeneous layer -------------------------------------------------
+#
+# The builders and closed forms evaluate forms at rational points on
+# integers; these tests hold them to the values and types of a direct
+# Fraction evaluation through form(x, y).
+
+
+def field_table(form, xs, ys=None):
+    """pair_table written out through form(x, y), with its pole rule."""
+    rows = []
+    for i, x in enumerate(xs):
+        lo = 0 if ys is not None else i + 1
+        row = []
+        for j, y in enumerate(ys if ys is not None else xs[lo:], lo):
+            v = form(x, y)
+            if v == 0:
+                at = "f(x_{}, y_{})" if ys is not None else "g(x_{}, x_{})"
+                pair = (i + 1, j + 1)
+                raise PoleError(at.format(*pair) + " = 0", pair=pair)
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def field_matrix(upper, skew):
+    n = len(upper)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, v in enumerate(row, i + 1):
+            rows[i][j], rows[j][i] = v, -v if skew else v
+    return rows
+
+
+def field_values(form, pc):
+    """Every builder and closed form at pc, by form(x, y): name -> value."""
+    xs, ys = pc.xs, pc.ys
+    if ys is not None:
+        n = len(xs)
+        table = field_table(form, xs, ys)
+        closed = (form.b * form.c - form.a * form.d) ** (n * (n - 1) // 2)
+        for i in range(n):
+            for j in range(i + 1, n):
+                closed *= (xs[j] - xs[i]) * (ys[j] - ys[i])
+        for v in (v for row in table for v in row):
+            closed /= v
+        out = {"pair_table": table, "closed": closed}
+        for p in (1, 2):
+            out[f"cauchy{p}"] = [[1 / v**p for v in row] for row in table]
+        return out
+    half = len(xs) // 2
+    table = field_table(form, xs)
+    closed = form.disc ** (half * (half - 1))
+    for i, row in enumerate(table):
+        for j, v in enumerate(row, i + 1):
+            closed *= (xs[j] - xs[i]) / v
+    out = {"pair_table": table, "closed": closed}
+    for p in (1, 2):
+        out[f"schur{p}"] = field_matrix(
+            [[(xs[j] - xs[i]) / v**p for j, v in enumerate(row, i + 1)]
+             for i, row in enumerate(table)],
+            skew=True,
+        )
+    out["hafnian"] = field_matrix([[1 / v for v in row] for row in table], skew=False)
+    return out
+
+
+def program_values(form, pc):
+    """The same values from the program."""
+    if pc.ys is not None:
+        out = {
+            "pair_table": pair_table(form, pc.xs, pc.ys),
+            "closed": cauchy_det_closed(pc, form),
+        }
+        for p in (1, 2):
+            out[f"cauchy{p}"] = build_cauchy(pc, form, power=p).entries
+        return out
+    out = {"pair_table": pair_table(form, pc.xs), "closed": schur_pf_closed(pc, form)}
+    for p in (1, 2):
+        out[f"schur{p}"] = build_schur(pc, form, power=p).entries
+    out["hafnian"] = build_hafnian_mat(pc, form).entries
+    return out
+
+
+def typed(value):
+    """value with the type of every scalar in it, for comparisons that
+    tell Fraction(1) from 1 and from QuadExt."""
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [typed(v) for v in value]
+    return (type(value).__name__, value)
+
+
+def outcome_typed(fn, *args):
+    """typed(fn(*args)), or the message and pair of its PoleError."""
+    try:
+        return typed(fn(*args))
+    except PoleError as exc:
+        return ("pole", str(exc), exc.pair)
+
+
+# denominators up to 12 and negative values; the half-integers make x + y
+# and 1 - xy vanish often
+rationals12 = st.one_of(
+    st.sampled_from([F(k, 2) for k in range(-4, 5)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+coefs12 = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+nonzero12 = coefs12.filter(bool)
+
+
+def layer_forms(cls):
+    """Named forms of cls, and random ones: any, with a = 0, with b = 0."""
+    rest = [coefs12] * (len(fields(cls)) - 2)
+    return st.one_of(
+        st.sampled_from([cls.from_name("x+y"), cls.from_name("1-xy")]),
+        st.one_of(
+            st.tuples(coefs12, coefs12, *rest).filter(any),
+            st.tuples(st.just(0), nonzero12, *rest),
+            st.tuples(nonzero12, st.just(0), *rest),
+        ).map(lambda t: cls(*t)),
+    )
+
+
+def distinct12(size):
+    return st.lists(rationals12, min_size=size, max_size=size, unique=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        st.tuples(
+            layer_forms(BilinearForm),
+            st.integers(0, 4).flatmap(lambda n: st.tuples(*[distinct12(n)] * 2)),
+        ),
+        st.tuples(
+            layer_forms(SymmetricForm),
+            st.integers(0, 3).flatmap(lambda n: st.tuples(distinct12(2 * n))),
+        ),
+    )
+)
+def test_homogeneous_layer_equals_field_evaluation(case):
+    form, points = case
+    pc = PointConfig(*points)
+    names = ("pair_table", "closed") + (
+        ("cauchy1", "cauchy2") if pc.ys is not None else ("schur1", "schur2", "hafnian")
+    )
+    for name in names:
+        expected = outcome_typed(lambda: field_values(form, pc)[name])
+        assert outcome_typed(lambda: program_values(form, pc)[name]) == expected, name
+
+
+s2 = QuadExt(F(0), F(1), F(2))
+
+
+@pytest.mark.parametrize(
+    "form, points",
+    [
+        (XPY, ([s2 + 1, s2 + 2], [s2 + 3, F(-1, 3)])),  # mixed Q and Q(sqrt(2))
+        (BilinearForm(F(1, 2), 0, F(-2, 3), 1), ([F(1, 2), F(5)], [s2, 2 * s2])),
+        (GXPY, ([F(1), s2, F(-2, 5), s2 - 1],)),
+        (SymmetricForm(F(-1, 6), F(3, 4), 0), ([s2, 3 * s2, 1 - s2, F(7, 12)],)),
+        (GXPY, ([F(1), s2 + 1, F(-1), F(3)],)),  # a pole at a rational pair
+        (GXPY, ([F(1), s2, -s2, F(3)],)),  # a pole at a pair in Q(sqrt(2))
+    ],
+)
+def test_points_outside_q_take_the_field_route(monkeypatch, form, points):
+    # the integer table is not read when any point lies in Q(sqrt(d))
+    def refuse(*args):
+        raise AssertionError("integer table at points outside Q")
+
+    monkeypatch.setattr(structured, "_form_table", refuse)
+    pc = PointConfig(*points)
+    expected = outcome_typed(lambda: field_values(form, pc))
+    assert outcome_typed(lambda: program_values(form, pc)) == expected
+
+
+# sha256 of the build_verify_suite witness reports of benchmark seeds 1-5
+# (25 reports, JSON lines without "elapsed"), taken before the builders and
+# closed forms moved to integer coordinates: 24 of the 25 run in Q(sqrt(d)).
+WITNESS_GOLDEN = "9b94cc24b2cda50a1967f920f32f30929324fb12916852e18ac29b3937da939e"
+
+
+def test_benchmark_witness_reports_are_unchanged(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    digest = hashlib.sha256()
+    rational = set()
+    for seed in range(1, 6):
+        for inst in workloads.build_verify_suite(seed):
+            if inst.kind == "witness":
+                obj = substitution_witness(*inst.args).to_json()
+                obj.pop("elapsed")
+                rational.add(obj["params"]["field"] == "rational")
+                digest.update(json.dumps(obj).encode() + b"\n")
+    assert rational == {True, False}
+    assert digest.hexdigest() == WITNESS_GOLDEN
 
 
 # -- fast paths ------------------------------------------------------------
@@ -469,6 +674,14 @@ def test_fast_paths_refuse_points_outside_q():
     assert f"use {route} instead" in str(exc.value)
     field = pf_elimination(build_schur(pc, GXPY, power=2)) / schur_pf_closed(pc, GXPY)
     assert field == hf_oracle(build_hafnian_mat(pc, GXPY))
+
+    # one point outside Q is enough
+    for fast, pc, form in (
+        (fast_cauchy_perm, PointConfig([F(1), F(2)], [F(3), quads[0]]), XPY),
+        (fast_cauchy_hafnian, PointConfig([quads[0], F(1), F(2), F(3)]), GXPY),
+    ):
+        with pytest.raises(DomainError, match="rational points, got QuadExt"):
+            fast(pc, form)
 
     with pytest.raises(DomainError, match="rational points, got float"):
         fast_cauchy_perm(PointConfig([0.5], [1.5]), XPY)

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from pfhaf.errors import DomainError, GenError, PoleError
+from pfhaf import kernels, verify
+from pfhaf.errors import DomainError, GenError, PoleError, SizeError
 from pfhaf.kernels import det_bareiss, pf_elimination
 from pfhaf.matrix import SquareMatrix, minor
 from pfhaf.scalar import QuadExt
@@ -71,6 +74,40 @@ def test_gen_points_empty_range_raises_gen_error():
     for positive in (True, False):
         with pytest.raises(GenError, match="empty range"):
             gen_points(0, 2, positive=positive, lo=5, hi=1)
+
+
+# sha256 of gen_points' draws over the grid below, taken before the pole
+# test moved to integer coordinates; 520 of its 1,672 pole tests reject.
+# The benchmark's instances come from gen_points, so a changed rejection
+# sequence would change what it measures.
+GEN_POINTS_GOLDEN = "7e870f80ce36c2bd27e7b0cc73fb1f813a0c6d7758d5521a19a269782b968794"
+
+
+def test_gen_points_draws_are_pinned():
+    forms = (
+        None,
+        SymmetricForm.from_name("x+y"),
+        SymmetricForm.from_name("1-xy"),
+        SymmetricForm(F(-2, 3), F(5, 2), F(-4)),
+        SymmetricForm(0, F(1, 2), F(-7)),
+        BilinearForm.from_name("x+y"),
+        BilinearForm.from_name("1-xy"),
+        BilinearForm(F(3, 2), F(-1), F(2, 3), F(-5)),
+        BilinearForm(F(1, 3), 0, 0, F(-12)),
+    )
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for m in (2, 5, 8):
+            for form in forms:
+                for max_den in (1, 4, 12):
+                    for ys in (None, m):
+                        for positive, lo, hi in ((True, 1, 100), (False, -9, 9)):
+                            pc = gen_points(
+                                seed, m, positive=positive, lo=lo, hi=hi,
+                                max_den=max_den, no_pole=form, ys=ys,
+                            )
+                            digest.update(json.dumps(pc.to_json()).encode())
+    assert digest.hexdigest() == GEN_POINTS_GOLDEN
 
 
 def test_gen_rank2_is_rank_at_most_two():
@@ -319,6 +356,54 @@ def test_run_suite_only_filter_and_zero_trials():
     for sizes, trials in (([1, 2], 0), ([1, 2], -1), ([], 3), ([0, 1], 1), ([-2], 1)):
         with pytest.raises(DomainError):
             run_suite(1, sizes, trials, only={IdentityId.SCHUR1})
+
+
+def test_run_suite_refuses_sizes_beyond_a_kernel_guard(monkeypatch):
+    def no_cell(*args, **kw):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(verify, "check_identity", no_cell)
+    with pytest.raises(SizeError) as exc:
+        run_suite(1, [9, 12], 1, only={IdentityId.MAIN1})
+    assert str(exc.value) == (
+        "MAIN1 at size 12 is beyond the hf_recursive guard: "
+        "MAIN1 supports sizes up to 11"
+    )
+    with pytest.raises(SizeError, match="BORCH1 at size 26 .* sizes up to 25"):
+        run_suite(1, range(1, 27), 1)
+
+
+# With hf_recursive's guard at 2n <= 6 and perm_ryser's at n <= 3: the
+# kernel whose guard limits each identity, and the largest size it runs.
+SMALL_GUARDS = {
+    IdentityId.BORCH1: ("perm_ryser", 3),
+    IdentityId.BORCH2: ("perm_ryser", 3),
+    IdentityId.GEN_BORCH: ("perm_ryser", 3),
+    IdentityId.CARLITZ: ("perm_ryser", 3),
+    IdentityId.MAIN1: ("hf_recursive", 3),
+    IdentityId.MAIN2: ("hf_recursive", 3),
+    IdentityId.GEN_MAIN: ("hf_recursive", 3),
+    IdentityId.LEMMA1: ("hf_recursive", 3),
+    IdentityId.LEMMA2: ("hf_recursive", 4),  # it reads (2s - 2)-point minors
+}
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_run_suite_size_limits_are_the_kernel_guards(monkeypatch, identity):
+    monkeypatch.setattr(kernels, "HF_RECURSIVE_MAX", 6)
+    monkeypatch.setattr(kernels, "PERM_RYSER_MAX", 3)
+    kernel, largest = SMALL_GUARDS.get(identity, (None, 4))
+    # the kernels accept the largest size ...
+    assert summarize(run_suite(3, [largest], 1, only={identity}))["failed"] == 0
+    if kernel is None:
+        return
+    # ... and one more is refused before any kernel sees it
+    with pytest.raises(SizeError) as exc:
+        run_suite(3, [largest + 1], 1, only={identity})
+    assert str(exc.value) == (
+        f"{identity.value} at size {largest + 1} is beyond the {kernel} guard: "
+        f"{identity.value} supports sizes up to {largest}"
+    )
 
 
 def test_report_json_shape():
