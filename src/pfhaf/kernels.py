@@ -8,25 +8,26 @@ oracles exist purely so the fast algorithms can be cross-validated with
 bit-exact equality; they refuse large inputs rather than warn.
 
 det_bareiss, perm_ryser and the Pfaffian eliminations share one rule for
-rational input (``_integer_rows``): with D_i the lcm of the denominators in
-row i (for a Pfaffian, right of the diagonal, the only entries it reads),
-det(D A) = prod(D_i) det(A), perm(D A) = prod(D_i) perm(A) and
-Pf(D A D) = prod(D_i) Pf(A), so their loops run on Python ints and one
-Fraction is formed at the end.  The type of every value follows the entries
-read: all ints give an int, any Fraction a Fraction, any QuadExt a QuadExt.
-hf_recursive stays on Fraction arithmetic: it is the slow side of
-the Hafnian separation that acceptance criterion 7 measures.
+input in Q and Q(sqrt(d)) (``_integer_rows``): with D_i the lcm of the
+denominators in row i (for a Pfaffian, right of the diagonal, the only
+entries it reads), det(D A) = prod(D_i) det(A), perm(D A) = prod(D_i)
+perm(A) and Pf(D A D) = prod(D_i) Pf(A), so their loops run on Python ints,
+or on pairs of ints in Z[sqrt(D)] (see scalar.ring_parts), with exact
+floor division, and one Fraction or QuadExt is formed at the end.  The type
+of every value follows the entries read: all ints give an int, any Fraction
+a Fraction, any QuadExt a QuadExt.  hf_recursive stays on Fraction and
+QuadExt arithmetic: it is the slow side of the Hafnian separation that
+acceptance criterion 7 measures.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from fractions import Fraction
 from itertools import permutations
 
 from .errors import DomainError, SizeError
 from .matrix import SquareMatrix
+from .scalar import QuadExt, _RootPair, ring_of, ring_parts, ring_quotient
 
 DET_ORACLE_MAX = 8
 PERM_ORACLE_MAX = 8
@@ -96,43 +97,39 @@ def _matchings(indices):
 
 def _integer_rows(rows, skew=False):
     """The one place that sorts a kernel's input by the types of its entries,
-    so that det_bareiss, perm_ryser and pf_fraction_free run on Python ints
-    whenever the input is rational.  Returns (a, div, den): the rows to run
-    the kernel on, the division that is exact on them, and the integer that
-    the kernel's value on ``a`` is divided by to give its value on ``rows``
-    (None: nothing to divide, the value already has the input's type).
+    so that det_bareiss, perm_ryser and pf_fraction_free run on Python ints,
+    or on pairs of ints in Z[sqrt(D)], with exact floor division.  Returns
+    (a, den, ring): the rows to run the kernel on, and its value v on
+    ``a`` gives the value on ``rows``, v itself when den is None, else
+    ring_quotient(v, den, ring).  The type of that value follows the
+    entries: all ints give an int, any Fraction a Fraction (even when
+    every D_i is 1), any QuadExt a QuadExt.
 
-    - Every entry a Python int: ``rows`` itself, floor division, None.  The
-      value is an int.
-    - Ints and Fractions: with D_i the lcm of the denominators in row i,
-      the integer rows of D A, floor division, and prod(D_i).  det and perm
-      are linear in each row, so det(D A) = prod(D_i) det(A) and
-      perm(D A) = prod(D_i) perm(A).  The value is a Fraction, even when
-      every D_i is 1.
-    - Any other exact scalar among them (QuadExt): the rows with every
-      entry moved into that field, field division, None.  The value is a
-      field element, and no int / int division can make a float.
+    Rows of ints and Z[sqrt(D)] pairs are run as they are.  Otherwise each
+    entry is num/den by scalar.ring_parts, D_i is the lcm of the dens in
+    row i, ``a`` holds the rows of D A, and den = prod(D_i): det and perm
+    are linear in each row, so det(D A) = prod(D_i) det(A) and
+    perm(D A) = prod(D_i) perm(A).
 
     With ``skew``, ``rows`` holds a skew matrix A in its strict upper
     triangle, and only that triangle is sorted and cleared: D_i is the lcm
     over the part of row i right of the diagonal, which is enough for
-    D_i D_j a_ij (i < j) to be an integer, ``a`` is the strict upper
+    D_i D_j a_ij (i < j) to be integral, ``a`` is the strict upper
     triangle of D A D (zeros elsewhere), and Pf(D A D) = det(D) Pf(A) =
     prod(D_i) Pf(A).
     """
     cells = [row[i + 1:] for i, row in enumerate(rows)] if skew else rows
     kinds = {type(v) for row in cells for v in row}
-    if all(issubclass(t, int) for t in kinds):
-        return rows, operator.floordiv, None
-    if not all(issubclass(t, (int, Fraction)) for t in kinds):
-        zero = next(0 * v for row in cells for v in row if not isinstance(v, (int, Fraction)))
-        return [[v + zero for v in row] for row in rows], operator.truediv, None
-    dens = [math.lcm(*(v.denominator for v in row)) for row in cells]
-    a = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(cells, dens)]
+    if all(issubclass(t, (int, _RootPair)) for t in kinds):
+        return rows, None, None
+    ring = ring_of([v for row in cells for v in row]) if QuadExt in kinds else None
+    parts = [ring_parts(row, ring) for row in cells]
+    dens = [math.lcm(*ds) for _, ds in parts]
+    a = [[n * (dd // d) for n, d in zip(*p)] for p, dd in zip(parts, dens)]
     if skew:
         a = [[0] * (i + 1) + [v * dens[j] for j, v in enumerate(row, i + 1)]
              for i, row in enumerate(a)]
-    return a, operator.floordiv, math.prod(dens)
+    return a, math.prod(dens), ring
 
 
 # -- determinant -----------------------------------------------------------
@@ -148,17 +145,14 @@ def det_oracle(m: SquareMatrix):
 def det_bareiss(m: SquareMatrix):
     """Exact determinant by fraction-free (Bareiss) elimination, O(n^3).
 
-    Every division in the elimination is exact.  Rational input is cleared
-    of row denominators first (see ``_integer_rows``): det(D A) =
-    prod(D_i) det(A), so the elimination runs on Python ints with floor
-    division and one Fraction is formed at the end.  Int input gives an
-    int, any Fraction entry a Fraction; QuadExt input runs the same loop
-    with field division and gives a QuadExt.  Singular input returns 0.
+    Every division in the elimination is exact: it runs on the cleared
+    rows of ``_integer_rows``, and the value's type follows the entries.
+    Singular input returns 0.
     """
     n = m.n
     if n == 0:
         return 1
-    a, div, den = _integer_rows(m.entries)
+    a, den, ring = _integer_rows(m.entries)
     a = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -172,11 +166,11 @@ def det_bareiss(m: SquareMatrix):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     else:
         value = sign * a[n - 1][n - 1]
-    return value if den is None else Fraction(value, den)
+    return value if den is None else ring_quotient(value, den, ring)
 
 
 # -- permanent -------------------------------------------------------------
@@ -192,12 +186,9 @@ def perm_oracle(m: SquareMatrix):
 def perm_ryser(m: SquareMatrix):
     """Ryser's inclusion-exclusion permanent, O(2^n * n) via Gray code.
 
-    Rational input is cleared of row denominators first (see
-    ``_integer_rows``): perm(D A) = prod(D_i) perm(A), so the row sums and
-    products are Python ints and one Fraction is formed at the end.  Int
-    input gives an int, any Fraction entry a Fraction, QuadExt input a
-    QuadExt.  Hard guard at n <= 25, where that is already about 8e8
-    row-sum updates.
+    The row sums and products run on the cleared rows of
+    ``_integer_rows``, and the value's type follows the entries.  Hard
+    guard at n <= 25, where that is already about 8e8 row-sum updates.
     """
     n = m.n
     if n > PERM_RYSER_MAX:
@@ -208,7 +199,7 @@ def perm_ryser(m: SquareMatrix):
         )
     if n == 0:
         return 1
-    e, _, den = _integer_rows(m.entries)
+    e, den, ring = _integer_rows(m.entries)
     row_sums = [0] * n
     total = 0
     gray = 0
@@ -230,7 +221,7 @@ def perm_ryser(m: SquareMatrix):
             total -= prod
         else:
             total += prod
-    return total if den is None else Fraction(total, den)
+    return total if den is None else ring_quotient(total, den, ring)
 
 
 # -- Pfaffian --------------------------------------------------------------
@@ -262,21 +253,17 @@ def pf_fraction_free(a):
         a'_ij = (p a_ij - a_ki a_{k+1,j} + a_{k+1,i} a_kj) / p_prev
 
     with pivot p = a_{k,k+1} and p_prev the previous pivot (1 at the
-    start).  The division is exact.  Rational input is cleared of
-    denominators first (see ``_integer_rows``): with D_i the lcm of the
-    denominators right of the diagonal in row i, Pf(D A D) =
-    prod(D_i) Pf(A), so every
-    intermediate is an integer minor under floor division and one Fraction
-    is formed at the end.  Int input gives an int, any Fraction entry a
-    Fraction; QuadExt input runs the same loop with field division and
-    gives a QuadExt.  The last pivot is the Pfaffian.  A zero pivot is
-    replaced by swapping index k+1 with a later index (sign flip); if row k
-    has no nonzero entry the Pfaffian is 0.
+    start).  The division is exact: the elimination runs on the cleared
+    rows of ``_integer_rows`` (Pf(D A D) = prod(D_i) Pf(A)), where every
+    intermediate is a Pfaffian minor, and the value's type follows the
+    entries above the diagonal.  The last pivot is the Pfaffian.  A zero
+    pivot is replaced by swapping index k+1 with a later index (sign
+    flip); if row k has no nonzero entry the Pfaffian is 0.
     """
     n = len(a)
     if n == 0:
         return 1
-    a, div, den = _integer_rows(a, skew=True)
+    a, den, ring = _integer_rows(a, skew=True)
     sign = 1
     prev = 1
     for k in range(0, n, 2):
@@ -301,21 +288,18 @@ def pf_fraction_free(a):
             ri = a[i]
             x, y = rk[i], rr[i]
             ri[i + 1:] = [
-                div(p * v - x * w + y * z, prev)
+                (p * v - x * w + y * z) // prev
                 for v, w, z in zip(ri[i + 1:], rr[i + 1:], rk[i + 1:])
             ]
         prev = p
     else:
         value = sign * prev
-    return value if den is None else Fraction(value, den)
+    return value if den is None else ring_quotient(value, den, ring)
 
 
 def pf_elimination(m: SquareMatrix):
     """Pfaffian by fraction-free skew elimination, O(n^3): the guards, then
-    ``pf_fraction_free`` on a copy of the rows, which clears rational input
-    of denominators (Pf(D A D) = prod(D_i) Pf(A)) and runs on Python ints.
-    Its type follows the entries above the diagonal: all ints give an int,
-    any Fraction a Fraction, any QuadExt a QuadExt.
+    ``pf_fraction_free`` on a copy of the rows.
     """
     _require_matchable(m, m.skew, "skew-symmetric")
     return pf_fraction_free([list(row) for row in m.entries])

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .scalar import exact
+from .scalar import _RootPair, exact
 
 def classify(rows: Sequence[Sequence]) -> str:
     """Strictest symmetry tag of a square array: skew before symmetric.
@@ -23,7 +23,8 @@ def classify(rows: Sequence[Sequence]) -> str:
 
 class SquareMatrix:
     """Immutable n x n matrix of exact scalars: ints (kept as ints),
-    Fractions or QuadExt values; any other entry raises DomainError.
+    Fractions or QuadExt values, or the Z[sqrt(D)] pairs of the fast paths'
+    integer layer; any other entry raises DomainError.
 
     One scan of the entries on construction sets ``skew`` (zero diagonal,
     a_ij = -a_ji) and ``symmetric`` (a_ij = a_ji off the diagonal); a zero
@@ -44,7 +45,8 @@ class SquareMatrix:
         for row in entries:  # ints and Fractions skip the domain check
             for v in row:
                 if type(v) is not Fraction and type(v) is not int:
-                    exact(v, "matrix entries")
+                    if not isinstance(v, _RootPair):
+                        exact(v, "matrix entries")
         skew = all(entries[i][i] == 0 for i in range(n))
         sym = True
         for i, row in enumerate(entries):

@@ -7,10 +7,16 @@ extension ``QuadExt`` represents numbers p + q*sqrt(d) with rational p, q
 and a fixed radicand d that is not the square of a rational; it is only
 needed for the Moebius-substitution derivation of the generalized Pfaffian
 identities, where sqrt(b^2 - a*c) enters the substitution constants.
+
+Under both lies one integer layer: ``ring_parts`` writes a rational as
+num/den with Python ints, and an element of Q(sqrt(d)), d = n/m, as
+(P + Q sqrt(D))/R with ints P, Q, R and D = n*m, since sqrt(n/m) =
+sqrt(n*m)/m; ``ring_quotient`` makes one Fraction or QuadExt of num/den.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -219,6 +225,137 @@ class QuadExt:
 
     def __str__(self):
         return f"{render_rat(self.p)}+{render_rat(self.q)}*sqrt({render_rat(self.d)})"
+
+
+# -- the integer layer -----------------------------------------------------
+
+
+class _RootPair:
+    """P + Q*sqrt(D) in Z[sqrt(D)] for Python ints P and Q, with D a class
+    attribute: ``ring_of`` makes one subclass per radicand.  Ints mix in as
+    P + 0*sqrt(D).  x // t is x * conj(t) divided componentwise by the int
+    norm N(t), exact whenever t divides x, as in the fraction-free
+    eliminations, whose entries are minors.
+    """
+
+    __slots__ = ("p", "q")
+    radicand = 0  # D
+    root_den = 1  # m, with sqrt(d) = sqrt(D)/m
+    root = None  # sqrt(d) as a QuadExt
+
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+
+    def __add__(self, o):
+        if type(o) is int:
+            return self.__class__(self.p + o, self.q)
+        return self.__class__(self.p + o.p, self.q + o.q)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is int:
+            return self.__class__(self.p - o, self.q)
+        return self.__class__(self.p - o.p, self.q - o.q)
+
+    def __rsub__(self, o):  # int - pair
+        return self.__class__(o - self.p, -self.q)
+
+    def __neg__(self):
+        return self.__class__(-self.p, -self.q)
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return self.__class__(self.p * o, self.q * o)
+        p, q, r, s = self.p, self.q, o.p, o.q
+        return self.__class__(p * r + self.radicand * q * s, p * s + q * r)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        return math.prod([self] * exponent, start=1)
+
+    def __floordiv__(self, o):
+        if type(o) is int:
+            return self.__class__(self.p // o, self.q // o)
+        n = o.norm()
+        p, q, r, s = self.p, self.q, o.p, o.q
+        return self.__class__(
+            (p * r - self.radicand * q * s) // n, (q * r - p * s) // n
+        )
+
+    def __rfloordiv__(self, o):  # int // pair
+        n = self.norm()
+        return self.__class__(o * self.p // n, -o * self.q // n)
+
+    def __eq__(self, o):
+        if type(o) is int:
+            return self.q == 0 and self.p == o
+        if isinstance(o, _RootPair):
+            return self.p == o.p and self.q == o.q
+        return NotImplemented
+
+    __hash__ = None
+
+    def norm(self) -> int:
+        """(P + Q sqrt(D)) (P - Q sqrt(D)) = P^2 - D Q^2, zero only at 0."""
+        return self.p * self.p - self.radicand * self.q * self.q
+
+    def conj(self) -> "_RootPair":
+        return self.__class__(self.p, -self.q)
+
+
+@functools.lru_cache(maxsize=64)
+def _ring(d: Fraction) -> type:
+    n, m, root = d.numerator, d.denominator, QuadExt(ZERO, ONE, d)
+    attrs = {"__slots__": (), "radicand": n * m, "root_den": m, "root": root}
+    return type(f"Z[sqrt({n * m})]", (_RootPair,), attrs)
+
+
+def ring_of(values):
+    """The class of Z[sqrt(D)] pairs for the QuadExt among ``values``, or
+    None when there is none.  QuadExt of two radicands raise DomainError."""
+    radicands = {v.d for v in values if type(v) is QuadExt}
+    if len(radicands) > 1:
+        first, second = map(render_rat, sorted(radicands)[:2])
+        raise DomainError(f"mixed radicands {first} and {second}")
+    return _ring(radicands.pop()) if radicands else None
+
+
+def ring_parts(values, ring):
+    """(nums, dens) with values[k] = nums[k] / dens[k], every den a positive
+    int: an int or Fraction gives its numerator, a QuadExt p + q*sqrt(d)
+    gives the pair P + Q*sqrt(D) of ``ring`` (= ring_of(values)) over
+    R = lcm(den p, m den q), as p + q*sqrt(d) = p + (q/m)*sqrt(D)."""
+    if ring is None:
+        return [v.numerator for v in values], [v.denominator for v in values]
+    nums, dens = [], []
+    for v in values:
+        if isinstance(v, QuadExt):
+            b, e = v.p.denominator, v.q.denominator * ring.root_den
+            den = math.lcm(b, e)
+            num = ring(v.p.numerator * (den // b), v.q.numerator * (den // e))
+        else:
+            num, den = v.numerator, v.denominator
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
+
+
+def ring_quotient(num, den, ring=None):
+    """num / den for ints and Z[sqrt(D)] pairs, den nonzero: a Fraction when
+    both are ints and no ``ring`` is given, else a QuadExt over the field of
+    ``ring`` or of the pair among them."""
+    if type(den) is not int:
+        num, den = num * den.conj(), den.norm()
+    if type(num) is int:
+        if ring is None:
+            return Fraction(num, den)
+        p, q = num, 0
+    else:
+        ring, p, q = num.__class__, num.p, num.q
+    return ring.root._with(Fraction(p, den), Fraction(q * ring.root_den, den))
 
 
 def render_scalar(value) -> str:

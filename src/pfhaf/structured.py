@@ -13,13 +13,14 @@ O(n^3) algorithms for the permanent and the Hafnian of these matrices,
 which is the whole computational payoff: both functionals are
 exponential-time in general.
 
-A form meets rational points in one layer, on integers: the points and the
+A form meets its points in one layer, on integers: the points and the
 form are written in homogeneous coordinates (x = p/q, and the form scaled
 by the lcm L of its coefficient denominators), the builders, the closed
 forms, the fast paths and gen_points' pole test read the integer table of
-the form at the points, and each value becomes at most one Fraction.
-Points in Q(sqrt(d)), alone or mixed with rational ones, are evaluated in
-their field by form(x, y).
+the form at the points, and each value becomes at most one Fraction.  A
+point in Q(sqrt(d)) has p in Z[sqrt(D)], a pair of ints (see
+scalar.ring_parts); the same code runs on those pairs, and a value that
+reads one becomes one QuadExt.
 
 Note on signs: the product prefactor of the closed-form determinant is
 (-1)^{n(n-1)/2} (ad - bc)^{n(n-1)/2}, i.e. (bc - ad)^{n(n-1)/2}; writing
@@ -46,6 +47,9 @@ from .scalar import (
     rational,
     render_rat,
     render_scalar,
+    ring_of,
+    ring_parts,
+    ring_quotient,
 )
 
 
@@ -157,6 +161,8 @@ class SymmetricForm(_Form):
 #     F_ij = L q_i s_j f(x_i, y_j) = A p_i r_j + B p_i s_j + C q_i r_j + D q_i s_j,
 #
 # and g is the bilinear form with B = C, so G_ij = L q_i q_j g(x_i, x_j).
+# p_i and r_j are ints at rational points and Z[sqrt(D)] pairs at points in
+# Q(sqrt(d)); q_i and s_j are always ints.
 
 
 def _xy_count(pc: PointConfig) -> int:
@@ -183,31 +189,26 @@ def _pole(row, i: int, lo: int, symmetric: bool) -> PoleError:
     return PoleError(f"{at} = 0", pair=(i + 1, j))
 
 
-def _field_table(form, xs, ys=None):
-    """pair_table by form(x, y), for points in Q(sqrt(d))."""
-    table = []
-    for i, x in enumerate(xs):
-        lo = 0 if ys is not None else i + 1
-        row = [form(x, y) for y in (ys if ys is not None else xs[lo:])]
-        if 0 in row:
-            raise _pole(row, i, lo, ys is None)
-        table.append(row)
-    return table
-
-
 def _form_table(coeffs, xs, ys=None):
     """The integer form (A, B, C, D) at homogeneous points xs = (p, q) and
     ys = (r, s): rows of F_ij over all pairs or, with ys None, of
     F_ij with ys = xs over j > i.  The first zero in row-major order raises
-    PoleError naming its pair."""
+    PoleError naming its pair.  A point enters only through the nonzero
+    coefficients that read it, so an entry is a Z[sqrt(D)] pair exactly
+    when the form reads a point in Q(sqrt(d)), as form(x, y) is then a
+    QuadExt."""
     a, b, c, d = coeffs
     ps, qs = xs
     rs, ss = xs if ys is None else ys
     table = []
     for i, (p, q) in enumerate(zip(ps, qs)):
         lo = 0 if ys is not None else i + 1
-        u, v = a * p + c * q, b * p + d * q
-        row = [u * r + v * s for r, s in zip(rs[lo:], ss[lo:])]
+        u = a * p + c * q if a else c * q
+        v = b * p + d * q if b else d * q
+        if a or c:
+            row = [u * r + v * s for r, s in zip(rs[lo:], ss[lo:])]
+        else:
+            row = [v * s for s in ss[lo:]]
         if 0 in row:
             raise _pole(row, i, lo, ys is None)
         table.append(row)
@@ -216,35 +217,38 @@ def _form_table(coeffs, xs, ys=None):
 
 @dataclass(frozen=True)
 class _Homogeneous:
-    """A form at rational points in integer homogeneous coordinates: the
-    scale L, the integer coefficients (A, B, C, D), the points xs = (p, q)
-    and ys = (r, s), and the table of _form_table.  ys is None when the
-    pairs are (x_i, x_j), j > i."""
+    """A form at its points in integer homogeneous coordinates: the scale L,
+    the integer coefficients (A, B, C, D), the points xs = (p, q) and
+    ys = (r, s), the table of _form_table, and the ring of the p and r
+    (None at rational points).  ys is None when the pairs are (x_i, x_j),
+    j > i."""
 
     scale: int
     coeffs: tuple
     xs: tuple
     ys: tuple | None
     table: list
+    ring: type | None
+
+    @property
+    def quotient(self):
+        """ring_quotient, which is Fraction itself at rational points."""
+        return Fraction if self.ring is None else ring_quotient
 
 
-def _homogeneous(form, xs, ys=None) -> _Homogeneous | None:
-    """The form at the points in homogeneous coordinates, or None when any
-    point lies in Q(sqrt(d)): the one place that reads the point type.  A
-    pole raises PoleError as pair_table does."""
-    points = xs if ys is None else (*xs, *ys)
-    if not all(isinstance(v, Fraction) for v in points):
-        return None
+def _homogeneous(form, xs, ys=None) -> _Homogeneous:
+    """The form at the points in homogeneous coordinates: the one place that
+    reads the point type.  Points in Q(sqrt(d)) share one radicand, and
+    two raise DomainError.  A pole raises PoleError as pair_table does."""
+    ring = ring_of(xs if ys is None else (*xs, *ys))
     coeffs = [getattr(form, f.name) for f in fields(form)]
     if isinstance(form, SymmetricForm):
         coeffs.insert(2, coeffs[1])  # g is the bilinear form with B = C
     scale = math.lcm(*(c.denominator for c in coeffs))
     coeffs = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
-    hx = [x.numerator for x in xs], [x.denominator for x in xs]
-    hy = None
-    if ys is not None:
-        hy = [y.numerator for y in ys], [y.denominator for y in ys]
-    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
+    hx = ring_parts(xs, ring)
+    hy = None if ys is None else ring_parts(ys, ring)
+    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy), ring)
 
 
 def _differences(points):
@@ -260,17 +264,15 @@ def _differences(points):
 def pair_table(form, xs, ys=None):
     """The rows of f(x_i, y_j) over all pairs or, with ys None, of
     g(x_i, x_j) over j > i.  The first zero in row-major order raises
-    PoleError naming its pair.  At rational points f(x_i, y_j) is
-    F_ij / (L q_i s_j)."""
+    PoleError naming its pair.  f(x_i, y_j) is F_ij / (L q_i s_j): a
+    QuadExt when the form reads a point in Q(sqrt(d)), else a Fraction."""
     h = _homogeneous(form, xs, ys)
-    if h is None:
-        return _field_table(form, xs, ys)
-    qs = h.xs[1]
+    qs, quotient = h.xs[1], h.quotient
     ss = qs if ys is None else h.ys[1]
     rows = []
     for i, (q, row) in enumerate(zip(qs, h.table)):
         columns = ss[i + 1:] if ys is None else ss
-        rows.append([Fraction(v, h.scale * q * s) for v, s in zip(row, columns)])
+        rows.append([quotient(v, h.scale * q * s) for v, s in zip(row, columns)])
     return rows
 
 
@@ -291,68 +293,53 @@ def _mirrored(upper, skew: bool):
 
 
 def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatrix:
-    """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}.
-
-    At rational points the entries are (L q_i s_j)^power / F_ij^power."""
+    """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}:
+    (L q_i s_j)^power / F_ij^power."""
     _xy_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     h = _homogeneous(f, pc.xs, pc.ys)
-    if h is None:
-        rows = [[1 / v ** power for v in row] for row in _field_table(f, pc.xs, pc.ys)]
-    else:
-        ss = h.ys[1]
-        rows = [
-            [Fraction((h.scale * q * s) ** power, v ** power) for v, s in zip(row, ss)]
-            for q, row in zip(h.xs[1], h.table)
-        ]
+    ss, quotient = h.ys[1], h.quotient
+    rows = [
+        [quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
+        for q, row in zip(h.xs[1], h.table)
+    ]
     return SquareMatrix(rows)
 
 
 def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatrix:
-    """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in {1, 2}.
-
-    At rational points the entries are L^power d_ij (q_i q_j)^(power - 1)
-    / G_ij^power, with d_ij = p_j q_i - p_i q_j."""
+    """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in
+    {1, 2}: L^power d_ij (q_i q_j)^(power - 1) / G_ij^power, with
+    d_ij = p_j q_i - p_i q_j."""
     _half_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    xs = pc.xs
-    h = _homogeneous(g, xs)
-    if h is None:
-        upper = [
-            [(xs[j] - xs[i]) / v ** power for j, v in enumerate(row, i + 1)]
-            for i, row in enumerate(_field_table(g, xs))
+    h = _homogeneous(g, pc.xs)
+    lp, qs, quotient = h.scale**power, h.xs[1], h.quotient
+    upper = [
+        [
+            quotient(lp * d * (qi * qj) ** (power - 1), v**power)
+            for v, d, qj in zip(row, ds, qs[i + 1:])
         ]
-    else:
-        lp, qs = h.scale**power, h.xs[1]
-        upper = [
-            [
-                Fraction(lp * d * (qi * qj) ** (power - 1), v**power)
-                for v, d, qj in zip(row, ds, qs[i + 1:])
-            ]
-            for i, (qi, row, ds) in enumerate(zip(qs, h.table, _differences(h.xs)))
-        ]
+        for i, (qi, row, ds) in enumerate(zip(qs, h.table, _differences(h.xs)))
+    ]
     return SquareMatrix(_mirrored(upper, skew=True))
 
 
 def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
-    """Symmetric matrix with off-diagonal entries 1/g(x_i, x_j), which are
-    L q_i q_j / G_ij at rational points.
+    """Symmetric matrix with off-diagonal entries 1/g(x_i, x_j) =
+    L q_i q_j / G_ij.
 
     The diagonal is stored as 0: the Hafnian never reads it, and
     g(x_i, x_i) may legitimately be a pole.
     """
     _half_count(pc)
     h = _homogeneous(g, pc.xs)
-    if h is None:
-        upper = [[1 / v for v in row] for row in _field_table(g, pc.xs)]
-    else:
-        qs = h.xs[1]
-        upper = [
-            [Fraction(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
-            for i, (qi, row) in enumerate(zip(qs, h.table))
-        ]
+    qs, quotient = h.xs[1], h.quotient
+    upper = [
+        [quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
+        for i, (qi, row) in enumerate(zip(qs, h.table))
+    ]
     return SquareMatrix(_mirrored(upper, skew=False))
 
 
@@ -364,7 +351,7 @@ def _product(rows) -> int:
 
 
 def _closed_form(h: _Homogeneous):
-    """The closed form at rational points as integers (num, den).  With
+    """The closed form as integers (num, den), ints or Z[sqrt(D)] pairs.  With
     e_ij = r_j s_i - r_i s_j, it is cauchy_det_closed for n x and n y
     points,
 
@@ -398,21 +385,8 @@ def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
         (bc - ad)^{n(n-1)/2} * prod_{i<j} (x_j - x_i)(y_j - y_i)
                              / prod_{i,j} f(x_i, y_j)
     """
-    n = _xy_count(pc)
-    xs, ys = pc.xs, pc.ys
-    h = _homogeneous(f, xs, ys)
-    if h is not None:
-        return Fraction(*_closed_form(h))
-    num = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= (xs[j] - xs[i]) * (ys[j] - ys[i])
-    den = Fraction(1)
-    for row in _field_table(f, xs, ys):
-        for v in row:
-            den *= v
-    prefactor = (-f.disc) ** (n * (n - 1) // 2)
-    return prefactor * num / den
+    _xy_count(pc)
+    return ring_quotient(*_closed_form(_homogeneous(f, pc.xs, pc.ys)))
 
 
 def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
@@ -422,50 +396,33 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
     where the matrix is 2n x 2n.
     """
-    half = _half_count(pc)
-    xs = pc.xs
-    h = _homogeneous(g, xs)
-    if h is not None:
-        return Fraction(*_closed_form(h))
-    prod = Fraction(1)
-    for i, row in enumerate(_field_table(g, xs)):
-        for j, gv in enumerate(row, i + 1):
-            prod *= (xs[j] - xs[i]) / gv
-    return g.disc ** (half * (half - 1)) * prod
+    _half_count(pc)
+    return ring_quotient(*_closed_form(_homogeneous(g, pc.xs)))
 
 
 # -- fast paths ------------------------------------------------------------
 #
-# Both fast paths run on the integers of the homogeneous layer.  Each row of
-# the squared matrix is cleared of denominators by the lcm of its entries,
-# rows with smaller scalings are eliminated first, and the integer det or
-# Pf is divided by _closed_form, the closed form as integers.
-
-
-def _rational(pc: PointConfig, form, instead: str) -> _Homogeneous:
-    """The form at the points of pc in homogeneous coordinates.  The integer
-    route has no room for points in Q(sqrt(d)): they are refused with
-    DomainError naming ``instead``, the field route."""
-    h = _homogeneous(form, pc.xs, pc.ys)
-    if h is None:
-        raise DomainError(
-            "the integer fast path needs rational points, got QuadExt; "
-            f"use {instead} instead"
-        )
-    return h
+# Both fast paths run on the integers of the homogeneous layer, at rational
+# points and in Q(sqrt(d)) alike.  Each row of the squared matrix is cleared
+# of denominators by the lcm of its entries, rows with smaller scalings are
+# eliminated first, and the integer det or Pf is divided by _closed_form,
+# the closed form as integers.
 
 
 def _row_lcm_scaling(table):
-    """([l_i], quotients, order) with l_i = lcm_j |T_ij|, quotients[i][j] =
-    l_i / T_ij, an integer (row i of 1/T scaled by l_i), and the indices
-    sorted by increasing l_i.
+    """([l_i], quotients, order) with l_i = lcm_j of |T_ij| for an int entry
+    and of its norm |N(T_ij)| for a Z[sqrt(D)] pair, quotients[i][j] =
+    l_i / T_ij, integral (row i of 1/T scaled by l_i; for a pair,
+    (l_i / N(T_ij)) conj(T_ij)), and the indices sorted by increasing l_i.
 
     Eliminating in that order keeps the intermediates small: after k steps
     of a fraction-free elimination they are k x k minors, which carry the
     scalings of the first k rows, so the rows with the smallest scalings
     go first.
     """
-    lcms = [math.lcm(*row) for row in table]
+    lcms = [
+        math.lcm(*(t if type(t) is int else t.norm() for t in row)) for row in table
+    ]
     quotients = [[l // v for v in row] for l, row in zip(lcms, table)]
     return lcms, quotients, sorted(range(len(lcms)), key=lcms.__getitem__)
 
@@ -485,25 +442,22 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
 
     Everything runs on integers.  In the homogeneous coordinates of
     _homogeneous, 1/f_ij^2 = L^2 q_i^2 s_j^2 / F_ij^2.  Scaling row i by
-    D_i = lcm_j F_ij^2 makes N_ij = D_i / F_ij^2 an integer matrix, and
+    D_i = l_i^2, with l_i from _row_lcm_scaling, makes N_ij = D_i / F_ij^2
+    an integer matrix, and
 
         det(1/f^2) = L^{2n} prod(q_i^2) prod(s_j^2) det(N) / prod(D_i),
 
     which is divided by det(1/f) from _closed_form.  det(N) comes from
-    det_bareiss on Python ints, and the only Fraction is the final
-    quotient.  Poles are found in row-major order, as the closed form finds
-    them.  Points in Q(sqrt(d)) are refused; the field route
-    det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)
-    takes them.
+    det_bareiss on Python ints, or on Z[sqrt(D)] pairs at points in
+    Q(sqrt(d)), and the only Fraction or QuadExt is the final quotient.
+    Poles are found in row-major order, as the closed form finds them.
     """
     if f.disc == 0:
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
     n = _xy_count(pc)
-    h = _rational(
-        pc, f, "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
-    )
+    h = _homogeneous(f, pc.xs, pc.ys)
     lcms, quotients, order = _row_lcm_scaling(h.table)
     # The permanent does not see the order of the x points; det(N) and the
     # closed form change sign together.
@@ -511,7 +465,7 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     det_n = det_bareiss(SquareMatrix([[u * u for u in quotients[i]] for i in order]))
     num, den = _closed_form(h)
     weight = h.scale**n * math.prod(h.xs[1]) * math.prod(h.ys[1])
-    return Fraction(weight**2 * det_n * den, math.prod(lcms) ** 2 * num)
+    return ring_quotient(weight**2 * det_n * den, math.prod(lcms) ** 2 * num)
 
 
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
@@ -522,25 +476,22 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
 
     Everything runs on integers.  In the homogeneous coordinates of
     _homogeneous, (x_j - x_i)/g^2 = L^2 q_i q_j d_ij / G_ij^2.  Scaling
-    index i by D_i = lcm_j |G_ij| makes D_i D_j d_ij / G_ij^2 an integer
-    skew matrix M, and multilinearity of Pf gives, for 2n points,
+    index i by D_i, the l_i of _row_lcm_scaling on the G_ij, makes
+    D_i D_j d_ij / G_ij^2 an integer skew matrix M, and multilinearity of
+    Pf gives, for 2n points,
 
         Pf((x_j - x_i)/g^2) = L^{2n} prod(q_i) Pf(M) / prod(D_i),
 
     which is divided by Pf((x_j - x_i)/g) from _closed_form.  Pf(M) comes
-    from the integer elimination, and the only Fraction is the final
-    quotient.  Points in Q(sqrt(d)) are refused;
-    pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)
-    takes them.
+    from the integer elimination, over Z[sqrt(D)] at points in Q(sqrt(d)),
+    and the only Fraction or QuadExt is the final quotient.
     """
     if g.disc == 0:
         raise DegenerateFormError(
             "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead"
         )
     m = 2 * _half_count(pc)
-    h = _rational(
-        pc, g, "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
-    )
+    h = _homogeneous(g, pc.xs)
     # The table holds j > i; the row lcms read the whole symmetric table,
     # with 1 on the diagonal.
     gs = h.table
@@ -557,7 +508,7 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     ]
     num, den = _closed_form(h)
     weight = h.scale**m * math.prod(h.xs[1])
-    return Fraction(weight * pf_fraction_free(mat) * den, math.prod(dens) * num)
+    return ring_quotient(weight * pf_fraction_free(mat) * den, math.prod(dens) * num)
 
 
 # -- Moebius substitution --------------------------------------------------

@@ -419,9 +419,10 @@ def run_suite(
 
     Failures do not stop the run; they are data.  Reports come back sorted
     by (identity, size, trial).  A sweep that would check nothing (no sizes,
-    or fewer than one trial) is refused with DomainError, and one with a
-    size beyond an identity's kernel guard with SizeError, before any cell
-    is computed.
+    fewer than one trial, or an ``only`` that selects no identity) is
+    refused with DomainError, and so is an ``only`` that holds anything but
+    IdentityId members; one with a size beyond an identity's kernel guard is
+    refused with SizeError.  Each refusal comes before any cell is computed.
     """
     sizes = sorted(sizes)
     if not sizes:
@@ -430,6 +431,13 @@ def run_suite(
         raise DomainError(f"sizes must be >= 1, got {sizes[0]}")
     if trials_per_size < 1:
         raise DomainError(f"need at least one trial per size, got {trials_per_size}")
+    if only is not None:
+        only = set(only)
+        stray = next((i for i in only if not isinstance(i, IdentityId)), None)
+        if stray is not None:
+            raise DomainError(f"only takes IdentityId members, got {stray!r}")
+        if not only:
+            raise DomainError("only selects no identity")
     identities = sorted(
         (i for i in IdentityId if only is None or i in only), key=lambda i: i.value
     )

@@ -386,6 +386,50 @@ def test_pf_on_cleared_rows_matches_oracle(m):
     assert type(value) is value_type(row[i + 1:] for i, row in enumerate(m.entries))
 
 
+@st.composite
+def quadratic_inputs(draw, skew=False):
+    """Square matrices of size 1..6, or skew ones of size 2..8, over
+    Q(sqrt(d)) for d in 2, -3, 13/9 and -3/4, with ints and Fractions of
+    mixed denominators among the entries.  At least one entry the kernel
+    reads is a QuadExt, and about a third of the draws have a zero row (and
+    column, when skew) of QuadExt zeros."""
+    d = draw(st.sampled_from([F(2), F(-3), F(13, 9), F(-3, 4)]))
+    n = 2 * draw(st.integers(1, 4)) if skew else draw(st.integers(1, 6))
+    ints = st.integers(-9, 9)
+    fractions = st.builds(F, ints, mixed_denominators)
+    quad = st.builds(QuadExt, fractions, fractions, st.just(d))
+    entry = st.one_of(quad, ints, fractions)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if skew else 0, n):
+            rows[i][j] = draw(quad if (i, j) == (0, int(skew)) else entry)
+            if skew:
+                rows[j][i] = -rows[i][j]
+    if draw(st.integers(0, 2)) == 0:
+        z = draw(st.integers(0, n - 1))
+        zero = QuadExt(F(0), F(0), d)
+        rows[z] = [zero] * n
+        if skew:
+            for row in rows:
+                row[z] = zero
+    return SquareMatrix(rows)
+
+
+@settings(deadline=None)
+@given(quadratic_inputs())
+def test_det_perm_on_quadratic_rows_match_oracles(m):
+    for fast, oracle in ((det_bareiss, det_oracle), (perm_ryser, perm_oracle)):
+        value = fast(m)
+        assert type(value) is QuadExt and value == oracle(m)
+
+
+@settings(deadline=None)
+@given(quadratic_inputs(skew=True))
+def test_pf_on_quadratic_rows_matches_oracle(m):
+    value = pf_fraction_free([list(row) for row in m.entries])
+    assert type(value) is QuadExt and value == pf_oracle(m)
+
+
 def test_int_input_gives_int():
     m = SquareMatrix([[0, 2], [-2, 0]])
     assert [type(f(m)) for f in (det_bareiss, perm_ryser, pf_elimination)] == [int] * 3
@@ -403,6 +447,11 @@ def test_ints_mixed_with_quadext_stay_in_the_field():
     zero = SquareMatrix([[0, 1], [0, q]])
     values = [det_bareiss(diag), perm_ryser(diag), pf_elimination(skew), det_bareiss(zero)]
     assert all(type(v) is QuadExt for v in values)
+    r3 = QuadExt(F(1), F(1), F(-3))
+    mixed = SquareMatrix([[0, q, 0, 0], [-q, 0, 0, 0], [0, 0, 0, r3], [0, 0, -r3, 0]])
+    for kernel in (det_bareiss, perm_ryser, pf_elimination):
+        with pytest.raises(DomainError, match="mixed radicands -3 and 2"):
+            kernel(mixed)
 
 
 def test_perm_ryser_on_cauchy_matches_fast_path():

@@ -253,9 +253,10 @@ def test_schur_pf_closed_matches_kernel():
 
 # -- the homogeneous layer -------------------------------------------------
 #
-# The builders and closed forms evaluate forms at rational points on
-# integers; these tests hold them to the values and types of a direct
-# Fraction evaluation through form(x, y).
+# The builders and closed forms evaluate forms at their points on integers,
+# or on pairs of integers in Z[sqrt(D)] at points in Q(sqrt(d)); these tests
+# hold them to the values and types of a direct evaluation through
+# form(x, y) in Fraction and QuadExt arithmetic.
 
 
 def field_table(form, xs, ys=None):
@@ -375,32 +376,91 @@ def layer_forms(cls):
     )
 
 
-def distinct12(size):
-    return st.lists(rationals12, min_size=size, max_size=size, unique=True)
+def field_points(radicand):
+    """Rational points, or with a radicand, points of Q(sqrt(radicand)) with
+    rational ones mixed in.  The half-integer parts and the irrational
+    parts +-1 put poles of x + y and 1 - xy at pairs in Q(sqrt(d)) too."""
+    if radicand is None:
+        return rationals12
+    roots = st.sampled_from([F(1), F(-1), F(1), F(-1), F(1, 2), F(-2, 3)])
+    quads = st.builds(QuadExt, rationals12, roots, st.just(radicand))
+    return st.one_of(quads, quads, rationals12)
 
 
-@settings(deadline=None, max_examples=150)
+@st.composite
+def layer_cases(draw, radicand):
+    """A form and its points: n x and n y points (n <= 4) for a bilinear
+    form, 2n x points (n <= 3) for a symmetric one, n >= 1 with a radicand.
+    In about half the draws the last point is -x_1 or 1/x_1, a pole of
+    x + y or 1 - xy, at a pair in Q(sqrt(d)) when x_1 lies there."""
+    bilinear = draw(st.booleans())
+    n = draw(st.integers(radicand is not None, 4 if bilinear else 3))
+    size = n if bilinear else 2 * n
+    points = [
+        draw(st.lists(field_points(radicand), min_size=size, max_size=size, unique=True))
+        for _ in range(2 if bilinear else 1)
+    ]
+    if size > 1 - bilinear and points[0][0] != 0 and draw(st.booleans()):
+        x = points[0][0]
+        twin = -x if draw(st.booleans()) else 1 / x
+        if twin not in points[-1]:
+            points[-1][-1] = twin
+    return draw(layer_forms(BilinearForm if bilinear else SymmetricForm)), points
+
+
+def layer_names(pc):
+    return ("pair_table", "closed") + (
+        ("cauchy1", "cauchy2") if pc.ys is not None else ("schur1", "schur2", "hafnian")
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([F(2), F(-3), F(13, 9), None]).flatmap(layer_cases))
+def test_homogeneous_layer_equals_field_evaluation(case):
+    # An entry is a Fraction exactly when the points it reads are rational:
+    # both of its points, unless a zero coefficient leaves one unread.
+    form, points = case
+    pc = PointConfig(*points)
+    for name in layer_names(pc):
+        expected = outcome_typed(lambda: field_values(form, pc)[name])
+        assert outcome_typed(lambda: program_values(form, pc)[name]) == expected, name
+
+
+def radicands_named(fn):
+    """The two radicands a DomainError of fn names, or "pole"."""
+    try:
+        fn()
+    except DomainError as exc:
+        words = str(exc).split()
+        assert words[:2] == ["mixed", "radicands"], str(exc)
+        return {words[2], words[4]}
+    except PoleError:
+        return "pole"
+    raise AssertionError("no error")
+
+
+@settings(deadline=None, max_examples=60)
 @given(
-    st.one_of(
-        st.tuples(
-            layer_forms(BilinearForm),
-            st.integers(0, 4).flatmap(lambda n: st.tuples(*[distinct12(n)] * 2)),
-        ),
-        st.tuples(
-            layer_forms(SymmetricForm),
-            st.integers(0, 3).flatmap(lambda n: st.tuples(distinct12(2 * n))),
+    st.tuples(
+        layer_forms(SymmetricForm),
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.one_of(field_points(F(2)), field_points(F(-3))),
+                min_size=2 * n, max_size=2 * n, unique=True,
+            )
         ),
     )
 )
-def test_homogeneous_layer_equals_field_evaluation(case):
-    form, points = case
-    pc = PointConfig(*points)
-    names = ("pair_table", "closed") + (
-        ("cauchy1", "cauchy2") if pc.ys is not None else ("schur1", "schur2", "hafnian")
-    )
-    for name in names:
-        expected = outcome_typed(lambda: field_values(form, pc)[name])
-        assert outcome_typed(lambda: program_values(form, pc)[name]) == expected, name
+def test_mixed_radicands_are_refused(case):
+    form, xs = case
+    assume({v.d for v in xs if isinstance(v, QuadExt)} == {F(2), F(-3)})
+    pc = PointConfig(xs)
+    for name in layer_names(pc):
+        assert radicands_named(lambda: program_values(form, pc)[name]) == {"2", "-3"}
+    # The field evaluation raises the same error, unless it meets a pole at
+    # a pair before it meets the two radicands; the integer layer reads the
+    # radicands first.
+    assert radicands_named(lambda: field_values(form, pc)) in ({"2", "-3"}, "pole")
 
 
 s2 = QuadExt(F(0), F(1), F(2))
@@ -417,12 +477,8 @@ s2 = QuadExt(F(0), F(1), F(2))
         (GXPY, ([F(1), s2, -s2, F(3)],)),  # a pole at a pair in Q(sqrt(2))
     ],
 )
-def test_points_outside_q_take_the_field_route(monkeypatch, form, points):
-    # the integer table is not read when any point lies in Q(sqrt(d))
-    def refuse(*args):
-        raise AssertionError("integer table at points outside Q")
-
-    monkeypatch.setattr(structured, "_form_table", refuse)
+def test_points_outside_q_take_the_field_route(form, points):
+    # the values and poles of evaluation in the field, from the integer layer
     pc = PointConfig(*points)
     expected = outcome_typed(lambda: field_values(form, pc))
     assert outcome_typed(lambda: program_values(form, pc)) == expected
@@ -654,34 +710,43 @@ def test_fast_paths_eliminate_python_ints(monkeypatch):
     assert seen == [("det_bareiss", {int}), ("pf_fraction_free", {int})]
 
 
-def test_fast_paths_refuse_points_outside_q():
-    s2 = QuadExt(F(0), F(1), F(2))
-    quads = [s2 + k for k in (1, 2, 3, 4)]
-    pc = PointConfig(quads[:2], quads[2:])
-    with pytest.raises(DomainError) as exc:
-        fast_cauchy_perm(pc, XPY)
-    assert "rational points, got QuadExt" in str(exc.value)
-    route = "det_bareiss(build_cauchy(pc, f, power=2)) / cauchy_det_closed(pc, f)"
-    assert f"use {route} instead" in str(exc.value)
-    # the route it names takes those points
-    assert rational_route(pc, XPY) == perm_oracle(build_cauchy(pc, XPY))
-
-    pc = PointConfig(quads)
-    with pytest.raises(DomainError) as exc:
-        fast_cauchy_hafnian(pc, GXPY)
-    assert "rational points, got QuadExt" in str(exc.value)
-    route = "pf_elimination(build_schur(pc, g, power=2)) / schur_pf_closed(pc, g)"
-    assert f"use {route} instead" in str(exc.value)
-    field = pf_elimination(build_schur(pc, GXPY, power=2)) / schur_pf_closed(pc, GXPY)
-    assert field == hf_oracle(build_hafnian_mat(pc, GXPY))
-
-    # one point outside Q is enough
-    for fast, pc, form in (
-        (fast_cauchy_perm, PointConfig([F(1), F(2)], [F(3), quads[0]]), XPY),
-        (fast_cauchy_hafnian, PointConfig([quads[0], F(1), F(2), F(3)]), GXPY),
+def test_fast_paths_accept_points_outside_q():
+    s2, r3 = QuadExt(F(0), F(1), F(2)), QuadExt(F(0), F(1), F(-3))
+    g = SymmetricForm(F(1, 2), F(-1, 3), F(5, 4))
+    f = BilinearForm(F(1, 2), F(-2, 3), F(3, 5), F(1, 7))
+    for pc, form in (
+        (PointConfig([s2 + k for k in (1, 2, 3, 4)]), GXPY),
+        (PointConfig([F(1), F(2), F(3, 2), s2]), GXPY),  # one point in Q(sqrt(2))
+        (PointConfig([r3, 1 - r3, F(1, 2) * r3 + 2, F(-7, 3), 3 * r3, F(5)]), g),
+        (PointConfig([s2 + 1, s2 + 2], [s2 + 3, F(4)]), XPY),
+        (PointConfig([F(1), F(2), F(5, 3)], [F(3), F(4), s2]), XPY),
+        (PointConfig([r3, F(-2), r3 / 3], [F(1, 2), 2 * r3 - 1, F(7)]), f),
     ):
-        with pytest.raises(DomainError, match="rational points, got QuadExt"):
+        # the matrices by form(x, y) in the field, not by the program
+        values = field_values(form, pc)
+        if pc.ys is None:
+            value = fast_cauchy_hafnian(pc, form)
+            expected = hf_oracle(SquareMatrix(values["hafnian"]))
+        else:
+            value = fast_cauchy_perm(pc, form)
+            expected = perm_oracle(SquareMatrix(values["cauchy1"]))
+        assert type(value) is QuadExt and value == expected
+
+    # a pole at a pair in Q(sqrt(2)) is named as the closed form names it
+    for fast, closed, pc in (
+        (fast_cauchy_hafnian, schur_pf_closed, PointConfig([s2, F(1), -s2, F(3)])),
+        (fast_cauchy_perm, cauchy_det_closed, PointConfig([F(1), s2], [F(2), -s2])),
+    ):
+        form = GXPY if pc.ys is None else XPY
+        with pytest.raises(PoleError) as exc:
             fast(pc, form)
+        assert outcome_typed(closed, pc, form) == ("pole", str(exc.value), exc.value.pair)
+
+    # criterion 8: a degenerate form is refused in Q(sqrt(d)) too
+    with pytest.raises(DegenerateFormError, match="use perm_ryser instead"):
+        fast_cauchy_perm(PointConfig([s2], [s2 + 1]), BilinearForm(F(1), F(1), F(1), F(1)))
+    with pytest.raises(DegenerateFormError, match="use hf_recursive instead"):
+        fast_cauchy_hafnian(PointConfig([s2, s2 + 1]), SymmetricForm(F(1), F(1), F(1)))
 
     with pytest.raises(DomainError, match="rational points, got float"):
         fast_cauchy_perm(PointConfig([0.5], [1.5]), XPY)

@@ -358,6 +358,20 @@ def test_run_suite_only_filter_and_zero_trials():
             run_suite(1, sizes, trials, only={IdentityId.SCHUR1})
 
 
+def test_run_suite_refuses_an_empty_only(monkeypatch):
+    monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    with pytest.raises(DomainError, match="only selects no identity"):
+        run_suite(1, [1], 1, only=set())
+
+
+def test_run_suite_refuses_identity_names_in_only(monkeypatch):
+    monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    with pytest.raises(DomainError, match="only takes IdentityId members, got 'MAIN1'"):
+        run_suite(1, [1], 1, only=["MAIN1"])
+    with pytest.raises(DomainError, match="got 'MAIN1'"):
+        run_suite(1, [1], 1, only=[IdentityId.MAIN2, "MAIN1"])
+
+
 def test_run_suite_refuses_sizes_beyond_a_kernel_guard(monkeypatch):
     def no_cell(*args, **kw):
         raise AssertionError("a cell was computed")
