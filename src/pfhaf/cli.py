@@ -77,12 +77,15 @@ def _parse_sizes(text: str):
 
 def _parse_identities(text: str):
     try:
-        return {IdentityId(n.strip()) for n in text.split(",") if n.strip()} or None
+        ids = {IdentityId(n.strip()) for n in text.split(",") if n.strip()}
     except ValueError:
         valid = ", ".join(i.value for i in IdentityId)
         raise argparse.ArgumentTypeError(
             f"unknown identity id in {text!r}; valid ids: {valid}"
         ) from None
+    if not ids:
+        raise argparse.ArgumentTypeError(f"no identity ids in {text!r}")
+    return ids
 
 
 def _integer(text: str, valid: str) -> int:

@@ -36,7 +36,13 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .errors import DegenerateFormError, DomainError, PoleError
-from .kernels import det_bareiss, hf_recursive, pf_elimination, pf_fraction_free
+from .kernels import (
+    det_bareiss,
+    hf_recursive,
+    perm_ryser,
+    pf_elimination,
+    pf_fraction_free,
+)
 from .matrix import SquareMatrix
 from .report import IdentityReport
 from .scalar import (
@@ -219,27 +225,21 @@ def _form_table(coeffs, xs, ys=None):
 class _Homogeneous:
     """A form at its points in integer homogeneous coordinates: the scale L,
     the integer coefficients (A, B, C, D), the points xs = (p, q) and
-    ys = (r, s), the table of _form_table, and the ring of the p and r
-    (None at rational points).  ys is None when the pairs are (x_i, x_j),
-    j > i."""
+    ys = (r, s), and the table of _form_table.  ys is None when the pairs
+    are (x_i, x_j), j > i."""
 
     scale: int
     coeffs: tuple
     xs: tuple
     ys: tuple | None
     table: list
-    ring: type | None
-
-    @property
-    def quotient(self):
-        """ring_quotient, which is Fraction itself at rational points."""
-        return Fraction if self.ring is None else ring_quotient
 
 
 def _homogeneous(form, xs, ys=None) -> _Homogeneous:
     """The form at the points in homogeneous coordinates: the one place that
     reads the point type.  Points in Q(sqrt(d)) share one radicand, and
-    two raise DomainError.  A pole raises PoleError as pair_table does."""
+    two raise DomainError.  The first pole in row-major order raises
+    PoleError naming its pair."""
     ring = ring_of(xs if ys is None else (*xs, *ys))
     coeffs = [getattr(form, f.name) for f in fields(form)]
     if isinstance(form, SymmetricForm):
@@ -248,7 +248,7 @@ def _homogeneous(form, xs, ys=None) -> _Homogeneous:
     coeffs = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
     hx = ring_parts(xs, ring)
     hy = None if ys is None else ring_parts(ys, ring)
-    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy), ring)
+    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
 
 
 def _differences(points):
@@ -259,21 +259,6 @@ def _differences(points):
         [pj * qi - pi * qj for pj, qj in zip(ps[i + 1:], qs[i + 1:])]
         for i, (pi, qi) in enumerate(zip(ps, qs))
     ]
-
-
-def pair_table(form, xs, ys=None):
-    """The rows of f(x_i, y_j) over all pairs or, with ys None, of
-    g(x_i, x_j) over j > i.  The first zero in row-major order raises
-    PoleError naming its pair.  f(x_i, y_j) is F_ij / (L q_i s_j): a
-    QuadExt when the form reads a point in Q(sqrt(d)), else a Fraction."""
-    h = _homogeneous(form, xs, ys)
-    qs, quotient = h.xs[1], h.quotient
-    ss = qs if ys is None else h.ys[1]
-    rows = []
-    for i, (q, row) in enumerate(zip(qs, h.table)):
-        columns = ss[i + 1:] if ys is None else ss
-        rows.append([quotient(v, h.scale * q * s) for v, s in zip(row, columns)])
-    return rows
 
 
 def _mirrored(upper, skew: bool):
@@ -299,9 +284,9 @@ def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatr
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     h = _homogeneous(f, pc.xs, pc.ys)
-    ss, quotient = h.ys[1], h.quotient
+    ss = h.ys[1]
     rows = [
-        [quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
+        [ring_quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
         for q, row in zip(h.xs[1], h.table)
     ]
     return SquareMatrix(rows)
@@ -315,10 +300,10 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     h = _homogeneous(g, pc.xs)
-    lp, qs, quotient = h.scale**power, h.xs[1], h.quotient
+    lp, qs = h.scale**power, h.xs[1]
     upper = [
         [
-            quotient(lp * d * (qi * qj) ** (power - 1), v**power)
+            ring_quotient(lp * d * (qi * qj) ** (power - 1), v**power)
             for v, d, qj in zip(row, ds, qs[i + 1:])
         ]
         for i, (qi, row, ds) in enumerate(zip(qs, h.table, _differences(h.xs)))
@@ -335,9 +320,9 @@ def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
     """
     _half_count(pc)
     h = _homogeneous(g, pc.xs)
-    qs, quotient = h.xs[1], h.quotient
+    qs = h.xs[1]
     upper = [
-        [quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
+        [ring_quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
         for i, (qi, row) in enumerate(zip(qs, h.table))
     ]
     return SquareMatrix(_mirrored(upper, skew=False))
@@ -398,6 +383,29 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
     """
     _half_count(pc)
     return ring_quotient(*_closed_form(_homogeneous(g, pc.xs)))
+
+
+# -- the structured identities ---------------------------------------------
+
+
+def _sides(family: str, pc: PointConfig, form):
+    """(lhs, rhs) of one structured identity at pc: a general kernel on a
+    builder's matrix, against the closed form.
+
+        DET    det(1/f)            = cauchy_det_closed
+        BORCH  det(1/f^2)          = cauchy_det_closed * perm(1/f)
+        SCHUR  Pf((x_j - x_i)/g)   = schur_pf_closed
+        MAIN   Pf((x_j - x_i)/g^2) = schur_pf_closed * Hf(1/g)
+    """
+    if family == "DET":
+        return det_bareiss(build_cauchy(pc, form)), cauchy_det_closed(pc, form)
+    if family == "BORCH":
+        lhs = det_bareiss(build_cauchy(pc, form, power=2))
+        return lhs, cauchy_det_closed(pc, form) * perm_ryser(build_cauchy(pc, form))
+    if family == "SCHUR":
+        return pf_elimination(build_schur(pc, form)), schur_pf_closed(pc, form)
+    lhs = pf_elimination(build_schur(pc, form, power=2))
+    return lhs, schur_pf_closed(pc, form) * hf_recursive(build_hafnian_mat(pc, form))
 
 
 # -- fast paths ------------------------------------------------------------
@@ -581,16 +589,17 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
       * the generalized identities for g hold at the original points.
     All comparisons are bit-exact; any surviving odd power of sqrt(disc)
     shows up as a failed comparison, never as a guess.  A pole of g at the
-    points raises PoleError as pair_table does.  A point at the map's own
-    pole (s - b)/a selects the map of the root -s instead; PoleError is
-    raised only when the points hold the poles of both.  lhs and rhs of the
-    report are the two sides of the generalized Pfaffian-Hafnian identity.
+    points raises PoleError naming its pair, before the map's poles are
+    looked at.  A point at the map's own pole (s - b)/a selects the map of
+    the root -s instead; PoleError is raised only when the points hold the
+    poles of both.  lhs and rhs of the report are the two sides of the
+    generalized Pfaffian-Hafnian identity.
     """
     start = time.perf_counter()
     mob = moebius_for_form(g)
     _half_count(pc)  # an odd count is refused before any pole
     xs = pc.xs
-    table = pair_table(g, xs)
+    _homogeneous(g, xs)  # a pole of g is named before the map's poles
     s = mob.B * mob.C - mob.A * mob.D
     u = [mob.C * x + mob.D for x in xs]
     if 0 in u:
@@ -611,9 +620,9 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     checks = {
         "entrywise_factorization": all(
             (phi[j] - phi[i]) * u[i] * u[j] == -s * (xs[j] - xs[i])
-            and (phi[i] + phi[j]) * u[i] * u[j] == gv
-            for i, row in enumerate(table)
-            for j, gv in enumerate(row, i + 1)
+            and (phi[i] + phi[j]) * u[i] * u[j] == g(xs[i], xs[j])
+            for i in range(len(xs))
+            for j in range(i + 1, len(xs))
         )
     }
     # The classical x + y identities at the images, then the generalized
@@ -623,11 +632,9 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
         ("classical", "images", images, SymmetricForm.from_name("x+y")),
         ("generalized", "points", pc, g),
     ):
-        closed = schur_pf_closed(pts, form)
-        schur = pf_elimination(build_schur(pts, form, power=1))
+        schur, closed = _sides("SCHUR", pts, form)
         checks[f"{kind}_schur_at_{where}"] = schur == closed
-        lhs = pf_elimination(build_schur(pts, form, power=2))
-        rhs = closed * hf_recursive(build_hafnian_mat(pts, form))
+        lhs, rhs = _sides("MAIN", pts, form)
         checks[f"{kind}_pf_hf_at_{where}"] = lhs == rhs
     return IdentityReport(
         identity="SUBSTITUTION",

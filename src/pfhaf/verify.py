@@ -29,11 +29,8 @@ from .structured import (
     PointConfig,
     SymmetricForm,
     _homogeneous,
-    build_cauchy,
+    _sides,
     build_hafnian_mat,
-    build_schur,
-    cauchy_det_closed,
-    schur_pf_closed,
 )
 
 
@@ -252,19 +249,8 @@ def _check(identity: IdentityId, pc, form, z):
                 f"{identity.value} requires a {cls.__name__}, got {type(form).__name__}"
             )
         params["f" if cls is BilinearForm else "g"] = form.to_json()
-        if family == "DET":
-            lhs = det_bareiss(build_cauchy(pc, form, power=1))
-            return lhs, cauchy_det_closed(pc, form), params
-        if family == "BORCH":
-            lhs = det_bareiss(build_cauchy(pc, form, power=2))
-            closed = cauchy_det_closed(pc, form)
-            return lhs, closed * perm_ryser(build_cauchy(pc, form, power=1)), params
-        if family == "SCHUR":
-            lhs = pf_elimination(build_schur(pc, form, power=1))
-            return lhs, schur_pf_closed(pc, form), params
-        lhs = pf_elimination(build_schur(pc, form, power=2))
-        rhs = schur_pf_closed(pc, form) * hf_recursive(build_hafnian_mat(pc, form))
-        if name is not None:
+        lhs, rhs = _sides(family, pc, form)
+        if family == "MAIN" and name is not None:
             # MAIN1/MAIN2 are printed with numerators x_i - x_j.  Negating
             # the m x m skew matrix multiplies its Pfaffian by (-1)^{m/2},
             # and so does flipping the m(m-1)/2 factors of the closed form.
@@ -329,7 +315,9 @@ def _check(identity: IdentityId, pc, form, z):
     m = len(xs)
     rows = [[xs[j] - xs[i] for j in range(m)] for i in range(m)]
     lhs = pf_elimination(SquareMatrix(rows))
-    rhs = xs[1] - xs[0] if m == 2 else Fraction(0)
+    # x_j - x_i has rank <= 2, so the Pfaffian is 0 from m = 4 on; the
+    # empty matrix has Pfaffian 1.
+    rhs = xs[1] - xs[0] if m == 2 else Fraction(1 if m == 0 else 0)
     return lhs, rhs, params
 
 

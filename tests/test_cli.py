@@ -427,6 +427,12 @@ def test_verify_unknown_identity_lists_valid_ids(capsys):
     assert "CAUCHY1" in err and "DEGENERATE_PF" in err
 
 
+def test_verify_only_without_an_id_is_refused(capsys):
+    code, err = refused(capsys, "verify", "--only", ",")
+    assert code == 2
+    assert "argument --only: no identity ids in ','" in err
+
+
 def test_eval_negative_decimal_refused(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")

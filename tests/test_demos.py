@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,5 +19,10 @@ def test_demos_run():
             [sys.executable, str(demo)], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, (demo.name, proc.stderr)
+        failed = re.search(r"->\s*False|\bFAIL", proc.stdout)
+        assert not failed, (demo.name, proc.stdout)
+        if demo.name == "identity_tour.py":
+            # Borchardt, Pfaffian-Hafnian, GEN_DET, GEN_SCHUR, GEN_MAIN
+            assert len(re.findall(r"->\s*True$", proc.stdout, re.M)) == 5, proc.stdout
         if demo.name == "quadratic_substitution.py":
             assert "overall: PASS" in proc.stdout

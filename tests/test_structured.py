@@ -35,7 +35,6 @@ from pfhaf.structured import (
     fast_cauchy_hafnian,
     fast_cauchy_perm,
     moebius_for_form,
-    pair_table,
     schur_pf_closed,
     sqrt_disc,
     substitution_witness,
@@ -260,7 +259,9 @@ def test_schur_pf_closed_matches_kernel():
 
 
 def field_table(form, xs, ys=None):
-    """pair_table written out through form(x, y), with its pole rule."""
+    """The rows of f(x_i, y_j) over all pairs or, with ys None, of
+    g(x_i, x_j) over j > i, through form(x, y); the first zero in
+    row-major order raises PoleError naming its pair."""
     rows = []
     for i, x in enumerate(xs):
         lo = 0 if ys is not None else i + 1
@@ -297,7 +298,7 @@ def field_values(form, pc):
                 closed *= (xs[j] - xs[i]) * (ys[j] - ys[i])
         for v in (v for row in table for v in row):
             closed /= v
-        out = {"pair_table": table, "closed": closed}
+        out = {"closed": closed}
         for p in (1, 2):
             out[f"cauchy{p}"] = [[1 / v**p for v in row] for row in table]
         return out
@@ -307,7 +308,7 @@ def field_values(form, pc):
     for i, row in enumerate(table):
         for j, v in enumerate(row, i + 1):
             closed *= (xs[j] - xs[i]) / v
-    out = {"pair_table": table, "closed": closed}
+    out = {"closed": closed}
     for p in (1, 2):
         out[f"schur{p}"] = field_matrix(
             [[(xs[j] - xs[i]) / v**p for j, v in enumerate(row, i + 1)]
@@ -321,14 +322,11 @@ def field_values(form, pc):
 def program_values(form, pc):
     """The same values from the program."""
     if pc.ys is not None:
-        out = {
-            "pair_table": pair_table(form, pc.xs, pc.ys),
-            "closed": cauchy_det_closed(pc, form),
-        }
+        out = {"closed": cauchy_det_closed(pc, form)}
         for p in (1, 2):
             out[f"cauchy{p}"] = build_cauchy(pc, form, power=p).entries
         return out
-    out = {"pair_table": pair_table(form, pc.xs), "closed": schur_pf_closed(pc, form)}
+    out = {"closed": schur_pf_closed(pc, form)}
     for p in (1, 2):
         out[f"schur{p}"] = build_schur(pc, form, power=p).entries
     out["hafnian"] = build_hafnian_mat(pc, form).entries
@@ -409,7 +407,7 @@ def layer_cases(draw, radicand):
 
 
 def layer_names(pc):
-    return ("pair_table", "closed") + (
+    return ("closed",) + (
         ("cauchy1", "cauchy2") if pc.ys is not None else ("schur1", "schur2", "hafnian")
     )
 
@@ -929,6 +927,20 @@ def test_witness_takes_the_other_root_at_the_map_pole():
     with pytest.raises(PoleError, match="poles at 1 and -1") as exc:
         substitution_witness(PointConfig([1, -1, 2, 3]), g)
     assert exc.value.pair is None
+
+
+@pytest.mark.parametrize(
+    "xs, message, pair",
+    [
+        ([1, 2, F(1, 2), 3], "g(x_2, x_3) = 0", (2, 3)),  # one map pole held
+        ([1, -1, 2, F(1, 2)], "g(x_3, x_4) = 0", (3, 4)),  # both map poles held
+    ],
+)
+def test_witness_names_a_pole_of_g_before_the_map_poles(xs, message, pair):
+    # g = xy - 1: the maps of the two roots have their poles at 1 and -1
+    with pytest.raises(PoleError) as exc:
+        substitution_witness(PointConfig(xs), SymmetricForm(1, 0, -1))
+    assert str(exc.value) == message and exc.value.pair == pair
 
 
 def test_witness_rejects_degenerate():

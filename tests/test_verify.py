@@ -204,6 +204,10 @@ def test_carlitz_hand_instance():
 
 
 def test_degenerate_pf_values():
+    # the empty matrix has Pfaffian 1
+    rep0 = check_identity(IdentityId.DEGENERATE_PF, PointConfig([]))
+    assert rep0.passed
+    assert rep0.lhs == rep0.rhs == "1"
     rep2 = check_identity(IdentityId.DEGENERATE_PF, PointConfig([F(1), F(4)]))
     assert rep2.passed
     assert rep2.lhs == "3"
