@@ -13,14 +13,18 @@ O(n^3) algorithms for the permanent and the Hafnian of these matrices,
 which is the whole computational payoff: both functionals are
 exponential-time in general.
 
-A form meets its points in one layer, on integers: the points and the
-form are written in homogeneous coordinates (x = p/q, and the form scaled
-by the lcm L of its coefficient denominators), the builders, the closed
-forms, the fast paths and gen_points' pole test read the integer table of
-the form at the points, and each value becomes at most one Fraction.  A
+A form meets its points once per call, on integers.  _table is the one
+reader of a structured function's input: it refuses a form of the wrong
+class and points of the wrong shape, and returns the integer table of the
+form at the points in homogeneous coordinates (x = p/q, and the form
+scaled by the lcm L of its coefficient denominators), which reads the
+point type and raises the first pole.  The builders, the closed forms, the
+fast paths, the identity checks and the substitution witness all work
+from that one table, and each value becomes at most one Fraction.  A
 point in Q(sqrt(d)) has p in Z[sqrt(D)], a pair of ints (see
 scalar.ring_parts); the same code runs on those pairs, and a value that
-reads one becomes one QuadExt.
+reads one becomes one QuadExt.  gen_points' pole test, which reads no
+shape, builds the table with _homogeneous alone.
 
 Note on signs: the product prefactor of the closed-form determinant is
 (-1)^{n(n-1)/2} (ad - bc)^{n(n-1)/2}, i.e. (bc - ad)^{n(n-1)/2}; writing
@@ -98,8 +102,8 @@ class _Form:
 
     @classmethod
     def from_name(cls, name: str):
-        coeffs = cls._NAMED.get(name.replace(" ", ""))
-        if coeffs is None:
+        coeffs = isinstance(name, str) and cls._NAMED.get(name.replace(" ", ""))
+        if not coeffs:
             raise DomainError(f"unknown form name {name!r}")
         return cls(*coeffs)
 
@@ -171,22 +175,6 @@ class SymmetricForm(_Form):
 # Q(sqrt(d)); q_i and s_j are always ints.
 
 
-def _xy_count(pc: PointConfig) -> int:
-    """n, for n x points and n y points; anything else is refused."""
-    if pc.ys is None or len(pc.xs) != len(pc.ys):
-        raise DomainError("need equally many x and y points")
-    return len(pc.xs)
-
-
-def _half_count(pc: PointConfig) -> int:
-    """n, for 2n x points; an odd count or any y point is refused."""
-    if pc.ys is not None:
-        raise DomainError("a symmetric form reads x points only; got y points")
-    if len(pc.xs) % 2 != 0:
-        raise DomainError("need an even number of x points")
-    return len(pc.xs) // 2
-
-
 def _pole(row, i: int, lo: int, symmetric: bool) -> PoleError:
     """The PoleError for the first zero of ``row``, the form at the pairs
     (i, lo), (i, lo + 1), ... (0-based), named by its 1-based pair."""
@@ -235,11 +223,10 @@ class _Homogeneous:
     table: list
 
 
-def _homogeneous(form, xs, ys=None) -> _Homogeneous:
-    """The form at the points in homogeneous coordinates: the one place that
-    reads the point type.  Points in Q(sqrt(d)) share one radicand, and
-    two raise DomainError.  The first pole in row-major order raises
-    PoleError naming its pair."""
+def _homogeneous(form, xs, ys) -> _Homogeneous:
+    """The form at the points in homogeneous coordinates, for _table and
+    gen_points' pole test.  Points in Q(sqrt(d)) share one radicand (two
+    raise DomainError); the first pole in row-major order raises PoleError."""
     ring = ring_of(xs if ys is None else (*xs, *ys))
     coeffs = [getattr(form, f.name) for f in fields(form)]
     if isinstance(form, SymmetricForm):
@@ -249,6 +236,28 @@ def _homogeneous(form, xs, ys=None) -> _Homogeneous:
     hx = ring_parts(xs, ring)
     hy = None if ys is None else ring_parts(ys, ring)
     return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
+
+
+def _table(pc: PointConfig, form, cls) -> _Homogeneous:
+    """The form at the points: the one reader of a structured function's
+    input.  A form that is not a ``cls`` is refused, then a shape other than
+    n x and n y points, or 2n x points and no y for a SymmetricForm."""
+    _need(form, cls)
+    if cls is BilinearForm:
+        if pc.ys is None or len(pc.xs) != len(pc.ys):
+            raise DomainError("need equally many x and y points")
+    elif pc.ys is not None:
+        raise DomainError("a symmetric form reads x points only; got y points")
+    elif len(pc.xs) % 2 != 0:
+        raise DomainError("need an even number of x points")
+    return _homogeneous(form, pc.xs, pc.ys)
+
+
+def _need(form, cls):
+    """form, refused with DomainError unless it is a ``cls``."""
+    if not isinstance(form, cls):
+        raise DomainError(f"need a {cls.__name__}, got {type(form).__name__}")
+    return form
 
 
 def _differences(points):
@@ -280,10 +289,12 @@ def _mirrored(upper, skew: bool):
 def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatrix:
     """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}:
     (L q_i s_j)^power / F_ij^power."""
-    _xy_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    h = _homogeneous(f, pc.xs, pc.ys)
+    return _cauchy(_table(pc, f, BilinearForm), power)
+
+
+def _cauchy(h: _Homogeneous, power: int) -> SquareMatrix:
     ss = h.ys[1]
     rows = [
         [ring_quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
@@ -296,10 +307,12 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
     """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in
     {1, 2}: L^power d_ij (q_i q_j)^(power - 1) / G_ij^power, with
     d_ij = p_j q_i - p_i q_j."""
-    _half_count(pc)
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    h = _homogeneous(g, pc.xs)
+    return _schur(_table(pc, g, SymmetricForm), power)
+
+
+def _schur(h: _Homogeneous, power: int) -> SquareMatrix:
     lp, qs = h.scale**power, h.xs[1]
     upper = [
         [
@@ -318,8 +331,10 @@ def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
     The diagonal is stored as 0: the Hafnian never reads it, and
     g(x_i, x_i) may legitimately be a pole.
     """
-    _half_count(pc)
-    h = _homogeneous(g, pc.xs)
+    return _hafnian(_table(pc, g, SymmetricForm))
+
+
+def _hafnian(h: _Homogeneous) -> SquareMatrix:
     qs = h.xs[1]
     upper = [
         [ring_quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
@@ -370,8 +385,7 @@ def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
         (bc - ad)^{n(n-1)/2} * prod_{i<j} (x_j - x_i)(y_j - y_i)
                              / prod_{i,j} f(x_i, y_j)
     """
-    _xy_count(pc)
-    return ring_quotient(*_closed_form(_homogeneous(f, pc.xs, pc.ys)))
+    return ring_quotient(*_closed_form(_table(pc, f, BilinearForm)))
 
 
 def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
@@ -381,31 +395,29 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
     where the matrix is 2n x 2n.
     """
-    _half_count(pc)
-    return ring_quotient(*_closed_form(_homogeneous(g, pc.xs)))
+    return ring_quotient(*_closed_form(_table(pc, g, SymmetricForm)))
 
 
 # -- the structured identities ---------------------------------------------
 
 
-def _sides(family: str, pc: PointConfig, form):
-    """(lhs, rhs) of one structured identity at pc: a general kernel on a
-    builder's matrix, against the closed form.
+def _sides(family: str, h: _Homogeneous):
+    """(lhs, rhs) of one structured identity on the table h of _table: a
+    general kernel on a builder's matrix, against the closed form.
 
         DET    det(1/f)            = cauchy_det_closed
         BORCH  det(1/f^2)          = cauchy_det_closed * perm(1/f)
         SCHUR  Pf((x_j - x_i)/g)   = schur_pf_closed
         MAIN   Pf((x_j - x_i)/g^2) = schur_pf_closed * Hf(1/g)
     """
+    closed = ring_quotient(*_closed_form(h))
     if family == "DET":
-        return det_bareiss(build_cauchy(pc, form)), cauchy_det_closed(pc, form)
+        return det_bareiss(_cauchy(h, 1)), closed
     if family == "BORCH":
-        lhs = det_bareiss(build_cauchy(pc, form, power=2))
-        return lhs, cauchy_det_closed(pc, form) * perm_ryser(build_cauchy(pc, form))
+        return det_bareiss(_cauchy(h, 2)), closed * perm_ryser(_cauchy(h, 1))
     if family == "SCHUR":
-        return pf_elimination(build_schur(pc, form)), schur_pf_closed(pc, form)
-    lhs = pf_elimination(build_schur(pc, form, power=2))
-    return lhs, schur_pf_closed(pc, form) * hf_recursive(build_hafnian_mat(pc, form))
+        return pf_elimination(_schur(h, 1)), closed
+    return pf_elimination(_schur(h, 2)), closed * hf_recursive(_hafnian(h))
 
 
 # -- fast paths ------------------------------------------------------------
@@ -460,19 +472,18 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     Q(sqrt(d)), and the only Fraction or QuadExt is the final quotient.
     Poles are found in row-major order, as the closed form finds them.
     """
-    if f.disc == 0:
+    if _need(f, BilinearForm).disc == 0:
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
-    n = _xy_count(pc)
-    h = _homogeneous(f, pc.xs, pc.ys)
+    h = _table(pc, f, BilinearForm)
     lcms, quotients, order = _row_lcm_scaling(h.table)
     # The permanent does not see the order of the x points; det(N) and the
     # closed form change sign together.
     h = replace(h, xs=_reordered(h.xs, order))
     det_n = det_bareiss(SquareMatrix([[u * u for u in quotients[i]] for i in order]))
     num, den = _closed_form(h)
-    weight = h.scale**n * math.prod(h.xs[1]) * math.prod(h.ys[1])
+    weight = h.scale ** len(pc.xs) * math.prod(h.xs[1]) * math.prod(h.ys[1])
     return ring_quotient(weight**2 * det_n * den, math.prod(lcms) ** 2 * num)
 
 
@@ -494,16 +505,15 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     from the integer elimination, over Z[sqrt(D)] at points in Q(sqrt(d)),
     and the only Fraction or QuadExt is the final quotient.
     """
-    if g.disc == 0:
+    if _need(g, SymmetricForm).disc == 0:
         raise DegenerateFormError(
             "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead"
         )
-    m = 2 * _half_count(pc)
-    h = _homogeneous(g, pc.xs)
+    h = _table(pc, g, SymmetricForm)
     # The table holds j > i; the row lcms read the whole symmetric table,
     # with 1 on the diagonal.
     gs = h.table
-    full = [[gs[j][i - j - 1] for j in range(i)] + [1] + gs[i] for i in range(m)]
+    full = [[gs[j][i - j - 1] for j in range(i)] + [1] + gs[i] for i in range(len(gs))]
     dens, quotients, order = _row_lcm_scaling(full)
     # The Hafnian does not see the order of the points; Pf(M) and the
     # closed form change sign together.
@@ -515,7 +525,7 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
         for i, ds in enumerate(_differences(h.xs))
     ]
     num, den = _closed_form(h)
-    weight = h.scale**m * math.prod(h.xs[1])
+    weight = h.scale ** len(pc.xs) * math.prod(h.xs[1])
     return ring_quotient(weight * pf_fraction_free(mat) * den, math.prod(dens) * num)
 
 
@@ -558,7 +568,7 @@ def moebius_for_form(g: SymmetricForm) -> MoebiusMap:
 
     Requires a nonzero discriminant.
     """
-    if g.disc == 0:
+    if _need(g, SymmetricForm).disc == 0:
         raise DegenerateFormError("b^2 - ac = 0: no Moebius reduction")
     if g.a == 0:
         return MoebiusMap(A=g.b, B=g.c / 2, C=Fraction(0), D=Fraction(1))
@@ -597,9 +607,8 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     """
     start = time.perf_counter()
     mob = moebius_for_form(g)
-    _half_count(pc)  # an odd count is refused before any pole
+    at_points = _table(pc, g, SymmetricForm)  # a pole of g is named before the map's
     xs = pc.xs
-    _homogeneous(g, xs)  # a pole of g is named before the map's poles
     s = mob.B * mob.C - mob.A * mob.D
     u = [mob.C * x + mob.D for x in xs]
     if 0 in u:
@@ -628,13 +637,13 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     # The classical x + y identities at the images, then the generalized
     # ones for g at the points: the Schur identity and the Pfaffian-Hafnian
     # identity, both with numerators x_j - x_i.
-    for kind, where, pts, form in (
-        ("classical", "images", images, SymmetricForm.from_name("x+y")),
-        ("generalized", "points", pc, g),
+    for kind, where, h in (
+        ("classical", "images", _table(images, SymmetricForm(0, 1, 0), SymmetricForm)),
+        ("generalized", "points", at_points),
     ):
-        schur, closed = _sides("SCHUR", pts, form)
+        schur, closed = _sides("SCHUR", h)
         checks[f"{kind}_schur_at_{where}"] = schur == closed
-        lhs, rhs = _sides("MAIN", pts, form)
+        lhs, rhs = _sides("MAIN", h)
         checks[f"{kind}_pf_hf_at_{where}"] = lhs == rhs
     return IdentityReport(
         identity="SUBSTITUTION",

@@ -30,6 +30,7 @@ from .structured import (
     SymmetricForm,
     _homogeneous,
     _sides,
+    _table,
     build_hafnian_mat,
 )
 
@@ -136,8 +137,12 @@ def gen_points(
     rejected while any pair hits a zero of the form, read from the integer
     table of the form at the points, with no Fraction made.  Raises
     GenError when the constraints cannot be met within the attempt budget,
-    DomainError for a negative count or a max_den below 1.
+    DomainError for a count that is not an int or is negative, or a max_den
+    below 1.
     """
+    for name, count in (("m", m), ("ys", ys)):
+        if count is not None and not isinstance(count, int):
+            raise DomainError(f"{name} must be an int, got {count!r}")
     if min(m, ys or 0) < 0:
         raise DomainError(f"point counts must be >= 0, got {min(m, ys or 0)}")
     if max_den < 1:
@@ -249,7 +254,7 @@ def _check(identity: IdentityId, pc, form, z):
                 f"{identity.value} requires a {cls.__name__}, got {type(form).__name__}"
             )
         params["f" if cls is BilinearForm else "g"] = form.to_json()
-        lhs, rhs = _sides(family, pc, form)
+        lhs, rhs = _sides(family, _table(pc, form, cls))
         if family == "MAIN" and name is not None:
             # MAIN1/MAIN2 are printed with numerators x_i - x_j.  Negating
             # the m x m skew matrix multiplies its Pfaffian by (-1)^{m/2},
@@ -408,15 +413,22 @@ def run_suite(
     Failures do not stop the run; they are data.  Reports come back sorted
     by (identity, size, trial).  A sweep that would check nothing (no sizes,
     fewer than one trial, or an ``only`` that selects no identity) is
-    refused with DomainError, and so is an ``only`` that holds anything but
-    IdentityId members; one with a size beyond an identity's kernel guard is
-    refused with SizeError.  Each refusal comes before any cell is computed.
+    refused with DomainError, and so are sizes or a trial count that are not
+    ints, and an ``only`` that holds anything but IdentityId members; one
+    with a size beyond an identity's kernel guard is refused with SizeError.
+    Each refusal comes before any cell is computed.
     """
-    sizes = sorted(sizes)
+    sizes = list(sizes)
+    stray = next((s for s in sizes if not isinstance(s, int)), None)
+    if stray is not None:
+        raise DomainError(f"sizes must be ints, got {stray!r}")
+    sizes.sort()
     if not sizes:
         raise DomainError("need at least one size")
     if sizes[0] < 1:
         raise DomainError(f"sizes must be >= 1, got {sizes[0]}")
+    if not isinstance(trials_per_size, int):
+        raise DomainError(f"trials_per_size must be an int, got {trials_per_size!r}")
     if trials_per_size < 1:
         raise DomainError(f"need at least one trial per size, got {trials_per_size}")
     if only is not None:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
@@ -118,8 +119,10 @@ def test_form_names_and_discs():
     g1m = SymmetricForm.from_name("1-xy")
     assert g1m == SymmetricForm(F(-1), F(0), F(1))
     assert g1m.disc == 1
-    with pytest.raises(DomainError):
-        BilinearForm.from_name("x*y+1")
+    for cls in (BilinearForm, SymmetricForm):
+        for name in ("x*y+1", 3, None):
+            with pytest.raises(DomainError, match=re.escape(f"unknown form name {name!r}")):
+                cls.from_name(name)
 
 
 @given(coefs, coefs, coefs, coefs, st.one_of(points, quads), st.one_of(points, quads))
@@ -181,27 +184,75 @@ def test_build_hafnian_mat_entries():
 
 
 def test_builders_reject_bad_input():
-    with pytest.raises(DomainError):
-        build_cauchy(PointConfig([F(1)]), XPY)  # no ys
-    with pytest.raises(DomainError):
+    # a bad shape or form is in test_structured_entries_refuse_bad_input
+    with pytest.raises(DomainError, match="power must be 1 or 2"):
         build_cauchy(PointConfig([F(1)], [F(2)]), XPY, power=3)
-    with pytest.raises(DomainError):
-        build_schur(PointConfig([F(1), F(2), F(3)]), GXPY)  # odd
+    with pytest.raises(DomainError, match="power must be 1 or 2"):
+        build_schur(PointConfig([F(1), F(2)]), GXPY, power=0)
 
 
-@pytest.mark.parametrize(
-    "functional",
-    [
-        build_schur,
-        build_hafnian_mat,
-        schur_pf_closed,
-        fast_cauchy_hafnian,
-        substitution_witness,
-    ],
-)
-def test_symmetric_functionals_refuse_y_points(functional):
-    with pytest.raises(DomainError, match="x points only; got y points"):
-        functional(PointConfig([1, 2], [3, 4]), SymmetricForm(1, 2, 3))
+# Every structured entry and the form class it reads.
+ENTRIES = {
+    build_cauchy: BilinearForm,
+    cauchy_det_closed: BilinearForm,
+    fast_cauchy_perm: BilinearForm,
+    build_schur: SymmetricForm,
+    build_hafnian_mat: SymmetricForm,
+    schur_pf_closed: SymmetricForm,
+    fast_cauchy_hafnian: SymmetricForm,
+    moebius_for_form: SymmetricForm,
+    substitution_witness: SymmetricForm,
+}
+
+
+# Per form class: points of the right shape, a form of the other class, a
+# form of this class, and wrong shapes with their messages.
+SHAPES = {
+    BilinearForm: (
+        PointConfig([1, 2], [3, 4]),
+        SymmetricForm(1, 2, 3),
+        XPY,
+        {
+            "no_y": (PointConfig([1, 2]), "need equally many x and y points"),
+            "short_y": (PointConfig([1, 2], [3]), "need equally many x and y points"),
+        },
+    ),
+    SymmetricForm: (
+        PointConfig([1, 2, 5, 7]),
+        BilinearForm(1, 2, 3, 4),
+        GXPY,
+        {
+            "y_points": (
+                PointConfig([1, 2], [3, 4]),
+                "a symmetric form reads x points only; got y points",
+            ),
+            "odd": (PointConfig([1, 2, 3]), "need an even number of x points"),
+        },
+    ),
+}
+
+
+def refusal_cases():
+    """(entry, points, form, message) for a wrong form class, None and a
+    wrong point shape; the class is refused before the shape is read."""
+    for entry, cls in ENTRIES.items():
+        good, other, form, shapes = SHAPES[cls]
+        name, need = entry.__name__, f"need a {cls.__name__}, got"
+        wrong_class = f"{need} {type(other).__name__}"
+        yield pytest.param(entry, good, other, wrong_class, id=f"{name}-class")
+        yield pytest.param(entry, good, None, f"{need} NoneType", id=f"{name}-None")
+        if entry is moebius_for_form:
+            continue  # it reads no points
+        for what, (pc, message) in shapes.items():
+            yield pytest.param(entry, pc, form, message, id=f"{name}-{what}")
+            yield pytest.param(entry, pc, other, wrong_class, id=f"{name}-class_{what}")
+
+
+@pytest.mark.parametrize("entry, pc, form, message", refusal_cases())
+def test_structured_entries_refuse_bad_input(entry, pc, form, message):
+    with pytest.raises(DomainError) as exc:
+        entry(form) if entry is moebius_for_form else entry(pc, form)
+    assert type(exc.value) is DomainError and str(exc.value) == message
 
 
 # -- closed forms ----------------------------------------------------------

@@ -70,6 +70,35 @@ def test_gen_points_impossible_raises():
             gen_points(1, 4, max_den=max_den)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: gen_points(1, 2.5), "m must be an int, got 2.5", id="m"),
+        pytest.param(
+            lambda: gen_points(1, 2, ys="2"), "ys must be an int, got '2'", id="ys"
+        ),
+        pytest.param(
+            lambda: run_suite(1, "12", 1), "sizes must be ints, got '1'", id="sizes"
+        ),
+        pytest.param(
+            lambda: run_suite(1, [1, 2.0], 1),
+            "sizes must be ints, got 2.0",
+            id="float_size",
+        ),
+        pytest.param(
+            lambda: run_suite(1, [1], 1.5, only={IdentityId.CAUCHY1}),
+            "trials_per_size must be an int, got 1.5",
+            id="trials",
+        ),
+    ],
+)
+def test_counts_that_are_not_ints_are_refused(monkeypatch, call, message):
+    monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_gen_points_empty_range_raises_gen_error():
     for positive in (True, False):
         with pytest.raises(GenError, match="empty range"):
