@@ -240,9 +240,11 @@ def _homogeneous(form, xs, ys) -> _Homogeneous:
 
 def _table(pc: PointConfig, form, cls) -> _Homogeneous:
     """The form at the points: the one reader of a structured function's
-    input.  A form that is not a ``cls`` is refused, then a shape other than
-    n x and n y points, or 2n x points and no y for a SymmetricForm."""
+    input.  A form that is not a ``cls`` is refused, then points that are
+    not a PointConfig, then a shape other than n x and n y points, or 2n x
+    points and no y for a SymmetricForm."""
     _need(form, cls)
+    _need(pc, PointConfig)
     if cls is BilinearForm:
         if pc.ys is None or len(pc.xs) != len(pc.ys):
             raise DomainError("need equally many x and y points")
@@ -253,11 +255,11 @@ def _table(pc: PointConfig, form, cls) -> _Homogeneous:
     return _homogeneous(form, pc.xs, pc.ys)
 
 
-def _need(form, cls):
-    """form, refused with DomainError unless it is a ``cls``."""
-    if not isinstance(form, cls):
-        raise DomainError(f"need a {cls.__name__}, got {type(form).__name__}")
-    return form
+def _need(value, cls):
+    """value, refused with DomainError unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _differences(points):

@@ -413,11 +413,16 @@ def run_suite(
     Failures do not stop the run; they are data.  Reports come back sorted
     by (identity, size, trial).  A sweep that would check nothing (no sizes,
     fewer than one trial, or an ``only`` that selects no identity) is
-    refused with DomainError, and so are sizes or a trial count that are not
-    ints, and an ``only`` that holds anything but IdentityId members; one
-    with a size beyond an identity's kernel guard is refused with SizeError.
-    Each refusal comes before any cell is computed.
+    refused with DomainError, and so are sizes that are not an iterable of
+    ints, a trial count that is not an int, and an ``only`` that holds
+    anything but IdentityId members; one with a size beyond an identity's
+    kernel guard is refused with SizeError.  Each refusal comes before any
+    cell is computed.
     """
+    try:
+        sizes = iter(sizes)
+    except TypeError:
+        raise DomainError(f"sizes must be an iterable of ints, got {sizes!r}") from None
     sizes = list(sizes)
     stray = next((s for s in sizes if not isinstance(s, int)), None)
     if stray is not None:

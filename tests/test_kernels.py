@@ -1,12 +1,18 @@
 import gc
+import json
+import marshal
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pfhaf import kernels
 from pfhaf.errors import DomainError, SizeError
 from pfhaf.kernels import (
     det_bareiss,
@@ -618,3 +624,228 @@ def test_evaluate_oracle_only_on_request():
     assert evaluate(big, "det", "fast") == 1
     with pytest.raises(SizeError):
         evaluate(big, "det", "oracle")
+
+
+# -- the forked helper -----------------------------------------------------
+#
+# det_bareiss from n = _DET_HALVES_MIN and pf_fraction_free from 2n =
+# _PF_HALVES_MIN split their row updates with one forked helper when the
+# rows are ints and two CPUs are free.  These tests sit one step either side
+# of each threshold; the `forks` fixture counts the helpers forked, which is
+# 0 on a machine with one CPU.
+
+PF_MIN, DET_MIN = kernels._PF_HALVES_MIN, kernels._DET_HALVES_MIN
+TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    count = [0]
+    fork = os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+def helpers(calls):
+    """The helpers that ``calls`` at or above a threshold fork."""
+    return calls if TWO_CPUS else 0
+
+
+def entries(rng, n, scalar, skew=False):
+    """n x n int or Fraction entries, skew-symmetric with ``skew``."""
+    def draw():
+        v = rng.randint(-99, 99)
+        return F(v, rng.randint(1, 6)) if scalar is F else v
+
+    rows = [[draw() for _ in range(n)] for _ in range(n)]
+    if skew:
+        for i in range(n):
+            rows[i][i] = scalar(0)
+            for j in range(i):
+                rows[i][j] = -rows[j][i]
+    return rows
+
+
+def direct_sum(rows, block):
+    zero = 0 * rows[0][0]
+    n, m = len(rows), len(block)
+    return [row + [zero] * m for row in rows] + [[zero] * n + list(b) for b in block]
+
+
+def swapped(rows, i, j, both=True):
+    """rows with rows i and j swapped, and columns i and j too if ``both``."""
+    out = [list(row) for row in rows]
+    out[i], out[j] = out[j], out[i]
+    if both:
+        for row in out:
+            row[i], row[j] = row[j], row[i]
+    return out
+
+
+def pf(rows):
+    return pf_elimination(SquareMatrix(rows))
+
+
+def det(rows):
+    return det_bareiss(SquareMatrix(rows))
+
+
+@pytest.mark.parametrize("scalar", [int, F])
+def test_helper_thresholds_keep_values_and_types(forks, scalar):
+    rng = random.Random(61)
+    a = entries(rng, PF_MIN - 2, scalar, skew=True)
+    below = pf(a)
+    assert forks[0] == 0
+    above = pf(direct_sum(a, [[scalar(0), scalar(1)], [scalar(-1), scalar(0)]]))
+    assert forks[0] == helpers(1)
+    assert above == below and type(above) is type(below) is scalar
+    assert det(a) == below * below  # det at n = PF_MIN - 2 forks too
+    b = entries(rng, DET_MIN - 1, scalar)
+    calls = forks[0]
+    below = det(b)
+    assert forks[0] == calls
+    above = det(direct_sum(b, [[scalar(1)]]))
+    assert forks[0] == helpers(3)
+    assert above == below != 0 and type(above) is type(below) is scalar
+
+
+@pytest.mark.parametrize("scalar", [int, F])
+def test_helper_zero_pivots_and_zero_rows(forks, scalar):
+    rng = random.Random(62)
+    zero = scalar(0)
+    # Pf: a zero pivot at step 0, one at step 2 (Pf of the leading 4 x 4
+    # block is 0), and a zero row with and without a swap before it.
+    a = entries(rng, PF_MIN, scalar, skew=True)
+    a[0][2], a[2][0] = zero, zero
+    assert pf(swapped(a, 1, 2)) == -pf(a) != 0
+    a = entries(rng, PF_MIN, scalar, skew=True)
+    a[0][1], a[1][0] = scalar(1), scalar(-1)
+    a[2][3] = a[0][2] * a[1][3] - a[0][3] * a[1][2]
+    a[3][2] = -a[2][3]
+    assert pf(a) == -pf(swapped(a, 3, 4)) != 0
+    for index in (4, 5):
+        a = entries(rng, PF_MIN, scalar, skew=True)
+        for j in range(PF_MIN):
+            a[index][j], a[j][index] = zero, zero
+        value = pf(a)
+        assert value == 0 and type(value) is scalar
+    # det: a zero pivot at step 0, one at step 1 (the leading 2 x 2 minor
+    # is 0), a zero column and a repeated row.
+    b = entries(rng, DET_MIN, scalar)
+    b[0][0] = zero
+    assert det(b) == -det(swapped(b, 0, 1, both=False)) != 0
+    b = entries(rng, DET_MIN, scalar)
+    b[0][0] = scalar(1)
+    b[1][1] = b[1][0] * b[0][1]
+    assert det(b) == -det(swapped(b, 1, 2, both=False)) != 0
+    b = entries(rng, DET_MIN, scalar)
+    for row in b:
+        row[5] = zero
+    c = entries(rng, DET_MIN, scalar)
+    c[DET_MIN - 1] = list(c[3])
+    for value in (det(b), det(c)):
+        assert value == 0 and type(value) is scalar
+    assert forks[0] == helpers(12)
+
+
+def test_helper_sends_rows_larger_than_a_pipe_buffer(forks):
+    # One entry of 538,000 bits in the last column of A: from step 0 on,
+    # every row carries a multiple of it, and each pivot row's marshal form
+    # is larger than the 64 KiB a pipe holds, so a blocking write waits
+    # for the other side to read.
+    huge = 3 ** 340000
+    assert len(marshal.dumps(huge)) > 65536
+    rng = random.Random(63)
+    a = entries(rng, PF_MIN - 2, int, skew=True)
+    a[0][-1], a[-1][0] = huge, -huge
+    assert pf(direct_sum(a, [[0, 1], [-1, 0]])) == pf(a)
+    b = entries(rng, DET_MIN - 1, int)
+    b[0][-1] = huge
+    assert det(direct_sum(b, [[1]])) == det(b)
+    assert forks[0] == helpers(2)
+
+
+# The script prints a line before any call, so the line sits unflushed in
+# stdout's buffer when the helper is forked; a helper that flushed on exit
+# would print it twice.  After each call, os.waitpid(-1, WNOHANG) must
+# find no child at all.
+HYGIENE = """
+import json, os, random, signal
+from pfhaf.kernels import pf_fraction_free, _PF_HALVES_MIN
+from pfhaf.structured import SymmetricForm, fast_cauchy_hafnian
+from pfhaf.verify import gen_points
+
+print("printed before the calls")
+
+
+def no_child():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def skew(n, seed, bits):
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.getrandbits(bits) - 2 ** (bits - 1)
+    return rows
+
+
+checks = {}
+fast_cauchy_hafnian(gen_points(1, 40, max_den=1), SymmetricForm.from_name("x+y"))
+checks["returned"] = no_child()
+rows = skew(_PF_HALVES_MIN, 2, 16)
+rows[0][1] = 0  # a pivot swap at step 0
+pf_fraction_free(rows)
+checks["zero_pivot"] = no_child()
+
+
+class Alarm(Exception):
+    pass
+
+
+def ring(signum, frame):
+    raise Alarm
+
+
+signal.signal(signal.SIGALRM, ring)
+rows = skew(64, 3, 128)  # an elimination of about half a second
+signal.setitimer(signal.ITIMER_REAL, 0.05)
+try:
+    pf_fraction_free(rows)
+    checks["raised"] = False
+except Alarm:
+    checks["raised"] = True
+checks["after_raise"] = no_child()
+print(json.dumps(checks))
+"""
+
+
+def test_helper_leaves_no_process_and_prints_nothing():
+    # stdout is a pipe and, without PYTHONUNBUFFERED, block-buffered.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", HYGIENE],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count("printed before the calls") == 1
+    assert json.loads(lines[-1]) == {
+        "returned": True, "zero_pivot": True, "raised": True, "after_raise": True,
+    }

@@ -233,8 +233,9 @@ SHAPES = {
 
 
 def refusal_cases():
-    """(entry, points, form, message) for a wrong form class, None and a
-    wrong point shape; the class is refused before the shape is read."""
+    """(entry, points, form, message) for a wrong form class, None, points
+    that are not a PointConfig and a wrong point shape; the class is refused
+    before the points are read."""
     for entry, cls in ENTRIES.items():
         good, other, form, shapes = SHAPES[cls]
         name, need = entry.__name__, f"need a {cls.__name__}, got"
@@ -243,6 +244,12 @@ def refusal_cases():
         yield pytest.param(entry, good, None, f"{need} NoneType", id=f"{name}-None")
         if entry is moebius_for_form:
             continue  # it reads no points
+        for pc, got in (([1, 2], "list"), (None, "NoneType")):
+            message = f"need a PointConfig, got {got}"
+            yield pytest.param(entry, pc, form, message, id=f"{name}-points_{got}")
+            yield pytest.param(
+                entry, pc, other, wrong_class, id=f"{name}-class_points_{got}"
+            )
         for what, (pc, message) in shapes.items():
             yield pytest.param(entry, pc, form, message, id=f"{name}-{what}")
             yield pytest.param(entry, pc, other, wrong_class, id=f"{name}-class_{what}")

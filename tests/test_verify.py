@@ -81,6 +81,11 @@ def test_gen_points_impossible_raises():
             lambda: run_suite(1, "12", 1), "sizes must be ints, got '1'", id="sizes"
         ),
         pytest.param(
+            lambda: run_suite(1, 5, 1),
+            "sizes must be an iterable of ints, got 5",
+            id="sizes_not_iterable",
+        ),
+        pytest.param(
             lambda: run_suite(1, [1, 2.0], 1),
             "sizes must be ints, got 2.0",
             id="float_size",
