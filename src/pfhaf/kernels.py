@@ -19,14 +19,23 @@ a Fraction, any QuadExt a QuadExt.  hf_recursive stays on Fraction and
 QuadExt arithmetic: it is the slow side of the Hafnian separation that
 acceptance criterion 7 measures.
 
+On Python ints, det_bareiss and pf_fraction_free also strip each step's
+common content.  Their entries are minors of the input, and mid-elimination
+the trailing block shares a large gcd, so the loop holds each entry as the
+true minor over a running integer scale c.  After a step whose pivot has at
+least _STRIP_BITS bits it divides the trailing block by its gcd, and the
+next step divides by prev/gcd(c^2, prev), prev the true previous pivot, in
+place of prev: exact, as _rescaled shows.  The value is c times the last
+entry (det) or the true last pivot (Pf), so values and types are unchanged.
+
 det_bareiss from n = 18 and pf_fraction_free from 2n = 28 use a second CPU
 when their rows are Python ints and the affinity mask holds at least 2
 CPUs: each call forks one helper (_halves) that updates half the rows.
-Every entry is the integer the one-process loop computes and the caller
-ends with the last pivot, so values and types are unchanged.  The
-thresholds are where two processes stopped losing (see _DET_HALVES_MIN);
-below them, on Z[sqrt(D)] pairs or with one CPU, the loop runs in one
-process.
+Every entry is the integer the one-process loop computes (after a
+stripping step the sides swap their gcds once) and the caller ends with the
+last pivot, so values and types are unchanged.  The thresholds are where
+two processes stopped losing (see _DET_HALVES_MIN); below them, on
+Z[sqrt(D)] pairs or with one CPU, the loop runs in one process.
 """
 
 from __future__ import annotations
@@ -50,13 +59,25 @@ PERM_RYSER_MAX = 25
 # row updates with a forked helper (_halves).  Below it, the fork, the
 # helper's first page copies, its reaping and one pipe exchange per step
 # (2-4 ms in all) cost more than half of the updates saves.  Medians of 21
-# alternating one- and two-process runs on fast_cauchy_perm's and
-# fast_cauchy_hafnian's integer matrices (CPython 3.11, 2 CPUs), one-process
-# time over two-process time, x+y points / random rational forms:
-# det at n = 16, 18, 20: 0.79 / 1.12, 1.08 / 1.37, 1.25 / 1.49;
-# Pf at 2n = 24, 28, 32: 0.50 / 1.12, 1.04 / 1.40, 1.23 / 1.55.
+# alternating one- and two-process runs (3 matrices x 7) on
+# fast_cauchy_perm's and fast_cauchy_hafnian's integer matrices, with
+# stripping on (CPython 3.11, 2 CPUs), one-process time over two-process
+# time, x+y points / random rational forms:
+# det at n = 16, 18, 20, 22: 0.76 / 0.81, 0.90 / 1.15, 1.11 / 1.32, 1.16 / 1.40;
+# Pf at 2n = 24, 28, 32, 36: 0.54 / 0.88, 0.80 / 1.21, 1.04 / 1.34, 1.23 / 1.46.
+# Stripping shrinks each step's work, so x+y now breaks even later (n = 19,
+# 2n = 32) than random forms (n = 17, 2n = 26); the thresholds stay between.
 _DET_HALVES_MIN = 18
 _PF_HALVES_MIN = 28
+
+# The least pivot bit length at which a step strips the gcd of the trailing
+# block: each strip costs a gcd scan, a division of every entry and, with
+# the helper, one exchange, against smaller products.  Time for all
+# 21 hafnian_fast and 21 perm_fast matrices of seed 1 with the thresholds
+# above, never stripping over stripping from 0 / 300 / 600 / 1000 / 2000
+# bits, medians of 5 interleaved rounds: Pf 1.23 / 1.23 / 1.27 / 1.24 /
+# 1.07, det 1.19 / 1.18 / 1.22 / 1.21 / 1.16.
+_STRIP_BITS = 600
 
 
 def _perm_sign(p) -> int:
@@ -144,7 +165,7 @@ def _integer_rows(rows, skew=False):
     cells = [row[i + 1:] for i, row in enumerate(rows)] if skew else rows
     kinds = {type(v) for row in cells for v in row}
     if all(issubclass(t, (int, _RootPair)) for t in kinds):
-        return rows, None, None
+        return rows, None, None, kinds <= {int}
     ring = ring_of([v for row in cells for v in row]) if QuadExt in kinds else None
     parts = [ring_parts(row, ring) for row in cells]
     dens = [math.lcm(*ds) for _, ds in parts]
@@ -152,28 +173,36 @@ def _integer_rows(rows, skew=False):
     if skew:
         a = [[0] * (i + 1) + [v * dens[j] for j, v in enumerate(row, i + 1)]
              for i, row in enumerate(a)]
-    return a, math.prod(dens), ring
+    return a, math.prod(dens), ring, ring is None
+
+
+def _alone(k, part=None):
+    """pivots in one process: the pivot rows are here, and ``part`` is the
+    whole gcd of the trailing block (1 when the last step did not strip)."""
+    return 1 if part is None else part
 
 
 def _skip(*args):
-    """pivots, gather and close in one process: there is nothing to do."""
+    """gather and close in one process: there is nothing to do."""
 
 
-def _halves(a, unit: int, least: int):
+def _halves(a, skew: bool, fork: bool):
     """(pivots, rows, gather, close) for one fraction-free elimination loop
-    over the rows ``a``, whose step k reads the ``unit`` pivot rows k ..
-    k+unit-1 and updates each later row from them and itself alone.  The
-    loop calls pivots(k) before it reads step k's pivots and gather(k)
-    before a pivot swap, updates the rows in rows(lo, hi), and calls
-    close() in a ``finally``.  With at least ``least`` rows, all Python
-    ints, and at least 2 CPUs in the affinity mask, these are the methods
-    of a _Halves; otherwise rows is range and the rest do nothing.
+    over the rows ``a``, whose step k reads the pivot rows k .. k+unit-1
+    (unit 2 for a Pfaffian, ``skew``, else 1) and updates each later row
+    from them and itself alone.  The loop calls pivots(k, part) before it
+    reads step k's pivots, where ``part`` is None, or, after a stripping
+    step, this side's gcd of the trailing block, and divides by the gcd
+    that pivots returns; it calls gather(k) before a pivot swap, updates
+    the rows in rows(lo, hi), and calls close() in a ``finally``.  With
+    ``fork`` (rows of Python ints at or above a threshold) and at least 2
+    CPUs in the affinity mask, these are the methods of a _Halves;
+    otherwise rows is range and the rest act for one process.
     """
-    if (len(a) < least or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2
-            or not all(type(v) is int for row in a for v in row)):
-        return _skip, range, _skip, _skip
-    h = _Halves(a, unit)
+    if (not fork or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return _alone, range, _skip, _skip
+    h = _Halves(a, skew)
     return h.pivots, h.rows, h.gather, h.close
 
 
@@ -183,11 +212,15 @@ class _Halves:
     Row i belongs to side i // unit % 2 (0 the caller, 1 the helper), and
     each side updates only its own rows.  The first rows after step k's
     pivots are the next pivots: their owner updates them first and at once
-    sends them, from their pivot column on, by marshal over a pipe, so the
-    other side reads them at the next step while the sender goes on
-    updating.  Both sides hold the same pivots and so take the same
-    branches; before a pivot swap, ``gather`` hands the helper's rows back
-    and the caller finishes alone.
+    sends them, from the first column the loop reads on (the pivot column,
+    or right of the diagonal for a Pfaffian), by marshal over a pipe, so
+    the other side reads them at the next step while the sender goes on
+    updating.  After a stripping step the pivot rows arrive undivided; the
+    sides then swap their gcds of their own rows, side 1 reading first so
+    that two messages larger than a pipe buffer cannot block each other,
+    and both divide by the common gcd.  Both sides hold the same pivots and
+    so take the same branches; before a pivot swap, ``gather`` hands the
+    helper's rows back and the caller finishes alone.
 
     The helper always ends in os._exit, flushing nothing it inherited: in
     ``close`` after its last step or on the EOFError or BrokenPipeError it
@@ -198,8 +231,8 @@ class _Halves:
     loop runs in one process.
     """
 
-    def __init__(self, a, unit: int):
-        self.a, self.unit = a, unit
+    def __init__(self, a, skew: bool):
+        self.a, self.skew, self.unit = a, skew, 1 + skew
         self.pid = None  # None: one process; 0: in the helper; else its pid
         down, up = os.pipe(), os.pipe()  # caller -> helper, helper -> caller
         try:
@@ -237,8 +270,8 @@ class _Halves:
         finally:
             os.waitpid(pid, 0)
 
-    def _send(self, rows):
-        data = marshal.dumps(rows)
+    def _send(self, data):
+        data = marshal.dumps(data)
         data = memoryview(len(data).to_bytes(8, "little") + data)
         while data:
             data = data[os.write(self.outbox, data):]
@@ -249,11 +282,28 @@ class _Halves:
         size = int.from_bytes(self.inbox.read(8), "little")
         return marshal.loads(self.inbox.read(size))
 
-    def pivots(self, k: int):
-        """Step k's pivot rows, read in when the other side updated them."""
+    def _cells(self, i, k):
+        """Where row i's entries that the loop reads from step k on begin."""
+        return i + 1 if self.skew else k
+
+    def pivots(self, k: int, part=None):
+        """Step k's pivot rows, read in when the other side updated them,
+        and the gcd to divide by: 1 if ``part`` is None, else the gcd of
+        both sides' parts."""
         if self.pid is not None and k and k // self.unit % 2 != self.side:
-            for row, got in zip(self.a[k:], self._receive()):
-                row[k:] = got
+            for i, got in enumerate(self._receive(), k):
+                self.a[i][self._cells(i, k):] = got
+        if part is None:
+            return 1
+        if self.pid is None:
+            return part
+        if self.side:
+            theirs = self._receive()
+            self._send(part)
+        else:
+            self._send(part)
+            theirs = self._receive()
+        return math.gcd(part, theirs)
 
     def rows(self, lo: int, hi: int):
         """The rows among lo .. hi-1 that this side updates."""
@@ -267,7 +317,7 @@ class _Halves:
             if i // unit % 2 == self.side:
                 yield i
                 if i == lo + unit - 1:  # the next pivots are done: send them
-                    self._send([row[lo:] for row in a[lo:i + 1]])
+                    self._send([a[j][self._cells(j, lo):] for j in range(lo, i + 1)])
 
     def gather(self, k: int):
         """Before a pivot swap at step k: the helper's rows from k on go
@@ -276,11 +326,24 @@ class _Halves:
             return
         theirs = [i for i in range(k, len(self.a)) if i // self.unit % 2]
         if self.side:
-            self._send([self.a[i][k:] for i in theirs])
+            self._send([self.a[i][self._cells(i, k):] for i in theirs])
             os._exit(0)
         for i, got in zip(theirs, self._receive()):
-            self.a[i][k:] = got
+            self.a[i][self._cells(i, k):] = got
         self._stop()
+
+
+def _rescaled(scale: int, prev: int, p: int):
+    """(d, P, c') for one step of a fraction-free loop whose entries are
+    held as the true ones over ``scale`` = c, with ``prev`` the true
+    previous pivot and ``p`` the held pivot.  The true update is c^2 X /
+    prev for the step's combination X of held entries, so with g =
+    gcd(c^2, prev) it is (c^2/g) X / (prev/g): c^2/g and prev/g are
+    coprime and the true value is an integer, so d = prev/g divides X
+    exactly, and the new entries are held over c' = c^2/g.  P = c p is
+    the step's true pivot."""
+    g = math.gcd(scale * scale, prev)
+    return prev // g, scale * p, scale * scale // g
 
 
 # -- determinant -----------------------------------------------------------
@@ -298,20 +361,25 @@ def det_bareiss(m: SquareMatrix):
 
     Every division in the elimination is exact: it runs on the cleared
     rows of ``_integer_rows``, and the value's type follows the entries.
-    Singular input returns 0.  From n = _DET_HALVES_MIN on, int rows are
-    updated by the caller and one forked helper (_halves).
+    Singular input returns 0.  On int rows the entries are held as the
+    true Bareiss minors over a running scale c: after a step whose pivot
+    has at least _STRIP_BITS bits, the trailing block is divided by its
+    gcd, the next step divides by the d of _rescaled in place of the last
+    pivot, and the value is c times the last entry.  From n =
+    _DET_HALVES_MIN on, int rows are updated by the caller and one forked
+    helper (_halves).
     """
     n = m.n
     if n == 0:
         return 1
-    a, den, ring = _integer_rows(m.entries)
+    a, den, ring, ints = _integer_rows(m.entries)
     a = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    pivots, rows, gather, close = _halves(a, 1, _DET_HALVES_MIN)
+    sign = scale = prev = 1
+    part = None  # this side's gcd of the trailing block after a stripping step
+    pivots, rows, gather, close = _halves(a, False, ints and n >= _DET_HALVES_MIN)
     try:
         for k in range(n - 1):
-            pivots(k)
+            gamma = pivots(k, part)
             if a[k][k] == 0:
                 gather(k)
                 t = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -320,13 +388,27 @@ def det_bareiss(m: SquareMatrix):
                     break
                 a[k], a[t] = a[t], a[k]
                 sign = -sign
+            rk = a[k]
+            if gamma > 1:
+                scale *= gamma
+                rk[k:] = [v // gamma for v in rk[k:]]
+            p = rk[k]
+            div, prev = prev, p
+            if scale > 1:
+                div, prev, scale = _rescaled(scale, div, p)
+            part = 0 if ints and p.bit_length() >= _STRIP_BITS and k + 2 < n else None
             for i in rows(k + 1, n):
+                ri = a[i]
+                if gamma > 1:
+                    ri[k:] = [v // gamma for v in ri[k:]]
+                x = ri[k]
                 for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
+                    ri[j] = (ri[j] * p - x * rk[j]) // div
+                if part is not None:
+                    part = math.gcd(part, *ri[k + 1:])
         else:
             pivots(n - 1)  # the last pivot, if the other side updated it
-            value = sign * a[n - 1][n - 1]
+            value = sign * scale * a[n - 1][n - 1]
     finally:
         close()
     return value if den is None else ring_quotient(value, den, ring)
@@ -358,7 +440,7 @@ def perm_ryser(m: SquareMatrix):
         )
     if n == 0:
         return 1
-    e, den, ring = _integer_rows(m.entries)
+    e, den, ring, _ = _integer_rows(m.entries)
     row_sums = [0] * n
     total = 0
     gray = 0
@@ -417,20 +499,25 @@ def pf_fraction_free(a):
     intermediate is a Pfaffian minor, and the value's type follows the
     entries above the diagonal.  The last pivot is the Pfaffian.  A zero
     pivot is replaced by swapping index k+1 with a later index (sign
-    flip); if row k has no nonzero entry the Pfaffian is 0.  From 2n =
-    _PF_HALVES_MIN on, int rows are updated by the caller and one forked
-    helper (_halves).
+    flip); if row k has no nonzero entry the Pfaffian is 0.
+
+    On int rows the entries are held as those minors over a running scale
+    c: after a step whose pivot has at least _STRIP_BITS bits, the
+    trailing block is divided by its gcd, the next step divides by the d
+    of _rescaled in place of p_prev, and the value is c times the last
+    held pivot.  From 2n = _PF_HALVES_MIN on, int rows are updated by the
+    caller and one forked helper (_halves).
     """
     n = len(a)
     if n == 0:
         return 1
-    a, den, ring = _integer_rows(a, skew=True)
-    sign = 1
-    prev = 1
-    pivots, rows, gather, close = _halves(a, 2, _PF_HALVES_MIN)
+    a, den, ring, ints = _integer_rows(a, skew=True)
+    sign = scale = prev = 1
+    part = None  # this side's gcd of the trailing block after a stripping step
+    pivots, rows, gather, close = _halves(a, True, ints and n >= _PF_HALVES_MIN)
     try:
         for k in range(0, n, 2):
-            pivots(k)
+            gamma = pivots(k, part)
             rk = a[k]
             r = k + 1
             t = next((j for j in range(r, n) if rk[j] != 0), None)
@@ -448,15 +535,26 @@ def pf_fraction_free(a):
                     rr[c], rt[c] = rt[c], rr[c]
                 rr[t] = -rr[t]
                 sign = -sign
+            if gamma > 1:
+                scale *= gamma
+                rk[r:] = [v // gamma for v in rk[r:]]
+                rr[r + 1:] = [v // gamma for v in rr[r + 1:]]
             p = rk[r]
+            div, prev = prev, p
+            if scale > 1:
+                div, prev, scale = _rescaled(scale, div, p)
+            part = 0 if ints and p.bit_length() >= _STRIP_BITS and k + 4 < n else None
             for i in rows(k + 2, n):
                 ri = a[i]
+                if gamma > 1:
+                    ri[i + 1:] = [v // gamma for v in ri[i + 1:]]
                 x, y = rk[i], rr[i]
-                ri[i + 1:] = [
-                    (p * v - x * w + y * z) // prev
+                ri[i + 1:] = new = [
+                    (p * v - x * w + y * z) // div
                     for v, w, z in zip(ri[i + 1:], rr[i + 1:], rk[i + 1:])
                 ]
-            prev = p
+                if part is not None:
+                    part = math.gcd(part, *new)
         else:
             value = sign * prev
     finally:

@@ -468,6 +468,72 @@ def test_perm_ryser_on_cauchy_matches_fast_path():
     assert slow == fast_cauchy_perm(pc, f)
 
 
+# -- stripped content -------------------------------------------------------
+#
+# On int rows, det_bareiss and pf_fraction_free divide the trailing block by
+# its gcd after each step whose pivot has at least _STRIP_BITS bits.  These
+# inputs plant content: row i and column j (index i of a skew matrix) are
+# scaled by 2^(_STRIP_BITS/2) times a product of small prime powers, so
+# every nonzero pivot is long enough for stripping to start at step 0.
+
+STRIP_HALF = 2 ** (kernels._STRIP_BITS // 2)
+prime_powers = st.builds(
+    lambda e: math.prod(p**k for p, k in zip((2, 3, 5, 7, 11), e)),
+    st.lists(st.integers(0, 12), min_size=5, max_size=5),
+)
+
+
+@st.composite
+def planted_inputs(draw, skew=False):
+    """Square matrices of size 1..6, or skew ones of size 2..8, of small
+    ints with row i multiplied by r_i and column j by c_j (for a skew
+    matrix, r = c), each r_i and c_j being STRIP_HALF times a product of
+    small prime powers; ints, or in about a third of the draws Fractions
+    over a denominator of 2, 3 or 6.  In about half the draws the leading
+    2 x 2 minor (det) or 4 x 4 Pfaffian (Pf) is zero, so the pivot right
+    after the first stripping step is zero and forces a swap."""
+    n = 2 * draw(st.integers(1, 4)) if skew else draw(st.integers(1, 6))
+    small = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if skew else 0, n):
+            small[i][j] = draw(st.integers(-9, 9))
+    if n >= 4 and draw(st.booleans()):
+        if skew:
+            small[0][1] = 1
+            small[2][3] = small[0][2] * small[1][3] - small[0][3] * small[1][2]
+        else:
+            small[0][0] = 1
+            small[1][1] = small[1][0] * small[0][1]
+    r = [STRIP_HALF * draw(prime_powers) for _ in range(n)]
+    c = r if skew else [STRIP_HALF * draw(prime_powers) for _ in range(n)]
+    den = draw(st.sampled_from([1, 1, 1, 1, 2, 3, 6]))
+    rows = [[r[i] * c[j] * v for j, v in enumerate(row)] for i, row in enumerate(small)]
+    if skew:
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = -rows[j][i]
+    if den > 1:
+        rows = [[F(v, den) for v in row] for row in rows]
+    return SquareMatrix(rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_inputs())
+def test_det_with_planted_content_matches_oracle(m):
+    value = det_bareiss(m)
+    assert value == det_oracle(m)
+    assert type(value) is value_type(m.entries)
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_inputs(skew=True))
+def test_pf_with_planted_content_matches_oracle(m):
+    value = pf_elimination(m)
+    assert value == pf_oracle(m)
+    assert value * value == det_bareiss(m)
+    assert type(value) is value_type(m.entries)
+
+
 # -- Hafnian ---------------------------------------------------------------
 
 
@@ -768,6 +834,80 @@ def test_helper_sends_rows_larger_than_a_pipe_buffer(forks):
     b[0][-1] = huge
     assert det(direct_sum(b, [[1]])) == det(b)
     assert forks[0] == helpers(2)
+
+
+def planted(rng, small, skew=False):
+    """(rows, factor): the int matrix ``small`` with row i and column j
+    (index i when ``skew``) scaled by STRIP_HALF times 2^a on the caller's
+    rows and 3^b on the helper's, so that the two sides' gcds differ and
+    only their gcd divides the block; factor is what the scaling
+    multiplies det (or Pf) by."""
+    unit = 2 if skew else 1
+    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if i // unit % 2 == 0
+                       else 3 ** rng.randint(2, 6)) for i in range(len(small))]
+    rows = [[s[i] * s[j] * v for j, v in enumerate(row)] for i, row in enumerate(small)]
+    return rows, math.prod(s) if skew else math.prod(s) ** 2
+
+
+def test_helper_strips_with_the_common_gcd(forks):
+    # Stripping starts at step 0, and the sides' own gcds differ, so a side
+    # that divided by its own gcd would leave the entries on two scales.
+    rng = random.Random(64)
+    a = entries(rng, PF_MIN, int, skew=True)
+    rows, factor = planted(rng, a, skew=True)
+    assert pf(rows) == factor * pf(a) != 0
+    b = entries(rng, DET_MIN, int)
+    rows, factor = planted(rng, b)
+    assert det(rows) == factor * det(b) != 0
+    assert forks[0] == helpers(4)
+
+
+def test_helper_zero_pivot_and_zero_block_after_stripping(forks):
+    rng = random.Random(65)
+    # Pf: step 0 strips, and the leading 4 x 4 Pfaffian is 0, so step 2
+    # swaps index 3 with a later one on the divided rows.
+    a = entries(rng, PF_MIN, int, skew=True)
+    a[0][1], a[1][0] = 1, -1
+    a[2][3] = a[0][2] * a[1][3] - a[0][3] * a[1][2]
+    a[3][2] = -a[2][3]
+    rows, factor = planted(rng, a, skew=True)
+    value = pf(rows)
+    assert value == factor * pf(a) == -factor * pf(swapped(a, 3, 4)) != 0
+    # det: step 0 strips, and the leading 2 x 2 minor is 0, so step 1
+    # swaps row 1 with a later one.
+    b = entries(rng, DET_MIN, int)
+    b[0][0] = 1
+    b[1][1] = b[1][0] * b[0][1]
+    rows, factor = planted(rng, b)
+    value = det(rows)
+    assert value == factor * det(b) == -factor * det(swapped(b, 1, 2, both=False)) != 0
+    # Rank 1 (det) and rank 2 (Pf): the block after step 0 is all zero, so
+    # the gcd of the trailing block is 0 on both sides.
+    u = [STRIP_HALF * rng.randint(1, 99) for _ in range(PF_MIN)]
+    v = [STRIP_HALF * rng.randint(1, 99) for _ in range(PF_MIN)]
+    skew = [[u[i] * v[j] - v[i] * u[j] for j in range(PF_MIN)] for i in range(PF_MIN)]
+    rank1 = [[u[i] * v[j] for j in range(DET_MIN)] for i in range(DET_MIN)]
+    for value in (pf(skew), det(rank1)):
+        assert value == 0 and type(value) is int
+    assert forks[0] == helpers(8)
+
+
+def test_helper_sends_a_gcd_larger_than_a_pipe_buffer(forks):
+    # An identity block, then H C with C a 3 x 3 block of small ints: the step
+    # on C's first row strips H^2 times a gcd of 2 x 2 minors of C from the
+    # two rows after it, one on each side, so both sides' gcds are larger
+    # than the 64 KiB a pipe holds.  Were both sides to send before they
+    # read, each would wait for the other.
+    h = 3 ** 170000
+    assert len(marshal.dumps(h * h)) > 65536
+    c = [[2, 1, 1], [1, 3, 2], [1, 0, 5]]
+    n = DET_MIN
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(3):
+        for j in range(3):
+            rows[n - 3 + i][n - 3 + j] = h * c[i][j]
+    assert det(rows) == h**3 * det(c)
+    assert forks[0] == helpers(1)
 
 
 # The script prints a line before any call, so the line sits unflushed in
