@@ -19,23 +19,18 @@ a Fraction, any QuadExt a QuadExt.  hf_recursive stays on Fraction and
 QuadExt arithmetic: it is the slow side of the Hafnian separation that
 acceptance criterion 7 measures.
 
-On Python ints, det_bareiss and pf_fraction_free also strip each step's
-common content.  Their entries are minors of the input, and mid-elimination
-the trailing block shares a large gcd, so the loop holds each entry as the
-true minor over a running integer scale c.  After a step whose pivot has at
-least _STRIP_BITS bits it divides the trailing block by its gcd, and the
-next step divides by prev/gcd(c^2, prev), prev the true previous pivot, in
-place of prev: exact, as _rescaled shows.  The value is c times the last
-entry (det) or the true last pivot (Pf), so values and types are unchanged.
+det_bareiss (Bareiss 1968) and pf_fraction_free (Galbiati & Maffioli
+1994) are one fraction-free loop, _eliminate, with two step functions
+each: a pivot step that finds a nonzero pivot (det swaps rows, Pf swaps
+index k+1) and an update step that writes a row's new cells.  On Python
+ints the loop strips each step's common content: its entries are minors
+of the input over a running integer scale, and after a step whose pivot
+has _STRIP_BITS bits or more it divides the trailing block by its gcd.
 
-det_bareiss from n = 18 and pf_fraction_free from 2n = 28 use a second CPU
-when their rows are Python ints and the affinity mask holds at least 2
-CPUs: each call forks one helper (_halves) that updates half the rows.
-Every entry is the integer the one-process loop computes (after a
-stripping step the sides swap their gcds once) and the caller ends with the
-last pivot, so values and types are unchanged.  The thresholds are where
-two processes stopped losing (see _DET_HALVES_MIN); below them, on
-Z[sqrt(D)] pairs or with one CPU, the loop runs in one process.
+From n = 18 (det) and 2n = 28 (Pf), on rows of Python ints and with at
+least 2 CPUs, the loop shares its row updates with one forked helper
+(_Halves), computing the same integers.  The thresholds are where two
+processes stopped losing (see _DET_HALVES_MIN).
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ HF_RECURSIVE_MAX = 22
 PERM_RYSER_MAX = 25
 
 # The least dimension at which det_bareiss and pf_fraction_free share their
-# row updates with a forked helper (_halves).  Below it, the fork, the
+# row updates with a forked helper (_Halves).  Below it, the fork, the
 # helper's first page copies, its reaping and one pipe exchange per step
 # (2-4 ms in all) cost more than half of the updates saves.  Medians of 21
 # alternating one- and two-process runs (3 matrices x 7) on
@@ -89,13 +84,21 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def _require_matchable(m: SquareMatrix, ok: bool, what: str):
-    """Pf and Hf need an even dimension and, as read by SquareMatrix,
-    skew entries (Pf) or entries symmetric off the diagonal (Hf)."""
-    if m.n % 2 != 0:
+def _square(m: SquareMatrix) -> SquareMatrix:
+    """m, refused with DomainError unless it is a SquareMatrix."""
+    if not isinstance(m, SquareMatrix):
+        raise DomainError(f"expected a SquareMatrix, got {type(m).__name__}")
+    return m
+
+
+def _require_matchable(m: SquareMatrix, skew: bool):
+    """Pf (``skew``) and Hf need a SquareMatrix of even dimension and, as
+    read by SquareMatrix, skew entries (Pf) or entries symmetric off the
+    diagonal (Hf)."""
+    if _square(m).n % 2 != 0:
         raise DomainError(f"dimension {m.n} is odd; Pf/Hf need an even dimension")
-    if not ok:
-        raise DomainError(f"matrix is not {what}")
+    if not (m.skew if skew else m.symmetric):
+        raise DomainError(f"matrix is not {'skew-symmetric' if skew else 'symmetric'}")
 
 
 def _leibniz_sum(m: SquareMatrix, signed: bool):
@@ -143,11 +146,11 @@ def _integer_rows(rows, skew=False):
     """The one place that sorts a kernel's input by the types of its entries,
     so that det_bareiss, perm_ryser and pf_fraction_free run on Python ints,
     or on pairs of ints in Z[sqrt(D)], with exact floor division.  Returns
-    (a, den, ring): the rows to run the kernel on, and its value v on
-    ``a`` gives the value on ``rows``, v itself when den is None, else
-    ring_quotient(v, den, ring).  The type of that value follows the
-    entries: all ints give an int, any Fraction a Fraction (even when
-    every D_i is 1), any QuadExt a QuadExt.
+    (a, den, ring, ints): the rows to run the kernel on (all Python ints
+    if ints), and its value v on ``a`` gives the value on ``rows``, v
+    itself when den is None, else ring_quotient(v, den, ring).  That
+    value's type follows the entries: all ints give an int, any Fraction
+    a Fraction (even when every D_i is 1), any QuadExt a QuadExt.
 
     Rows of ints and Z[sqrt(D)] pairs are run as they are.  Otherwise each
     entry is num/den by scalar.ring_parts, D_i is the lcm of the dens in
@@ -176,38 +179,11 @@ def _integer_rows(rows, skew=False):
     return a, math.prod(dens), ring, ring is None
 
 
-def _alone(k, part=None):
-    """pivots in one process: the pivot rows are here, and ``part`` is the
-    whole gcd of the trailing block (1 when the last step did not strip)."""
-    return 1 if part is None else part
-
-
-def _skip(*args):
-    """gather and close in one process: there is nothing to do."""
-
-
-def _halves(a, skew: bool, fork: bool):
-    """(pivots, rows, gather, close) for one fraction-free elimination loop
-    over the rows ``a``, whose step k reads the pivot rows k .. k+unit-1
-    (unit 2 for a Pfaffian, ``skew``, else 1) and updates each later row
-    from them and itself alone.  The loop calls pivots(k, part) before it
-    reads step k's pivots, where ``part`` is None, or, after a stripping
-    step, this side's gcd of the trailing block, and divides by the gcd
-    that pivots returns; it calls gather(k) before a pivot swap, updates
-    the rows in rows(lo, hi), and calls close() in a ``finally``.  With
-    ``fork`` (rows of Python ints at or above a threshold) and at least 2
-    CPUs in the affinity mask, these are the methods of a _Halves;
-    otherwise rows is range and the rest act for one process.
-    """
-    if (not fork or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return _alone, range, _skip, _skip
-    h = _Halves(a, skew)
-    return h.pivots, h.rows, h.gather, h.close
-
-
 class _Halves:
-    """One forked helper that runs the same loop as the caller.
+    """The rows of one _eliminate loop over ``a``: with ``fork`` and at
+    least 2 CPUs in the affinity mask, one forked helper runs the same
+    loop as the caller; otherwise (``pid`` None) the loop runs in one
+    process, and gather and close do nothing.
 
     Row i belongs to side i // unit % 2 (0 the caller, 1 the helper), and
     each side updates only its own rows.  The first rows after step k's
@@ -227,13 +203,15 @@ class _Halves:
     meets once the caller has raised and closed its pipe ends, or in
     ``gather``.  The caller reaps it in ``close``.  The helper runs only
     the loop, marshal and os calls, which take no lock another thread of
-    the caller could hold at the fork.  If no process can be forked, the
-    loop runs in one process.
+    the caller could hold at the fork.
     """
 
-    def __init__(self, a, skew: bool):
-        self.a, self.skew, self.unit = a, skew, 1 + skew
+    def __init__(self, a, unit: int, fork: bool):
+        self.a, self.unit = a, unit
         self.pid = None  # None: one process; 0: in the helper; else its pid
+        if (not fork or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2):
+            return
         down, up = os.pipe(), os.pipe()  # caller -> helper, helper -> caller
         try:
             pid = os.fork()
@@ -257,18 +235,15 @@ class _Halves:
             raise
 
     def close(self):
-        if self.pid == 0:
-            os._exit(0)
-        if self.pid:
-            self._stop()
-
-    def _stop(self):
         pid, self.pid = self.pid, None
-        try:
-            self.inbox.close()
-            os.close(self.outbox)
-        finally:
-            os.waitpid(pid, 0)
+        if pid == 0:
+            os._exit(0)
+        if pid:
+            try:
+                self.inbox.close()
+                os.close(self.outbox)
+            finally:
+                os.waitpid(pid, 0)
 
     def _send(self, data):
         data = marshal.dumps(data)
@@ -282,21 +257,21 @@ class _Halves:
         size = int.from_bytes(self.inbox.read(8), "little")
         return marshal.loads(self.inbox.read(size))
 
-    def _cells(self, i, k):
-        """Where row i's entries that the loop reads from step k on begin."""
-        return i + 1 if self.skew else k
+    def cells(self, i, k):
+        """Where row i's cells from step k on begin (Pf: right of the diagonal)."""
+        return k if self.unit == 1 else i + 1
 
     def pivots(self, k: int, part=None):
         """Step k's pivot rows, read in when the other side updated them,
         and the gcd to divide by: 1 if ``part`` is None, else the gcd of
         both sides' parts."""
-        if self.pid is not None and k and k // self.unit % 2 != self.side:
+        if self.pid is None:
+            return 1 if part is None else part
+        if k and k // self.unit % 2 != self.side:
             for i, got in enumerate(self._receive(), k):
-                self.a[i][self._cells(i, k):] = got
+                self.a[i][self.cells(i, k):] = got
         if part is None:
             return 1
-        if self.pid is None:
-            return part
         if self.side:
             theirs = self._receive()
             self._send(part)
@@ -317,7 +292,7 @@ class _Halves:
             if i // unit % 2 == self.side:
                 yield i
                 if i == lo + unit - 1:  # the next pivots are done: send them
-                    self._send([a[j][self._cells(j, lo):] for j in range(lo, i + 1)])
+                    self._send([a[j][self.cells(j, lo):] for j in range(lo, i + 1)])
 
     def gather(self, k: int):
         """Before a pivot swap at step k: the helper's rows from k on go
@@ -326,24 +301,62 @@ class _Halves:
             return
         theirs = [i for i in range(k, len(self.a)) if i // self.unit % 2]
         if self.side:
-            self._send([self.a[i][self._cells(i, k):] for i in theirs])
+            self._send([self.a[i][self.cells(i, k):] for i in theirs])
             os._exit(0)
         for i, got in zip(theirs, self._receive()):
-            self.a[i][self._cells(i, k):] = got
-        self._stop()
+            self.a[i][self.cells(i, k):] = got
+        self.close()
 
 
-def _rescaled(scale: int, prev: int, p: int):
-    """(d, P, c') for one step of a fraction-free loop whose entries are
-    held as the true ones over ``scale`` = c, with ``prev`` the true
-    previous pivot and ``p`` the held pivot.  The true update is c^2 X /
-    prev for the step's combination X of held entries, so with g =
-    gcd(c^2, prev) it is (c^2/g) X / (prev/g): c^2/g and prev/g are
-    coprime and the true value is an integer, so d = prev/g divides X
-    exactly, and the new entries are held over c' = c^2/g.  P = c p is
-    the step's true pivot."""
-    g = math.gcd(scale * scale, prev)
-    return prev // g, scale * p, scale * scale // g
+def _eliminate(rows, unit: int, fork_min: int, pivot, update):
+    """The fraction-free loop of det_bareiss (``unit`` 1) and
+    pf_fraction_free (``unit`` 2), on a cleared copy of ``rows``.  At step
+    k, pivot(a, k, gather) makes a[k][k + unit - 1] a nonzero pivot p,
+    calling gather(k) before it moves a row, and returns 1, -1 after a
+    swap, or 0 if there is none; update(a, k, i, p, div) writes later row
+    i's cells from _Halves.cells(i, k + unit) on.  From ``fork_min`` rows
+    of Python ints on, a forked helper updates half the rows."""
+    n = len(rows)
+    a, den, ring, ints = _integer_rows(rows, skew=unit == 2)
+    a = [list(row) for row in a]
+    sign = scale = prev = p = 1
+    part = None  # this side's gcd of the trailing block after a stripping step
+    h = _Halves(a, unit, ints and n >= fork_min)
+    try:
+        for k in range(0, n, unit):
+            gamma = h.pivots(k, part)
+            sign *= pivot(a, k, h.gather)
+            if gamma > 1:
+                scale *= gamma
+                for j in range(k, k + unit):
+                    c = h.cells(j, k)
+                    a[j][c:] = [v // gamma for v in a[j][c:]]
+            p = a[k][k + unit - 1]
+            if not sign or k + unit == n:  # the value is sign c p: 0, or the last pivot
+                break
+            div, prev = prev, p
+            if scale > 1:
+                # The entries are held as the true ones over the scale c, so
+                # the true update is c^2 X / P, for the step's combination X
+                # of held entries and P = div the true previous pivot.  With
+                # g = gcd(c^2, P), c^2/g and P/g are coprime and the update
+                # is an integer, so P/g divides X, and the new entries are
+                # held over c^2/g.  c p is the step's true pivot.
+                g = math.gcd(scale * scale, div)
+                div, prev, scale = div // g, scale * p, scale * scale // g
+            strip = ints and p.bit_length() >= _STRIP_BITS and k + 2 * unit < n
+            part = 0 if strip else None
+            for i in h.rows(k + unit, n):
+                if gamma > 1:
+                    c = h.cells(i, k)
+                    a[i][c:] = [v // gamma for v in a[i][c:]]
+                update(a, k, i, p, div)
+                if part is not None:
+                    part = math.gcd(part, *a[i][h.cells(i, k + unit):])
+    finally:
+        h.close()
+    value = sign * scale * p
+    return value if den is None else ring_quotient(value, den, ring)
 
 
 # -- determinant -----------------------------------------------------------
@@ -351,7 +364,7 @@ def _rescaled(scale: int, prev: int, p: int):
 
 def det_oracle(m: SquareMatrix):
     """Leibniz-expansion determinant; n <= 8."""
-    if m.n > DET_ORACLE_MAX:
+    if _square(m).n > DET_ORACLE_MAX:
         raise SizeError(f"det_oracle guard is n <= {DET_ORACLE_MAX}, got {m.n}")
     return _leibniz_sum(m, signed=True)
 
@@ -361,57 +374,33 @@ def det_bareiss(m: SquareMatrix):
 
     Every division in the elimination is exact: it runs on the cleared
     rows of ``_integer_rows``, and the value's type follows the entries.
-    Singular input returns 0.  On int rows the entries are held as the
-    true Bareiss minors over a running scale c: after a step whose pivot
-    has at least _STRIP_BITS bits, the trailing block is divided by its
-    gcd, the next step divides by the d of _rescaled in place of the last
-    pivot, and the value is c times the last entry.  From n =
-    _DET_HALVES_MIN on, int rows are updated by the caller and one forked
-    helper (_halves).
+    Singular input returns 0.  Step k makes a[k][k] nonzero by a row swap
+    (a sign flip) and updates every later row; the last pivot is the
+    determinant.  On int rows _eliminate strips each step's common
+    content, and from n = _DET_HALVES_MIN on the caller and one forked
+    helper update the rows.
     """
-    n = m.n
-    if n == 0:
+    return _eliminate(_square(m).entries, 1, _DET_HALVES_MIN, _det_pivot, _det_update)
+
+
+def _det_pivot(a, k, gather):
+    """Step k of det_bareiss: a nonzero a[k][k], by a row swap if needed."""
+    if a[k][k] != 0:
         return 1
-    a, den, ring, ints = _integer_rows(m.entries)
-    a = [list(row) for row in a]
-    sign = scale = prev = 1
-    part = None  # this side's gcd of the trailing block after a stripping step
-    pivots, rows, gather, close = _halves(a, False, ints and n >= _DET_HALVES_MIN)
-    try:
-        for k in range(n - 1):
-            gamma = pivots(k, part)
-            if a[k][k] == 0:
-                gather(k)
-                t = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if t is None:  # column k is zero from the diagonal down
-                    value = 0 * a[k][k]
-                    break
-                a[k], a[t] = a[t], a[k]
-                sign = -sign
-            rk = a[k]
-            if gamma > 1:
-                scale *= gamma
-                rk[k:] = [v // gamma for v in rk[k:]]
-            p = rk[k]
-            div, prev = prev, p
-            if scale > 1:
-                div, prev, scale = _rescaled(scale, div, p)
-            part = 0 if ints and p.bit_length() >= _STRIP_BITS and k + 2 < n else None
-            for i in rows(k + 1, n):
-                ri = a[i]
-                if gamma > 1:
-                    ri[k:] = [v // gamma for v in ri[k:]]
-                x = ri[k]
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * p - x * rk[j]) // div
-                if part is not None:
-                    part = math.gcd(part, *ri[k + 1:])
-        else:
-            pivots(n - 1)  # the last pivot, if the other side updated it
-            value = sign * scale * a[n - 1][n - 1]
-    finally:
-        close()
-    return value if den is None else ring_quotient(value, den, ring)
+    gather(k)
+    t = next((i for i in range(k + 1, len(a)) if a[i][k] != 0), None)
+    if t is None:  # column k is zero from the diagonal down
+        return 0
+    a[k], a[t] = a[t], a[k]
+    return -1
+
+
+def _det_update(a, k, i, p, div):
+    """Bareiss step k on row i's entries right of column k."""
+    rk, ri = a[k], a[i]
+    x = ri[k]
+    for j in range(k + 1, len(ri)):
+        ri[j] = (ri[j] * p - x * rk[j]) // div
 
 
 # -- permanent -------------------------------------------------------------
@@ -419,7 +408,7 @@ def det_bareiss(m: SquareMatrix):
 
 def perm_oracle(m: SquareMatrix):
     """Definition-level permanent (unsigned Leibniz sum); n <= 8."""
-    if m.n > PERM_ORACLE_MAX:
+    if _square(m).n > PERM_ORACLE_MAX:
         raise SizeError(f"perm_oracle guard is n <= {PERM_ORACLE_MAX}, got {m.n}")
     return _leibniz_sum(m, signed=False)
 
@@ -431,7 +420,7 @@ def perm_ryser(m: SquareMatrix):
     ``_integer_rows``, and the value's type follows the entries.  Hard
     guard at n <= 25, where that is already about 8e8 row-sum updates.
     """
-    n = m.n
+    n = _square(m).n
     if n > PERM_RYSER_MAX:
         work = n * math.log10(2) + math.log10(n)
         raise SizeError(
@@ -475,7 +464,7 @@ def pf_oracle(m: SquareMatrix):
     and sigma(2i-1) < sigma(2i)) weighted by sgn(sigma), which makes
     Pf([[0, a], [-a, 0]]) = a.
     """
-    _require_matchable(m, m.skew, "skew-symmetric")
+    _require_matchable(m, skew=True)
     if m.n > MATCHING_ORACLE_MAX:
         raise SizeError(f"pf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
     return _matching_sum(m, signed=True)
@@ -483,8 +472,7 @@ def pf_oracle(m: SquareMatrix):
 
 def pf_fraction_free(a):
     """Pfaffian of the skew matrix whose strict upper triangle is held in the
-    rows ``a`` (list of lists, which it may overwrite; nothing on or below
-    the diagonal is read).
+    rows ``a`` (nothing on or below the diagonal is read).
 
     Fraction-free skew elimination (Galbiati & Maffioli, "On the
     computation of pfaffians", 1994).  After step s, with I the first 2s
@@ -499,75 +487,46 @@ def pf_fraction_free(a):
     intermediate is a Pfaffian minor, and the value's type follows the
     entries above the diagonal.  The last pivot is the Pfaffian.  A zero
     pivot is replaced by swapping index k+1 with a later index (sign
-    flip); if row k has no nonzero entry the Pfaffian is 0.
-
-    On int rows the entries are held as those minors over a running scale
-    c: after a step whose pivot has at least _STRIP_BITS bits, the
-    trailing block is divided by its gcd, the next step divides by the d
-    of _rescaled in place of p_prev, and the value is c times the last
-    held pivot.  From 2n = _PF_HALVES_MIN on, int rows are updated by the
-    caller and one forked helper (_halves).
+    flip); if row k has no nonzero entry the Pfaffian is 0.  On int rows
+    _eliminate strips each step's common content, and from 2n =
+    _PF_HALVES_MIN on the caller and one forked helper update the rows.
     """
-    n = len(a)
-    if n == 0:
+    return _eliminate(a, 2, _PF_HALVES_MIN, _pf_pivot, _pf_update)
+
+
+def _pf_pivot(a, k, gather):
+    """Step k of pf_fraction_free: a nonzero a[k][k+1], by an index swap if needed."""
+    rk, r, n = a[k], k + 1, len(a)
+    if rk[r] != 0:
         return 1
-    a, den, ring, ints = _integer_rows(a, skew=True)
-    sign = scale = prev = 1
-    part = None  # this side's gcd of the trailing block after a stripping step
-    pivots, rows, gather, close = _halves(a, True, ints and n >= _PF_HALVES_MIN)
-    try:
-        for k in range(0, n, 2):
-            gamma = pivots(k, part)
-            rk = a[k]
-            r = k + 1
-            t = next((j for j in range(r, n) if rk[j] != 0), None)
-            if t is None:  # row k is zero
-                value = 0 * rk[r]
-                break
-            rr = a[r]
-            if t != r:
-                gather(k)
-                rt = a[t]
-                rk[r], rk[t] = rk[t], rk[r]
-                for c in range(r + 1, t):
-                    rr[c], a[c][t] = -a[c][t], -rr[c]
-                for c in range(t + 1, n):
-                    rr[c], rt[c] = rt[c], rr[c]
-                rr[t] = -rr[t]
-                sign = -sign
-            if gamma > 1:
-                scale *= gamma
-                rk[r:] = [v // gamma for v in rk[r:]]
-                rr[r + 1:] = [v // gamma for v in rr[r + 1:]]
-            p = rk[r]
-            div, prev = prev, p
-            if scale > 1:
-                div, prev, scale = _rescaled(scale, div, p)
-            part = 0 if ints and p.bit_length() >= _STRIP_BITS and k + 4 < n else None
-            for i in rows(k + 2, n):
-                ri = a[i]
-                if gamma > 1:
-                    ri[i + 1:] = [v // gamma for v in ri[i + 1:]]
-                x, y = rk[i], rr[i]
-                ri[i + 1:] = new = [
-                    (p * v - x * w + y * z) // div
-                    for v, w, z in zip(ri[i + 1:], rr[i + 1:], rk[i + 1:])
-                ]
-                if part is not None:
-                    part = math.gcd(part, *new)
-        else:
-            value = sign * prev
-    finally:
-        close()
-    return value if den is None else ring_quotient(value, den, ring)
+    t = next((j for j in range(r + 1, n) if rk[j] != 0), None)
+    if t is None:  # row k is zero
+        return 0
+    gather(k)
+    rr, rt = a[r], a[t]
+    rk[r], rk[t] = rk[t], rk[r]
+    for c in range(r + 1, t):
+        rr[c], a[c][t] = -a[c][t], -rr[c]
+    for c in range(t + 1, n):
+        rr[c], rt[c] = rt[c], rr[c]
+    rr[t] = -rr[t]
+    return -1
+
+
+def _pf_update(a, k, i, p, div):
+    """The step on pivots k, k+1 on row i's entries right of the diagonal."""
+    rk, rr, ri = a[k], a[k + 1], a[i]
+    x, y = rk[i], rr[i]
+    ri[i + 1:] = [(p * v - x * w + y * z) // div
+                  for v, w, z in zip(ri[i + 1:], rr[i + 1:], rk[i + 1:])]
 
 
 def pf_elimination(m: SquareMatrix):
     """Pfaffian by fraction-free skew elimination, O(n^3): the guards, then
-    ``pf_fraction_free`` on a copy of the rows.
+    ``pf_fraction_free`` on the rows.
     """
-    _require_matchable(m, m.skew, "skew-symmetric")
-    return pf_fraction_free([list(row) for row in m.entries])
+    _require_matchable(m, skew=True)
+    return pf_fraction_free(m.entries)
 
 
 # -- Hafnian ---------------------------------------------------------------
@@ -578,7 +537,7 @@ def hf_oracle(m: SquareMatrix):
 
     The diagonal is never read, so its entries are irrelevant.
     """
-    _require_matchable(m, m.symmetric, "symmetric")
+    _require_matchable(m, skew=False)
     if m.n > MATCHING_ORACLE_MAX:
         raise SizeError(f"hf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
     return _matching_sum(m, signed=False)
@@ -599,7 +558,7 @@ def hf_recursive(m: SquareMatrix):
     this kernel from 490-852x to roughly 60-100x, against its gate of
     100x.  The gate stays as written, and so does this kernel.
     """
-    _require_matchable(m, m.symmetric, "symmetric")
+    _require_matchable(m, skew=False)
     if m.n > HF_RECURSIVE_MAX:
         raise SizeError(
             f"hf_recursive guard is 2n <= {HF_RECURSIVE_MAX}, got {m.n}"
@@ -661,7 +620,7 @@ def evaluate(m: SquareMatrix, functional: str, algorithm: str = "fast"):
     efficient algorithm, or "oracle", the definition-level sum, which runs
     only on explicit request.
     """
-    if functional not in _ORACLES:
+    if not isinstance(functional, str) or functional not in _ORACLES:
         raise DomainError(f"unknown functional {functional!r}")
     if algorithm == "oracle":
         return _ORACLES[functional](m)

@@ -4,13 +4,14 @@ import marshal
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfhaf import kernels
 from pfhaf.errors import DomainError, SizeError
@@ -133,6 +134,13 @@ def test_det_bareiss_int_entries_stay_exact():
 def test_det_bareiss_repeated_row_is_zero():
     m = SquareMatrix([[F(1), F(2), F(3)], [F(1), F(2), F(3)], [F(4), F(5), F(6)]])
     assert det_bareiss(m) == 0
+
+
+@pytest.mark.parametrize("rows, value", [([[0]], 0), ([[F(0)]], F(0)), ([[5]], 5)])
+def test_det_bareiss_one_by_one(rows, value):
+    # The only step is the last one, whose pivot is the determinant.
+    got = det_bareiss(SquareMatrix(rows))
+    assert got == value and type(got) is type(value)
 
 
 def test_det_scaling():
@@ -685,6 +693,22 @@ def test_evaluate_dispatch():
             evaluate(m, "pf", algorithm)
 
 
+KERNELS = [det_oracle, det_bareiss, perm_oracle, perm_ryser, pf_oracle,
+           pf_elimination, hf_oracle, hf_recursive]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("m", [[[1, 2], [3, 4]], None])
+def test_kernels_refuse_what_is_not_a_square_matrix(kernel, m):
+    with pytest.raises(DomainError, match=f"got {type(m).__name__}"):
+        kernel(m)
+
+
+def test_evaluate_refuses_an_unhashable_functional():
+    with pytest.raises(DomainError, match="unknown functional"):
+        evaluate(eye(2), ["det"])
+
+
 def test_evaluate_oracle_only_on_request():
     big = eye(10)
     assert evaluate(big, "det", "fast") == 1
@@ -706,6 +730,8 @@ TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 
 
 @pytest.fixture
 def forks(monkeypatch):
+    """Counts the helpers forked.  A SIGALRM guard turns a hang, such as a
+    deadlock in the order of the helper's messages, into a failure."""
     count = [0]
     fork = os.fork
 
@@ -713,8 +739,15 @@ def forks(monkeypatch):
         count[0] += 1
         return fork()
 
+    def hung(signum, frame):
+        raise TimeoutError("a helper test ran for 60 s: a message-order deadlock?")
+
     monkeypatch.setattr(os, "fork", counting_fork)
-    return count
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield count
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, before)
 
 
 def helpers(calls):
@@ -819,6 +852,27 @@ def test_helper_zero_pivots_and_zero_rows(forks, scalar):
     assert forks[0] == helpers(12)
 
 
+@pytest.mark.parametrize("scalar", [int, F])
+@pytest.mark.parametrize("n", [3, DET_MIN])
+def test_det_zero_at_the_last_pivot_only(forks, n, scalar):
+    # A = L U with L unit lower triangular and U upper triangular whose
+    # last diagonal entry is 0: the leading minors up to order n - 1 are
+    # nonzero, so no step before the last one swaps, and det(A) = 0.
+    rng = random.Random(66 + n)
+    lower = [[int(i == j) if j >= i else rng.randint(-9, 9) for j in range(n)]
+             for i in range(n)]
+    upper = [[0 if j < i else rng.choice([-3, -2, -1, 1, 2, 3]) if j == i
+              else rng.randint(-9, 9) for j in range(n)] for i in range(n)]
+    upper[n - 1][n - 1] = 0
+    a = [[scalar(sum(lower[i][t] * upper[t][j] for t in range(n))) for j in range(n)]
+         for i in range(n)]
+    value = det(a)
+    assert value == 0 and type(value) is scalar
+    assert det([row[:-1] for row in a[:-1]]) == math.prod(
+        upper[i][i] for i in range(n - 1))
+    assert forks[0] == (helpers(1) if n >= DET_MIN else 0)
+
+
 def test_helper_sends_rows_larger_than_a_pipe_buffer(forks):
     # One entry of 538,000 bits in the last column of A: from step 0 on,
     # every row carries a multiple of it, and each pivot row's marshal form
@@ -908,6 +962,43 @@ def test_helper_sends_a_gcd_larger_than_a_pipe_buffer(forks):
             rows[n - 3 + i][n - 3 + j] = h * c[i][j]
     assert det(rows) == h**3 * det(c)
     assert forks[0] == helpers(1)
+
+
+def bordered(a):
+    """The 2n x 2n skew matrix B with B[r_i, c_j] = A_ij in the index order
+    r_1, c_1, r_2, c_2, ..., so that Pf(B) = det(A)."""
+    n = len(a)
+    b = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            r, c = 2 * i, 2 * j + 1
+            b[r][c], b[c][r] = a[i][j], -a[i][j]
+    return b
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 20), st.sampled_from([4, 80]), st.sampled_from([int, F]),
+       st.booleans(), st.integers(0, 2**32))
+@example(DET_MIN, 4, int, False, 1)
+@example(20, 80, F, True, 2)
+def test_det_is_the_pfaffian_of_the_bordered_matrix(n, bits, scalar, zero, seed):
+    # The two step functions checked against each other at sizes no oracle
+    # reaches: from n = DET_MIN det_bareiss, and from 2n = PF_MIN
+    # pf_fraction_free, fork a helper on two CPUs.  Entries are ints of
+    # up to ``bits`` bits, or Fractions of them over 1..6; with ``zero``,
+    # a_11 = 0 makes both take a swap at their first step.
+    rng = random.Random(seed)
+
+    def draw():
+        v = rng.randint(-(2**bits), 2**bits)
+        return v if scalar is int else F(v, rng.randint(1, 6))
+
+    a = [[draw() for _ in range(n)] for _ in range(n)]
+    if zero:
+        a[0][0] = scalar(0)
+    value, pfaffian = det(a), pf_fraction_free(bordered(a))
+    assert value == pfaffian
+    assert type(value) is type(pfaffian) is value_type(a)
 
 
 # The script prints a line before any call, so the line sits unflushed in
