@@ -20,14 +20,19 @@ QuadExt arithmetic: it is the slow side of the Hafnian separation that
 acceptance criterion 7 measures.
 
 det_bareiss (Bareiss 1968) and pf_fraction_free (Galbiati & Maffioli
-1994) are one fraction-free loop, _eliminate, with two step functions
-each: a pivot step that finds a nonzero pivot (det swaps rows, Pf swaps
-index k+1) and an update step that writes a row's new cells.  On Python
-ints the loop strips each step's common content: its entries are minors
-of the input over a running integer scale, and after a step whose pivot
-has _STRIP_BITS bits or more it divides the trailing block by its gcd.
+1994) are one fraction-free loop, _eliminate, which takes two pivots per
+step (Bareiss's two-step scheme; for the Pfaffian, the Pfaffian Sylvester
+identity on two pivot pairs), so each entry gets one exact division per
+two pivots.  Each kernel gives two step functions: a block step that makes
+the block's two pivots nonzero (det swaps rows, Pf swaps index k+1 or
+k+3) and computes what the block's update reads, and an update step that
+writes a row's new cells.  On Python ints the loop strips common
+content: its entries are minors of the input over a running integer
+scale, and at a block whose second pivot has _STRIP_BITS bits or more it
+divides the block's quantities, and after the block the trailing rows,
+by their gcds.
 
-From n = 18 (det) and 2n = 28 (Pf), on rows of Python ints and with at
+From n = 22 (det) and 2n = 32 (Pf), on rows of Python ints and with at
 least 2 CPUs, the loop shares its row updates with one forked helper
 (_Halves), computing the same integers.  The thresholds are where two
 processes stopped losing (see _DET_HALVES_MIN).
@@ -38,7 +43,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from itertools import permutations
+from itertools import chain, permutations
 
 from .errors import DomainError, SizeError
 from .matrix import SquareMatrix
@@ -52,18 +57,22 @@ PERM_RYSER_MAX = 25
 
 # The least dimension at which det_bareiss and pf_fraction_free share their
 # row updates with a forked helper (_Halves).  Below it, the fork, the
-# helper's first page copies, its reaping and one pipe exchange per step
-# (2-4 ms in all) cost more than half of the updates saves.  Medians of 21
-# alternating one- and two-process runs (3 matrices x 7) on
-# fast_cauchy_perm's and fast_cauchy_hafnian's integer matrices, with
-# stripping on (CPython 3.11, 2 CPUs), one-process time over two-process
-# time, x+y points / random rational forms:
-# det at n = 16, 18, 20, 22: 0.76 / 0.81, 0.90 / 1.15, 1.11 / 1.32, 1.16 / 1.40;
-# Pf at 2n = 24, 28, 32, 36: 0.54 / 0.88, 0.80 / 1.21, 1.04 / 1.34, 1.23 / 1.46.
-# Stripping shrinks each step's work, so x+y now breaks even later (n = 19,
-# 2n = 32) than random forms (n = 17, 2n = 26); the thresholds stay between.
-_DET_HALVES_MIN = 18
-_PF_HALVES_MIN = 28
+# helper's first page copies, its reaping and two pipe exchanges per block
+# cost more than half of the updates saves.  Medians of 9 alternating one-
+# and two-process runs of 3 matrices each of fast_cauchy_perm and
+# fast_cauchy_hafnian, stripping on (CPython 3.11, 2 CPUs), one-process
+# time over two-process time at x+y points / 1-xy / random rational forms:
+# det at n = 18, 20, 22, 24: 0.65 / 0.77 / 0.90, 0.90 / 0.69 / 1.10,
+# 1.02 / 0.96 / 1.10, 1.16 / 1.26 / 1.33; Pf at 2n = 24, 28, 32, 36, x+y /
+# random: 0.36 / 0.95, 0.70 / 0.90, 0.90 / 1.20, 1.05 / 1.42.  Each
+# threshold is the sweep's best dimension: perm_fast's 27 x+y matrices at
+# n = 20 (seeds 1-3) ran 60% slower with the helper, and hafnian_fast's
+# 12 random forms at 2n = 28 21% slower, at 2n = 32 20% faster.  A rule on
+# n and the largest entry's bit length saved 0.4% of the sweep's time over
+# the best dimension-only threshold, for each kernel, fitted on the same
+# runs.
+_DET_HALVES_MIN = 22
+_PF_HALVES_MIN = 32
 
 # The least pivot bit length at which a step strips the gcd of the trailing
 # block: each strip costs a gcd scan, a division of every entry and, with
@@ -179,24 +188,31 @@ def _integer_rows(rows, skew=False):
     return a, math.prod(dens), ring, ring is None
 
 
+def _side(i: int, unit: int) -> int:
+    """The side of _Halves that updates row i: 0 the caller, 1 the helper.
+    Rows come in blocks of one _eliminate step, 2 unit rows each."""
+    return i // (2 * unit) % 2
+
+
 class _Halves:
     """The rows of one _eliminate loop over ``a``: with ``fork`` and at
     least 2 CPUs in the affinity mask, one forked helper runs the same
     loop as the caller; otherwise (``pid`` None) the loop runs in one
     process, and gather and close do nothing.
 
-    Row i belongs to side i // unit % 2 (0 the caller, 1 the helper), and
-    each side updates only its own rows.  The first rows after step k's
-    pivots are the next pivots: their owner updates them first and at once
-    sends them, from the first column the loop reads on (the pivot column,
-    or right of the diagonal for a Pfaffian), by marshal over a pipe, so
-    the other side reads them at the next step while the sender goes on
-    updating.  After a stripping step the pivot rows arrive undivided; the
-    sides then swap their gcds of their own rows, side 1 reading first so
-    that two messages larger than a pipe buffer cannot block each other,
-    and both divide by the common gcd.  Both sides hold the same pivots and
-    so take the same branches; before a pivot swap, ``gather`` hands the
-    helper's rows back and the caller finishes alone.
+    Rows come in blocks of 2 ``unit`` rows, the rows of one step, and row i
+    belongs to side _side(i, unit); each side updates only its own rows.
+    The block after step k's is the next step's: its owner updates it
+    first and at once sends it, from the first column the loop reads on
+    (``cells``: the pivot column for det, right of the diagonal for a
+    Pfaffian), by marshal over a pipe, so the other side reads it at the
+    next step while the sender goes on updating.  After a stripping step
+    the block arrives undivided; the sides then swap their gcds of their
+    own rows (``common``) and both divide what they hold by the common
+    gcd.  A stripping step's quantities for each side's rows are divided
+    by the gcd common to both sides' too.  Both sides hold the same block
+    and so take the same branches; before a pivot swap, ``gather`` hands
+    the helper's rows back and the caller finishes alone.
 
     The helper always ends in os._exit, flushing nothing it inherited: in
     ``close`` after its last step or on the EOFError or BrokenPipeError it
@@ -262,16 +278,19 @@ class _Halves:
         return k if self.unit == 1 else i + 1
 
     def pivots(self, k: int, part=None):
-        """Step k's pivot rows, read in when the other side updated them,
-        and the gcd to divide by: 1 if ``part`` is None, else the gcd of
-        both sides' parts."""
-        if self.pid is None:
-            return 1 if part is None else part
-        if k and k // self.unit % 2 != self.side:
+        """Step k's block, read in when the other side updated it, and the
+        gcd to divide by: 1 if ``part`` is None, else common(part)."""
+        if self.pid is not None and k and _side(k, self.unit) != self.side:
             for i, got in enumerate(self._receive(), k):
                 self.a[i][self.cells(i, k):] = got
-        if part is None:
-            return 1
+        return 1 if part is None else self.common(part)
+
+    def common(self, part):
+        """The gcd of this side's ``part`` and the other side's.  Side 1
+        reads first, so that two messages larger than a pipe buffer cannot
+        block each other."""
+        if self.pid is None:
+            return part
         if self.side:
             theirs = self._receive()
             self._send(part)
@@ -280,26 +299,32 @@ class _Halves:
             theirs = self._receive()
         return math.gcd(part, theirs)
 
-    def rows(self, lo: int, hi: int):
+    def own(self, lo: int, hi: int):
         """The rows among lo .. hi-1 that this side updates."""
         if self.pid is None:
             return range(lo, hi)
-        return self._own(lo, hi)
+        return [i for i in range(lo, hi) if _side(i, self.unit) == self.side]
 
-    def _own(self, lo, hi):
-        unit, a = self.unit, self.a
-        for i in range(lo, hi):
-            if i // unit % 2 == self.side:
-                yield i
-                if i == lo + unit - 1:  # the next pivots are done: send them
-                    self._send([a[j][self.cells(j, lo):] for j in range(lo, i + 1)])
+    def rows(self, lo: int, hi: int):
+        """own(lo, hi), sending the first block to the other side as soon
+        as this side, its owner, has updated it."""
+        if self.pid is None:
+            return range(lo, hi)
+        return self._sending(lo, hi)
+
+    def _sending(self, lo, hi):
+        a, last = self.a, min(lo + 2 * self.unit, hi) - 1
+        for i in self.own(lo, hi):
+            yield i
+            if i == last:  # the next block is done: send it
+                self._send([a[j][self.cells(j, lo):] for j in range(lo, i + 1)])
 
     def gather(self, k: int):
         """Before a pivot swap at step k: the helper's rows from k on go
         back to the caller, which runs the rest of the loop alone."""
         if self.pid is None:
             return
-        theirs = [i for i in range(k, len(self.a)) if i // self.unit % 2]
+        theirs = [i for i in range(k, len(self.a)) if _side(i, self.unit)]
         if self.side:
             self._send([self.a[i][self.cells(i, k):] for i in theirs])
             os._exit(0)
@@ -308,51 +333,72 @@ class _Halves:
         self.close()
 
 
-def _eliminate(rows, unit: int, fork_min: int, pivot, update):
+def _eliminate(rows, unit: int, fork_min: int, step, update):
     """The fraction-free loop of det_bareiss (``unit`` 1) and
-    pf_fraction_free (``unit`` 2), on a cleared copy of ``rows``.  At step
-    k, pivot(a, k, gather) makes a[k][k + unit - 1] a nonzero pivot p,
-    calling gather(k) before it moves a row, and returns 1, -1 after a
-    swap, or 0 if there is none; update(a, k, i, p, div) writes later row
-    i's cells from _Halves.cells(i, k + unit) on.  From ``fork_min`` rows
-    of Python ints on, a forked helper updates half the rows."""
-    n = len(rows)
+    pf_fraction_free (``unit`` 2) on a cleared copy of ``rows``, two pivots
+    per step: step k eliminates rows k .. k + 2 unit - 1 with one exact
+    division per later entry.  step(a, k, div, gather, own) makes the
+    block's two pivots nonzero, calling gather(k) before it moves a row,
+    and returns (s, state): s is 1, -1 after an odd number of swaps, or 0
+    when the value is 0; state lists the block's quantities over ``div``
+    that the updates of own(k + 2 unit, n) read, the second pivot first.
+    update(a, k, i, m, state, div) writes the m-th of those rows, row i,
+    from _Halves.cells(i, k + 2 unit) on.  A last block of one pivot
+    needs neither.  From ``fork_min`` rows of Python ints on, a forked
+    helper updates half the rows."""
+    n, block = len(rows), 2 * unit
     a, den, ring, ints = _integer_rows(rows, skew=unit == 2)
     a = [list(row) for row in a]
     sign = scale = prev = p = 1
     part = None  # this side's gcd of the trailing block after a stripping step
     h = _Halves(a, unit, ints and n >= fork_min)
     try:
-        for k in range(0, n, unit):
+        for k in range(0, n, block):
             gamma = h.pivots(k, part)
-            sign *= pivot(a, k, h.gather)
             if gamma > 1:
                 scale *= gamma
-                for j in range(k, k + unit):
-                    c = h.cells(j, k)
-                    a[j][c:] = [v // gamma for v in a[j][c:]]
-            p = a[k][k + unit - 1]
-            if not sign or k + unit == n:  # the value is sign c p: 0, or the last pivot
-                break
-            div, prev = prev, p
-            if scale > 1:
-                # The entries are held as the true ones over the scale c, so
-                # the true update is c^2 X / P, for the step's combination X
-                # of held entries and P = div the true previous pivot.  With
-                # g = gcd(c^2, P), c^2/g and P/g are coprime and the update
-                # is an integer, so P/g divides X, and the new entries are
-                # held over c^2/g.  c p is the step's true pivot.
-                g = math.gcd(scale * scale, div)
-                div, prev, scale = div // g, scale * p, scale * scale // g
-            strip = ints and p.bit_length() >= _STRIP_BITS and k + 2 * unit < n
-            part = 0 if strip else None
-            for i in h.rows(k + unit, n):
-                if gamma > 1:
+                for i in chain(range(k, min(k + block, n)), h.own(k + block, n)):
                     c = h.cells(i, k)
                     a[i][c:] = [v // gamma for v in a[i][c:]]
-                update(a, k, i, p, div)
+            p = a[k][k + unit - 1]
+            if k + unit == n:  # the value is sign c p, p the last pivot
+                break
+            # Entries are held as the true ones over the scale c, and P =
+            # prev is the true previous pivot.  The block's quantities
+            # after one pivot are true c^2 X / P, X a combination of held
+            # entries; with g = gcd(c^2, P), c^2/g and P/g are coprime, so
+            # P/g divides X and step holds them over lift = c^2/g.  The
+            # entries after the block are true c lift X / P, X linear in
+            # the block's quantities, whose common content therefore moves
+            # into lift when the block strips; they are held over c lift/g
+            # by the same argument with g = gcd(c lift, P).
+            div, lift = prev, 1
+            if scale > 1:
+                g = math.gcd(scale * scale, prev)
+                div, lift = prev // g, scale * scale // g
+            s, state = step(a, k, div, h.gather, h.own)
+            sign *= s
+            if not sign:
+                break
+            strip = ints and state[0].bit_length() >= _STRIP_BITS and k + block < n
+            if strip:
+                g = h.common(math.gcd(*state))
+                if g > 1:
+                    state = [v // g for v in state]
+                    lift *= g
+            q = state[0]
+            if k + block == n:
+                p, scale = q, lift
+                break
+            div, prev = prev, lift * q
+            if scale * lift > 1:
+                g = math.gcd(scale * lift, div)
+                div, scale = div // g, scale * lift // g
+            part = 0 if strip and k + 2 * block < n else None
+            for m, i in enumerate(h.rows(k + block, n)):
+                update(a, k, i, m, state, div)
                 if part is not None:
-                    part = math.gcd(part, *a[i][h.cells(i, k + unit):])
+                    part = math.gcd(part, *a[i][h.cells(i, k + block):])
     finally:
         h.close()
     value = sign * scale * p
@@ -374,33 +420,64 @@ def det_bareiss(m: SquareMatrix):
 
     Every division in the elimination is exact: it runs on the cleared
     rows of ``_integer_rows``, and the value's type follows the entries.
-    Singular input returns 0.  Step k makes a[k][k] nonzero by a row swap
-    (a sign flip) and updates every later row; the last pivot is the
-    determinant.  On int rows _eliminate strips each step's common
+    Singular input returns 0.  Each step takes the two pivots of rows k
+    and k+1 (Bareiss's two-step scheme).  With c0 the second pivot after
+    one step, r_j row k+1's entry after one step and w_j = (a_{k,k+1}
+    a_{k+1,j} - a_kj a_{k+1,k+1}) / p_prev, each a minor of the input, a
+    later entry becomes
+
+        a'_ij = (a_ij c0 - a_{i,k+1} r_j + a_ik w_j) / p_prev,
+
+    a 3 x 3 minor over p_prev, the pivot before the block (1 at the
+    start): 3 products and 1 exact division per two pivots.  A zero
+    a[k][k] is replaced by a row swap, a zero c0 by swapping row k+1 with
+    a later row whose one-step entry in column k+1 is nonzero (each a sign
+    flip); if there is none, the determinant is 0.  The last pivot is the
+    determinant.  On int rows _eliminate strips each block's common
     content, and from n = _DET_HALVES_MIN on the caller and one forked
     helper update the rows.
     """
-    return _eliminate(_square(m).entries, 1, _DET_HALVES_MIN, _det_pivot, _det_update)
+    return _eliminate(_square(m).entries, 1, _DET_HALVES_MIN, _det_step, _det_update)
 
 
-def _det_pivot(a, k, gather):
-    """Step k of det_bareiss: a nonzero a[k][k], by a row swap if needed."""
-    if a[k][k] != 0:
-        return 1
-    gather(k)
-    t = next((i for i in range(k + 1, len(a)) if a[i][k] != 0), None)
-    if t is None:  # column k is zero from the diagonal down
-        return 0
-    a[k], a[t] = a[t], a[k]
-    return -1
+def _det_step(a, k, div, gather, own):
+    """Rows k, k+1 of det_bareiss as one block: nonzero pivots a[k][k] and
+    c0 by row swaps, and (s, [c0, r_{k+2}, w_{k+2}, r_{k+3}, ...]) with r_j
+    row k+1's entry after one step and w_j the 2 x 2 minor on rows k, k+1
+    and columns k+1, j, each over ``div``."""
+    n, s = len(a), 1
+    if a[k][k] == 0:
+        gather(k)
+        t = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+        if t is None:  # column k is zero from the diagonal down
+            return 0, None
+        a[k], a[t] = a[t], a[k]
+        s = -1
+    rk, rr = a[k], a[k + 1]
+    p, u, x, y = rk[k], rk[k + 1], rr[k], rr[k + 1]
+    c0 = (p * y - u * x) // div
+    if c0 == 0:  # search column k+1 after one step
+        gather(k)
+        t = next((i for i in range(k + 2, n) if p * a[i][k + 1] != u * a[i][k]), None)
+        if t is None:
+            return 0, None
+        a[k + 1], a[t] = a[t], a[k + 1]
+        rr, s = a[k + 1], -s
+        x, y = rr[k], rr[k + 1]
+        c0 = (p * y - u * x) // div
+    state = [c0]
+    for j in range(k + 2, n):
+        v, z = rr[j], rk[j]
+        state += (p * v - x * z) // div, (u * v - y * z) // div
+    return s, state
 
 
-def _det_update(a, k, i, p, div):
-    """Bareiss step k on row i's entries right of column k."""
-    rk, ri = a[k], a[i]
-    x = ri[k]
-    for j in range(k + 1, len(ri)):
-        ri[j] = (ri[j] * p - x * rk[j]) // div
+def _det_update(a, k, i, m, state, div):
+    """The two-step update of row i's entries right of column k+1."""
+    ri, quantities = a[i], iter(state)
+    c0, x, y = next(quantities), ri[k], ri[k + 1]
+    for j, t, z in zip(range(k + 2, len(ri)), quantities, quantities):
+        ri[j] = (ri[j] * c0 - y * t + x * z) // div
 
 
 # -- permanent -------------------------------------------------------------
@@ -475,50 +552,92 @@ def pf_fraction_free(a):
     rows ``a`` (nothing on or below the diagonal is read).
 
     Fraction-free skew elimination (Galbiati & Maffioli, "On the
-    computation of pfaffians", 1994).  After step s, with I the first 2s
-    indices, entry (i, j) holds Pf of the principal submatrix on
-    I + {i, j}; the Pfaffian Sylvester identity gives the update
+    computation of pfaffians", 1994), two pivot pairs per step.  After s
+    pairs, with I the first 2s indices, entry (i, j) holds Pf of the
+    principal submatrix on I + {i, j}, and by the Pfaffian Sylvester
+    identity Pf of the held entries on any 2m indices is that principal
+    Pfaffian times p_prev^(m-1), p_prev the last pivot (1 at the start).
+    For the block k .. k+3, let P' = Pf(block) / p_prev, the second pivot,
+    and tau_m = Pf(block without k+m, with i) / p_prev; expanding Pf on
+    the block, i and j along j gives the update
 
-        a'_ij = (p a_ij - a_ki a_{k+1,j} + a_{k+1,i} a_kj) / p_prev
+        a'_ij = (a_ij P' + a_kj tau_0 - a_{k+1,j} tau_1
+                 + a_{k+2,j} tau_2 - a_{k+3,j} tau_3) / p_prev,
 
-    with pivot p = a_{k,k+1} and p_prev the previous pivot (1 at the
-    start).  The division is exact: the elimination runs on the cleared
-    rows of ``_integer_rows`` (Pf(D A D) = prod(D_i) Pf(A)), where every
-    intermediate is a Pfaffian minor, and the value's type follows the
-    entries above the diagonal.  The last pivot is the Pfaffian.  A zero
-    pivot is replaced by swapping index k+1 with a later index (sign
-    flip); if row k has no nonzero entry the Pfaffian is 0.  On int rows
-    _eliminate strips each step's common content, and from 2n =
+    5 products and 1 exact division per two pivots.  The divisions are
+    exact: the elimination runs on the cleared rows of ``_integer_rows``
+    (Pf(D A D) = prod(D_i) Pf(A)), where every intermediate is a Pfaffian
+    minor, and the value's type follows the entries above the diagonal.
+    The last pivot is the Pfaffian.  A zero pivot a_{k,k+1} is replaced by
+    swapping index k+1 with a later index, and a zero P' by swapping index
+    k+3 with a later index whose one-step entry in row k+2 is nonzero
+    (each a sign flip); if there is none, the Pfaffian is 0.  On int rows
+    _eliminate strips each block's common content, and from 2n =
     _PF_HALVES_MIN on the caller and one forked helper update the rows.
     """
-    return _eliminate(a, 2, _PF_HALVES_MIN, _pf_pivot, _pf_update)
+    return _eliminate(a, 2, _PF_HALVES_MIN, _pf_step, _pf_update)
 
 
-def _pf_pivot(a, k, gather):
-    """Step k of pf_fraction_free: a nonzero a[k][k+1], by an index swap if needed."""
-    rk, r, n = a[k], k + 1, len(a)
-    if rk[r] != 0:
-        return 1
-    t = next((j for j in range(r + 1, n) if rk[j] != 0), None)
-    if t is None:  # row k is zero
-        return 0
-    gather(k)
+def _pf_step(a, k, div, gather, own):
+    """Indices k .. k+3 of pf_fraction_free as one block: nonzero pivots
+    a[k][k+1] and P' = Pf(block) / div by swaps of index k+1 or k+3 with a
+    later index, and (s, [P', tau_0, tau_1, tau_2, tau_3 of each row i
+    own(k+4, n) gives]) with tau_m the Pfaffian of the block without
+    index k+m and with i, over ``div``."""
+    n, s, r0 = len(a), 1, a[k]
+    if r0[k + 1] == 0:
+        t = next((j for j in range(k + 2, n) if r0[j] != 0), None)
+        if t is None:  # row k is zero
+            return 0, None
+        gather(k)
+        _pf_swap(a, k, k + 1, t)
+        s = -1
+    r1, r2, r3 = a[k + 1], a[k + 2], a[k + 3]
+    b01, b02, b12 = r0[k + 1], r0[k + 2], r1[k + 2]
+
+    def one_step(j):  # Pf(k, k+1, k+2, j): row k+2's entry after one step, times div
+        return b01 * r2[j] - b02 * r1[j] + r0[j] * b12
+
+    q = one_step(k + 3) // div
+    if q == 0:
+        t = next((j for j in range(k + 4, n) if one_step(j) != 0), None)
+        if t is None:
+            return 0, None
+        gather(k)
+        _pf_swap(a, k, k + 3, t)
+        s = -s
+        q = one_step(k + 3) // div
+    b03, b13, b23 = r0[k + 3], r1[k + 3], r2[k + 3]
+    state = [q]
+    for i in own(k + 4, n):
+        x0, x1, x2, x3 = r0[i], r1[i], r2[i], r3[i]
+        state += ((b12 * x3 - b13 * x2 + x1 * b23) // div,
+                  (b02 * x3 - b03 * x2 + x0 * b23) // div,
+                  (b01 * x3 - b03 * x1 + x0 * b13) // div,
+                  (b01 * x2 - b02 * x1 + x0 * b12) // div)
+    return s, state
+
+
+def _pf_swap(a, k, r, t):
+    """Swap index r with a later index t in the rows from k on."""
     rr, rt = a[r], a[t]
-    rk[r], rk[t] = rk[t], rk[r]
+    for c in range(k, r):
+        rc = a[c]
+        rc[r], rc[t] = rc[t], rc[r]
     for c in range(r + 1, t):
         rr[c], a[c][t] = -a[c][t], -rr[c]
-    for c in range(t + 1, n):
+    for c in range(t + 1, len(a)):
         rr[c], rt[c] = rt[c], rr[c]
     rr[t] = -rr[t]
-    return -1
 
 
-def _pf_update(a, k, i, p, div):
-    """The step on pivots k, k+1 on row i's entries right of the diagonal."""
-    rk, rr, ri = a[k], a[k + 1], a[i]
-    x, y = rk[i], rr[i]
-    ri[i + 1:] = [(p * v - x * w + y * z) // div
-                  for v, w, z in zip(ri[i + 1:], rr[i + 1:], rk[i + 1:])]
+def _pf_update(a, k, i, m, state, div):
+    """The two-pair update of row i's entries right of the diagonal, i the
+    m-th row of this side's."""
+    q, (t0, t1, t2, t3) = state[0], state[4 * m + 1:4 * m + 5]
+    r0, r1, r2, r3, ri = a[k], a[k + 1], a[k + 2], a[k + 3], a[i]
+    for j in range(i + 1, len(ri)):
+        ri[j] = (ri[j] * q + r0[j] * t0 - r1[j] * t1 + r2[j] * t2 - r3[j] * t3) // div
 
 
 def pf_elimination(m: SquareMatrix):

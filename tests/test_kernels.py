@@ -853,7 +853,7 @@ def test_helper_zero_pivots_and_zero_rows(forks, scalar):
 
 
 @pytest.mark.parametrize("scalar", [int, F])
-@pytest.mark.parametrize("n", [3, DET_MIN])
+@pytest.mark.parametrize("n", [3, 18, DET_MIN])
 def test_det_zero_at_the_last_pivot_only(forks, n, scalar):
     # A = L U with L unit lower triangular and U upper triangular whose
     # last diagonal entry is 0: the leading minors up to order n - 1 are
@@ -893,11 +893,11 @@ def test_helper_sends_rows_larger_than_a_pipe_buffer(forks):
 def planted(rng, small, skew=False):
     """(rows, factor): the int matrix ``small`` with row i and column j
     (index i when ``skew``) scaled by STRIP_HALF times 2^a on the caller's
-    rows and 3^b on the helper's, so that the two sides' gcds differ and
-    only their gcd divides the block; factor is what the scaling
-    multiplies det (or Pf) by."""
+    rows and 3^b on the helper's (by the kernels' own kernels._side), so
+    that the two sides' gcds differ and only their gcd divides the block;
+    factor is what the scaling multiplies det (or Pf) by."""
     unit = 2 if skew else 1
-    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if i // unit % 2 == 0
+    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if kernels._side(i, unit) == 0
                        else 3 ** rng.randint(2, 6)) for i in range(len(small))]
     rows = [[s[i] * s[j] * v for j, v in enumerate(row)] for i, row in enumerate(small)]
     return rows, math.prod(s) if skew else math.prod(s) ** 2
@@ -999,6 +999,154 @@ def test_det_is_the_pfaffian_of_the_bordered_matrix(n, bits, scalar, zero, seed)
     value, pfaffian = det(a), pf_fraction_free(bordered(a))
     assert value == pfaffian
     assert type(value) is type(pfaffian) is value_type(a)
+
+
+# -- the two-step loop ------------------------------------------------------
+#
+# Both eliminations take two pivots per step: det_bareiss rows k, k+1 and
+# pf_fraction_free indices k .. k+3.  These inputs have a known value and,
+# in about half the draws, a zero second pivot at block b >= 1 where the
+# size allows: the leading minor of order 2b + 2 (det), or the leading
+# Pfaffian of order 4b + 4 (Pf), is zero and the one before it is not, so
+# the step must search its one-step values and swap.  With planted content
+# (ints and Fractions), block 0 has stripped before block b.  Sizes run
+# past the helper thresholds, odd n and odd n/2 included.
+
+TWO_STEP_KINDS = ("int", "fraction", "sqrt2", "sqrt-3")
+RADICANDS = {"sqrt2": F(2), "sqrt-3": F(-3)}
+
+
+def scalar_of(rng, kind, nonzero=False):
+    """A small random int, Fraction, or QuadExt over Q(sqrt(2)) or
+    Q(sqrt(-3)), nonzero if asked."""
+    while True:
+        if kind == "int":
+            v = rng.randint(-5, 5)
+        elif kind == "fraction":
+            v = F(rng.randint(-5, 5), rng.randint(1, 4))
+        else:
+            v = QuadExt(F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-2, 2)),
+                        RADICANDS[kind])
+        if v != 0 or not nonzero:
+            return v
+
+
+def content(rng, n):
+    """Per-index scalings of STRIP_HALF times a product of small primes."""
+    return [STRIP_HALF * 2 ** rng.randint(0, 6) * 3 ** rng.randint(0, 4) for _ in range(n)]
+
+
+def known_det(rng, kind, n, zero, plant):
+    """(rows, det): A = L M U with L unit lower and U unit upper triangular,
+    and M = D P for a diagonal D of nonzero entries and, with ``zero``,
+    P the swap of row 2b+1 with a later one.  A's leading minors are M's,
+    so the one of order 2b + 2 is zero and those below it are not.  With
+    ``plant``, row i and column j are scaled as by ``content``."""
+    lower = [[scalar_of(rng, kind) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[scalar_of(rng, kind) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    d = [scalar_of(rng, kind, nonzero=True) for _ in range(n)]
+    perm, value = list(range(n)), math.prod(d)
+    if zero is not None:
+        r = 2 * zero + 1
+        t = rng.randrange(r + 1, n)
+        perm[r], perm[t], value = t, r, -value
+    mu = [[d[i] * v for v in upper[perm[i]]] for i in range(n)]
+    rows = [[sum((lower[i][m] * mu[m][j] for m in range(i + 1)), 0 * d[0])
+             for j in range(n)] for i in range(n)]
+    if plant:
+        r, c = content(rng, n), content(rng, n)
+        rows = [[r[i] * c[j] * v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        value *= math.prod(r) * math.prod(c)
+    return rows, value
+
+
+def known_pf(rng, kind, n, zero, plant):
+    """(rows, Pf): A = B S B^T with B unit lower triangular and S the skew
+    matrix pairing index 2m with 2m+1 by a nonzero s_m, and, with
+    ``zero``, index 4b+3 swapped with a later one in S.  A's leading
+    Pfaffians are S's, so the one of order 4b + 4 is zero (index 4b+2 is
+    paired outside it) and those below it are not.  With ``plant``, index
+    i is scaled as by ``content``."""
+    b = [[scalar_of(rng, kind) if j < i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    pair = [scalar_of(rng, kind, nonzero=True) for _ in range(n // 2)]
+    perm, value = list(range(n)), math.prod(pair)
+    if zero is not None:
+        r = 4 * zero + 3
+        t = rng.randrange(r + 1, n)
+        perm[r], perm[t], value = t, r, -value
+    partner, weight = [0] * n, [0] * n  # S[i][partner[i]] = weight[i]
+    for m, v in enumerate(pair):
+        x, y = perm[2 * m], perm[2 * m + 1]
+        partner[x], weight[x], partner[y], weight[y] = y, v, x, -v
+    sbt = [[weight[i] * b[j][partner[i]] for j in range(n)] for i in range(n)]  # S B^T
+    zero_entry = 0 * pair[0]
+    rows = [[zero_entry] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = sum((b[i][m] * sbt[m][j] for m in range(i + 1)), zero_entry)
+            rows[i][j], rows[j][i] = v, -v
+    if plant:
+        r = content(rng, n)
+        rows = [[r[i] * r[j] * v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        value *= math.prod(r)
+    return rows, value
+
+
+def zero_block(rng, blocks, draw_zero):
+    """b for a planted zero second pivot: a block after the first when
+    ``blocks`` (the blocks that can hold one) allows, else block 0."""
+    if not draw_zero or blocks < 1:
+        return None
+    return rng.randint(1, blocks - 1) if blocks > 1 else 0
+
+
+def two_step_type(kind):
+    return {"int": int, "fraction": F}.get(kind, QuadExt)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(TWO_STEP_KINDS), st.integers(1, DET_MIN + 3), st.booleans(),
+       st.booleans(), st.integers(0, 2**32))
+@example("int", DET_MIN, True, True, 1)
+@example("int", DET_MIN + 1, True, False, 2)
+@example("fraction", DET_MIN - 1, True, True, 3)
+@example("int", 7, True, True, 4)
+@example("sqrt-3", 7, True, False, 5)
+def test_det_two_step_matches_known_value(kind, n, draw_zero, plant, seed):
+    # Z[sqrt(D)] pairs stay below 10 rows: they never fork or strip.
+    rng = random.Random(seed)
+    n = n if kind in ("int", "fraction") else min(n, 9)
+    plant = plant and kind in ("int", "fraction")
+    zero = zero_block(rng, (n - 1) // 2, draw_zero)
+    rows, value = known_det(rng, kind, n, zero, plant)
+    if n <= 7:
+        assert value == det_oracle(SquareMatrix(rows))
+    got = det(rows)
+    assert got == value and type(got) is two_step_type(kind)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(TWO_STEP_KINDS), st.integers(1, PF_MIN // 2 + 3), st.booleans(),
+       st.booleans(), st.integers(0, 2**32))
+@example("int", PF_MIN // 2, True, True, 1)
+@example("int", PF_MIN // 2 + 1, True, False, 2)
+@example("fraction", PF_MIN // 2 - 1, True, True, 3)
+@example("int", 5, True, True, 4)
+@example("sqrt2", 5, True, False, 5)
+def test_pf_two_pair_matches_known_value(kind, half, draw_zero, plant, seed):
+    rng = random.Random(seed)
+    n = 2 * (half if kind in ("int", "fraction") else min(half, 5))
+    plant = plant and kind in ("int", "fraction")
+    zero = zero_block(rng, (n - 2) // 4, draw_zero)
+    rows, value = known_pf(rng, kind, n, zero, plant)
+    if n <= 10:
+        assert value == pf_oracle(SquareMatrix(rows))
+    got = pf(rows)
+    assert got == value and type(got) is two_step_type(kind)
+    assert got * got == det(rows)
 
 
 # The script prints a line before any call, so the line sits unflushed in
