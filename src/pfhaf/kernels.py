@@ -32,17 +32,22 @@ scale, and at a block whose second pivot has _STRIP_BITS bits or more it
 divides the block's quantities, and after the block the trailing rows,
 by their gcds.
 
-From n = 22 (det) and 2n = 32 (Pf), on rows of Python ints and with at
-least 2 CPUs, the loop shares its row updates with one forked helper
-(_Halves), computing the same integers.  The thresholds are where two
-processes stopped losing (see _DET_HALVES_MIN).
+From n = 18 (det) and 2n = 24 (Pf), on rows of Python ints and with at
+least 2 CPUs, the loop shares its row updates with this process's helper
+(_Helper), computing the same integers: one process, forked at the first
+such elimination, that serves every later one until this process exits.
+Each side updates half of every block's rows (_Halves).  The thresholds
+are where two processes stopped losing (see _DET_HALVES_MIN).
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import marshal
 import math
 import os
+import threading
 from itertools import chain, permutations
 
 from .errors import DomainError, SizeError
@@ -56,31 +61,27 @@ HF_RECURSIVE_MAX = 22
 PERM_RYSER_MAX = 25
 
 # The least dimension at which det_bareiss and pf_fraction_free share their
-# row updates with a forked helper (_Halves).  Below it, the fork, the
-# helper's first page copies, its reaping and two pipe exchanges per block
-# cost more than half of the updates saves.  Medians of 9 alternating one-
-# and two-process runs of 3 matrices each of fast_cauchy_perm and
-# fast_cauchy_hafnian, stripping on (CPython 3.11, 2 CPUs), one-process
-# time over two-process time at x+y points / 1-xy / random rational forms:
-# det at n = 18, 20, 22, 24: 0.65 / 0.77 / 0.90, 0.90 / 0.69 / 1.10,
-# 1.02 / 0.96 / 1.10, 1.16 / 1.26 / 1.33; Pf at 2n = 24, 28, 32, 36, x+y /
-# random: 0.36 / 0.95, 0.70 / 0.90, 0.90 / 1.20, 1.05 / 1.42.  Each
-# threshold is the sweep's best dimension: perm_fast's 27 x+y matrices at
-# n = 20 (seeds 1-3) ran 60% slower with the helper, and hafnian_fast's
-# 12 random forms at 2n = 28 21% slower, at 2n = 32 20% faster.  A rule on
-# n and the largest entry's bit length saved 0.4% of the sweep's time over
-# the best dimension-only threshold, for each kernel, fitted on the same
-# runs.
-_DET_HALVES_MIN = 22
-_PF_HALVES_MIN = 32
+# row updates with this process's helper (_Helper).  Below it, the job
+# message and the pipe exchanges of each block cost more than half of the
+# updates saves.  Medians of 11 (7 from det n = 20 and Pf 2n = 28 on)
+# alternating one- and two-process runs of 3 matrices each of
+# fast_cauchy_perm and fast_cauchy_hafnian, the helper already running
+# (CPython 3.11, 2 CPUs), one-process time over two-process time at x+y
+# points / 1-xy / random rational forms: det at n = 14, 16, 18, 20, 22:
+# 0.84 / 0.81 / 0.83, 0.96 / 0.99 / 1.06, 1.12 / 1.06 / 1.34, 1.18 / 1.15 /
+# 1.12, 1.11 / 1.39 / 1.48; Pf at 2n = 20, 22, 24, 28, 32, x+y / random:
+# 0.92 / 1.26, 0.80 / 1.25, 1.15 / 1.31, 1.24 / 1.28, 1.12 / 1.66.  Each
+# threshold is the least dimension from which every kind gained.
+_DET_HALVES_MIN = 18
+_PF_HALVES_MIN = 24
 
 # The least pivot bit length at which a step strips the gcd of the trailing
 # block: each strip costs a gcd scan, a division of every entry and, with
 # the helper, one exchange, against smaller products.  Time for all
-# 21 hafnian_fast and 21 perm_fast matrices of seed 1 with the thresholds
-# above, never stripping over stripping from 0 / 300 / 600 / 1000 / 2000
-# bits, medians of 5 interleaved rounds: Pf 1.23 / 1.23 / 1.27 / 1.24 /
-# 1.07, det 1.19 / 1.18 / 1.22 / 1.21 / 1.16.
+# 21 hafnian_fast and 21 perm_fast matrices of seed 1 with a helper forked
+# per call from n = 22 and 2n = 32, never stripping over stripping from
+# 0 / 300 / 600 / 1000 / 2000 bits, medians of 5 interleaved rounds: Pf
+# 1.23 / 1.23 / 1.27 / 1.24 / 1.07, det 1.19 / 1.18 / 1.22 / 1.21 / 1.16.
 _STRIP_BITS = 600
 
 
@@ -188,221 +189,341 @@ def _integer_rows(rows, skew=False):
     return a, math.prod(dens), ring, ring is None
 
 
-def _side(i: int, unit: int) -> int:
+def _side(i: int) -> int:
     """The side of _Halves that updates row i: 0 the caller, 1 the helper.
-    Rows come in blocks of one _eliminate step, 2 unit rows each."""
-    return i // (2 * unit) % 2
+    Each step's block (rows k, k+1 with k even for det, k .. k+3 with k a
+    multiple of 4 for a Pfaffian) has half its rows on each side, and a
+    Pfaffian's rows i, i+3 hold as many cells as rows i+1, i+2, so every
+    step's trailing cells split evenly."""
+    return int(i % 4 in (1, 2))
+
+
+def _send(pipe, data):
+    data = marshal.dumps(data)
+    data = memoryview(len(data).to_bytes(8, "little") + data)
+    while data:
+        data = data[os.write(pipe[1], data):]
+
+
+def _receive(pipe):
+    # marshal.loads on the whole message: marshal.load on a file reads an
+    # int one 15-bit digit at a time, about 50x slower.
+    return marshal.loads(_read(pipe[0], int.from_bytes(_read(pipe[0], 8), "little")))
+
+
+def _read(fd, size):
+    buf = bytearray(size)
+    view, got = memoryview(buf), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            raise EOFError("the other side of the pipe has closed it")
+        got += n
+    return buf
+
+
+class _Gathered(Exception):
+    """Raised in the helper once it has handed its rows back (gather)."""
 
 
 class _Halves:
-    """The rows of one _eliminate loop over ``a``: with ``fork`` and at
-    least 2 CPUs in the affinity mask, one forked helper runs the same
-    loop as the caller; otherwise (``pid`` None) the loop runs in one
-    process, and gather and close do nothing.
+    """The rows of one _eliminate loop over ``a``: with a ``pipe`` (inbox
+    and outbox descriptors) to the other side, the caller (``side`` 0) and
+    the helper (side 1) run the same loop, and each updates only the rows
+    i with _side(i) == side; without one (``pipe`` None) the loop runs in
+    one process, and gather does nothing.
 
-    Rows come in blocks of 2 ``unit`` rows, the rows of one step, and row i
-    belongs to side _side(i, unit); each side updates only its own rows.
-    The block after step k's is the next step's: its owner updates it
-    first and at once sends it, from the first column the loop reads on
+    At the top of each step after the first, the two sides swap their
+    halves of the step's block, from the first column the loop reads on
     (``cells``: the pivot column for det, right of the diagonal for a
-    Pfaffian), by marshal over a pipe, so the other side reads it at the
-    next step while the sender goes on updating.  After a stripping step
-    the block arrives undivided; the sides then swap their gcds of their
-    own rows (``common``) and both divide what they hold by the common
-    gcd.  A stripping step's quantities for each side's rows are divided
-    by the gcd common to both sides' too.  Both sides hold the same block
-    and so take the same branches; before a pivot swap, ``gather`` hands
-    the helper's rows back and the caller finishes alone.
-
-    The helper always ends in os._exit, flushing nothing it inherited: in
-    ``close`` after its last step or on the EOFError or BrokenPipeError it
-    meets once the caller has raised and closed its pipe ends, or in
-    ``gather``.  The caller reaps it in ``close``.  The helper runs only
-    the loop, marshal and os calls, which take no lock another thread of
-    the caller could hold at the fork.
+    Pfaffian), by marshal over the pipe, in ``common``'s order; so both
+    hold the whole block and take the same branches.  After a stripping
+    step the halves arrive undivided, each with its side's gcd of its own
+    rows, and both sides divide what they hold by the common gcd.  A
+    stripping step's quantities for each side's rows are divided by the
+    gcd common to both sides' too (``common``).  Before a pivot swap,
+    ``gather`` hands the helper's rows back, the caller finishes alone
+    and the helper goes idle.
     """
 
-    def __init__(self, a, unit: int, fork: bool):
-        self.a, self.unit = a, unit
-        self.pid = None  # None: one process; 0: in the helper; else its pid
-        if (not fork or not hasattr(os, "sched_getaffinity")
-                or len(os.sched_getaffinity(0)) < 2):
-            return
-        down, up = os.pipe(), os.pipe()  # caller -> helper, helper -> caller
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the loop runs in one process
-            pid = None
-        keep = () if pid is None else (down[0], up[1]) if pid == 0 else (up[0], down[1])
-        try:
-            for fd in down + up:
-                if fd not in keep:
-                    os.close(fd)
-            if keep:
-                self.inbox, self.outbox = open(keep[0], "rb"), keep[1]
-                self.pid, self.side = pid, int(pid == 0)
-        except BaseException:  # the caller raised before the loop began
-            if pid == 0:
-                os._exit(1)
-            if pid:
-                for fd in keep:
-                    os.close(fd)
-                os.waitpid(pid, 0)
-            raise
-
-    def close(self):
-        pid, self.pid = self.pid, None
-        if pid == 0:
-            os._exit(0)
-        if pid:
-            try:
-                self.inbox.close()
-                os.close(self.outbox)
-            finally:
-                os.waitpid(pid, 0)
-
-    def _send(self, data):
-        data = marshal.dumps(data)
-        data = memoryview(len(data).to_bytes(8, "little") + data)
-        while data:
-            data = data[os.write(self.outbox, data):]
-
-    def _receive(self):
-        # marshal.loads on the whole message: marshal.load on a file reads
-        # an int one 15-bit digit at a time, about 50x slower.
-        size = int.from_bytes(self.inbox.read(8), "little")
-        return marshal.loads(self.inbox.read(size))
+    def __init__(self, a, unit: int, pipe=None, side: int = 0):
+        self.a, self.unit, self.pipe, self.side = a, unit, pipe, side
 
     def cells(self, i, k):
         """Where row i's cells from step k on begin (Pf: right of the diagonal)."""
         return k if self.unit == 1 else i + 1
 
     def pivots(self, k: int, part=None):
-        """Step k's block, read in when the other side updated it, and the
-        gcd to divide by: 1 if ``part`` is None, else common(part)."""
-        if self.pid is not None and k and _side(k, self.unit) != self.side:
-            for i, got in enumerate(self._receive(), k):
-                self.a[i][self.cells(i, k):] = got
-        return 1 if part is None else self.common(part)
+        """Make step k's block whole on this side, and return the gcd to
+        divide by: 1 if ``part`` is None, else the gcd of both sides'."""
+        if self.pipe is not None and k:
+            a, block = self.a, range(k, min(k + 2 * self.unit, len(self.a)))
+            mine = [a[i][self.cells(i, k):] for i in block if _side(i) == self.side]
+            theirs, their_part = self._swap((mine, part))
+            for i, got in zip((i for i in block if _side(i) != self.side), theirs):
+                a[i][self.cells(i, k):] = got
+            if part is not None:
+                part = math.gcd(part, their_part)
+        return 1 if part is None else part
 
     def common(self, part):
-        """The gcd of this side's ``part`` and the other side's.  Side 1
-        reads first, so that two messages larger than a pipe buffer cannot
-        block each other."""
-        if self.pid is None:
-            return part
+        """The gcd of this side's ``part`` and the other side's."""
+        return part if self.pipe is None else math.gcd(part, self._swap(part))
+
+    def _swap(self, mine):
+        """The other side's ``mine``.  Side 1 reads first, so that two
+        messages larger than a pipe buffer cannot block each other."""
         if self.side:
-            theirs = self._receive()
-            self._send(part)
+            theirs = _receive(self.pipe)
+            _send(self.pipe, mine)
         else:
-            self._send(part)
-            theirs = self._receive()
-        return math.gcd(part, theirs)
+            _send(self.pipe, mine)
+            theirs = _receive(self.pipe)
+        return theirs
 
     def own(self, lo: int, hi: int):
         """The rows among lo .. hi-1 that this side updates."""
-        if self.pid is None:
+        if self.pipe is None:
             return range(lo, hi)
-        return [i for i in range(lo, hi) if _side(i, self.unit) == self.side]
-
-    def rows(self, lo: int, hi: int):
-        """own(lo, hi), sending the first block to the other side as soon
-        as this side, its owner, has updated it."""
-        if self.pid is None:
-            return range(lo, hi)
-        return self._sending(lo, hi)
-
-    def _sending(self, lo, hi):
-        a, last = self.a, min(lo + 2 * self.unit, hi) - 1
-        for i in self.own(lo, hi):
-            yield i
-            if i == last:  # the next block is done: send it
-                self._send([a[j][self.cells(j, lo):] for j in range(lo, i + 1)])
+        return [i for i in range(lo, hi) if _side(i) == self.side]
 
     def gather(self, k: int):
-        """Before a pivot swap at step k: the helper's rows from k on go
-        back to the caller, which runs the rest of the loop alone."""
+        """Before a pivot swap at step k: the helper's rows after the block
+        go back to the caller, which runs the rest of the loop alone, and
+        the helper goes idle."""
+        if self.pipe is None:
+            return
+        a = self.a
+        theirs = [i for i in range(k + 2 * self.unit, len(a)) if _side(i)]
+        if self.side:
+            _send(self.pipe, [a[i][self.cells(i, k):] for i in theirs])
+            raise _Gathered
+        for i, got in zip(theirs, _receive(self.pipe)):
+            a[i][self.cells(i, k):] = got
+        self.pipe = None
+
+
+def _exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited, reaping it if so (or whether
+    another wait of this process has reaped it)."""
+    try:
+        return os.waitpid(pid, os.WNOHANG)[0] != 0
+    except ChildProcessError:
+        return True
+
+
+class _Helper:
+    """This process's helper: one forked process that runs side 1 of every
+    _eliminate loop shared with it (see _Halves), from the first
+    elimination that reaches a threshold until this process exits.
+
+    ``share`` sends it each job, the loop's ``unit`` and its cleared rows,
+    and both sides then run the loop on the same integers; a loop that
+    ends, or a ``gather``, leaves the helper idle for the next job.  A
+    caller that raises mid-loop stops it, and a helper found dead at a
+    call is reaped and replaced.  A child forked from this process drops
+    the helper and its pipe ends (``forget``), and atexit stops it.  The
+    helper ignores SIGINT, exits on EOF, holds no descriptor except its two
+    pipe ends (stdio is /dev/null, so a reader of this process's output
+    sees EOF when it exits) and ends in os._exit, flushing nothing it
+    inherited.  It runs only the loop, marshal and os calls, which take no
+    lock another thread of this process could hold at the fork.
+    """
+
+    def __init__(self):
+        self.pid = self.pipe = None  # pipe: (inbox, outbox) descriptors
+        self.lock = threading.Lock()  # held by the one loop using the helper
+
+    def share(self, a, unit: int):
+        """The pipe to the helper, once it has been sent ``a`` to run side 1
+        of its loop, with ``lock`` held until the caller releases it.  None,
+        and the loop runs in one process, with fewer than 2 CPUs in the
+        affinity mask, while another thread's loop holds the helper, or
+        with no process to spare."""
+        if (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                or not self.lock.acquire(blocking=False)):
+            return None
+        try:
+            if self.pid is not None and _exited(self.pid):
+                self.stop()
+            if self.pid is None:
+                self._fork()
+            if self.pid is None:
+                self.lock.release()
+                return None
+            # A Pfaffian's rows go without what the loop never reads.
+            _send(self.pipe, (unit, a if unit == 1 else [r[i + 1:] for i, r in enumerate(a)]))
+        except BaseException:
+            self.stop()
+            self.lock.release()
+            raise
+        return self.pipe
+
+    def _fork(self):
+        down, up = os.pipe(), os.pipe()  # caller -> helper, helper -> caller
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the loop runs in one process
+            pid = None
+        if pid == 0:
+            try:
+                _serve(down[0], up[1])
+            finally:
+                os._exit(1)
+        if pid:
+            self.pid, self.pipe = pid, (up[0], down[1])
+        for fd in (down[0], up[1]) if pid else down + up:
+            os.close(fd)
+
+    def stop(self):
+        """Close the pipe to the helper and reap it, killing it first if it
+        still runs, as it does mid-loop when the caller has raised."""
         if self.pid is None:
             return
-        theirs = [i for i in range(k, len(self.a)) if _side(i, self.unit)]
-        if self.side:
-            self._send([self.a[i][self.cells(i, k):] for i in theirs])
+        pid, pipe = self.pid, self.pipe
+        self.pid = self.pipe = None
+        for fd in pipe:
+            os.close(fd)
+        if not _exited(pid):
+            import signal  # here: about 1 ms to import, paid only to kill a helper
+
+            os.kill(pid, signal.SIGKILL)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already, as with SIGCHLD ignored
+                pass
+
+    def forget(self):
+        """In a child forked from this process: the helper is the parent's,
+        so close the child's copies of its pipe ends and start with none."""
+        if self.pipe is not None:
+            for fd in self.pipe:
+                os.close(fd)
+        self.pid = self.pipe = None
+        self.lock = threading.Lock()
+
+
+_HELPER = _Helper()
+atexit.register(_HELPER.stop)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPER.forget)
+
+
+def _serve(inbox: int, outbox: int):
+    """The helper's life in the forked child: side 1 of each job's loop,
+    until EOF on ``inbox``."""
+    import signal  # here, in the helper: about 1 ms its owner never pays
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in range(3):
+        if fd not in (inbox, outbox):
+            os.dup2(null, fd)
+    edges = sorted({2, inbox, outbox, os.sysconf("SC_OPEN_MAX")})
+    for lo, hi in zip(edges, edges[1:]):
+        os.closerange(max(lo + 1, 3), hi)
+    # The parent's objects stay out of this process's collections, which
+    # would otherwise copy every page that holds one.
+    gc.freeze()
+    pipe = (inbox, outbox)
+    while True:
+        try:
+            unit, a = _receive(pipe)
+        except EOFError:  # the caller has closed its end, or exited
             os._exit(0)
-        for i, got in zip(theirs, self._receive()):
-            self.a[i][self.cells(i, k):] = got
-        self.close()
+        if unit == 2:
+            a = [[0] * (i + 1) + row for i, row in enumerate(a)]
+        try:
+            _steps(a, _Halves(a, unit, pipe, 1), True)
+        except _Gathered:
+            pass
 
 
-def _eliminate(rows, unit: int, fork_min: int, step, update):
+def _eliminate(rows, unit: int):
     """The fraction-free loop of det_bareiss (``unit`` 1) and
     pf_fraction_free (``unit`` 2) on a cleared copy of ``rows``, two pivots
     per step: step k eliminates rows k .. k + 2 unit - 1 with one exact
-    division per later entry.  step(a, k, div, gather, own) makes the
-    block's two pivots nonzero, calling gather(k) before it moves a row,
-    and returns (s, state): s is 1, -1 after an odd number of swaps, or 0
-    when the value is 0; state lists the block's quantities over ``div``
-    that the updates of own(k + 2 unit, n) read, the second pivot first.
-    update(a, k, i, m, state, div) writes the m-th of those rows, row i,
-    from _Halves.cells(i, k + 2 unit) on.  A last block of one pivot
-    needs neither.  From ``fork_min`` rows of Python ints on, a forked
-    helper updates half the rows."""
-    n, block = len(rows), 2 * unit
+    division per later entry.  _KERNELS[unit] gives the least dimension
+    that shares the loop with the helper, and the kernel's two step
+    functions.  step(a, k, div, gather, own) makes the block's two pivots
+    nonzero, calling gather(k) before it moves a row, and returns (s,
+    state): s is 1, -1 after an odd number of swaps, or 0 when the value
+    is 0; state lists the block's quantities over ``div`` that the updates
+    of own(k + 2 unit, n) read, the second pivot first.  update(a, k, i,
+    m, state, div) writes the m-th of those rows, row i, from
+    _Halves.cells(i, k + 2 unit) on.  A last block of one pivot needs
+    neither.  From that dimension on, on rows of Python ints, this
+    process's helper updates half the rows."""
     a, den, ring, ints = _integer_rows(rows, skew=unit == 2)
     a = [list(row) for row in a]
+    pipe = _HELPER.share(a, unit) if ints and len(a) >= _KERNELS[unit][0] else None
+    h = _Halves(a, unit, pipe)
+    try:
+        value = _steps(a, h, ints)
+    except BaseException:
+        if h.pipe is not None:  # the helper is mid-loop
+            _HELPER.stop()
+        raise
+    finally:
+        if pipe is not None:
+            _HELPER.lock.release()
+    return value if den is None else ring_quotient(value, den, ring)
+
+
+def _steps(a, h: _Halves, ints: bool):
+    """_eliminate's steps on the cleared rows ``a``, updating h's rows:
+    the value on ``a``."""
+    _, step, update = _KERNELS[h.unit]
+    n, unit, block = len(a), h.unit, 2 * h.unit
     sign = scale = prev = p = 1
     part = None  # this side's gcd of the trailing block after a stripping step
-    h = _Halves(a, unit, ints and n >= fork_min)
-    try:
-        for k in range(0, n, block):
-            gamma = h.pivots(k, part)
-            if gamma > 1:
-                scale *= gamma
-                for i in chain(range(k, min(k + block, n)), h.own(k + block, n)):
-                    c = h.cells(i, k)
-                    a[i][c:] = [v // gamma for v in a[i][c:]]
-            p = a[k][k + unit - 1]
-            if k + unit == n:  # the value is sign c p, p the last pivot
-                break
-            # Entries are held as the true ones over the scale c, and P =
-            # prev is the true previous pivot.  The block's quantities
-            # after one pivot are true c^2 X / P, X a combination of held
-            # entries; with g = gcd(c^2, P), c^2/g and P/g are coprime, so
-            # P/g divides X and step holds them over lift = c^2/g.  The
-            # entries after the block are true c lift X / P, X linear in
-            # the block's quantities, whose common content therefore moves
-            # into lift when the block strips; they are held over c lift/g
-            # by the same argument with g = gcd(c lift, P).
-            div, lift = prev, 1
-            if scale > 1:
-                g = math.gcd(scale * scale, prev)
-                div, lift = prev // g, scale * scale // g
-            s, state = step(a, k, div, h.gather, h.own)
-            sign *= s
-            if not sign:
-                break
-            strip = ints and state[0].bit_length() >= _STRIP_BITS and k + block < n
-            if strip:
-                g = h.common(math.gcd(*state))
-                if g > 1:
-                    state = [v // g for v in state]
-                    lift *= g
-            q = state[0]
-            if k + block == n:
-                p, scale = q, lift
-                break
-            div, prev = prev, lift * q
-            if scale * lift > 1:
-                g = math.gcd(scale * lift, div)
-                div, scale = div // g, scale * lift // g
-            part = 0 if strip and k + 2 * block < n else None
-            for m, i in enumerate(h.rows(k + block, n)):
-                update(a, k, i, m, state, div)
-                if part is not None:
-                    part = math.gcd(part, *a[i][h.cells(i, k + block):])
-    finally:
-        h.close()
-    value = sign * scale * p
-    return value if den is None else ring_quotient(value, den, ring)
+    for k in range(0, n, block):
+        gamma = h.pivots(k, part)
+        if gamma > 1:
+            scale *= gamma
+            for i in chain(range(k, min(k + block, n)), h.own(k + block, n)):
+                c = h.cells(i, k)
+                a[i][c:] = [v // gamma for v in a[i][c:]]
+        p = a[k][k + unit - 1]
+        if k + unit == n:  # the value is sign c p, p the last pivot
+            break
+        # Entries are held as the true ones over the scale c, and P = prev
+        # is the true previous pivot.  The block's quantities after one
+        # pivot are true c^2 X / P, X a combination of held entries; with
+        # g = gcd(c^2, P), c^2/g and P/g are coprime, so P/g divides X and
+        # step holds them over lift = c^2/g.  The entries after the block
+        # are true c lift X / P, X linear in the block's quantities, whose
+        # common content therefore moves into lift when the block strips;
+        # they are held over c lift/g by the same argument with g =
+        # gcd(c lift, P).
+        div, lift = prev, 1
+        if scale > 1:
+            g = math.gcd(scale * scale, prev)
+            div, lift = prev // g, scale * scale // g
+        s, state = step(a, k, div, h.gather, h.own)
+        sign *= s
+        if not sign:
+            break
+        strip = ints and state[0].bit_length() >= _STRIP_BITS and k + block < n
+        if strip:
+            g = h.common(math.gcd(*state))
+            if g > 1:
+                state = [v // g for v in state]
+                lift *= g
+        q = state[0]
+        if k + block == n:
+            p, scale = q, lift
+            break
+        div, prev = prev, lift * q
+        if scale * lift > 1:
+            g = math.gcd(scale * lift, div)
+            div, scale = div // g, scale * lift // g
+        part = 0 if strip and k + 2 * block < n else None
+        for m, i in enumerate(h.own(k + block, n)):
+            update(a, k, i, m, state, div)
+            if part is not None:
+                part = math.gcd(part, *a[i][h.cells(i, k + block):])
+    return sign * scale * p
 
 
 # -- determinant -----------------------------------------------------------
@@ -434,10 +555,10 @@ def det_bareiss(m: SquareMatrix):
     a later row whose one-step entry in column k+1 is nonzero (each a sign
     flip); if there is none, the determinant is 0.  The last pivot is the
     determinant.  On int rows _eliminate strips each block's common
-    content, and from n = _DET_HALVES_MIN on the caller and one forked
-    helper update the rows.
+    content, and from n = _DET_HALVES_MIN on the caller and this
+    process's helper update the rows.
     """
-    return _eliminate(_square(m).entries, 1, _DET_HALVES_MIN, _det_step, _det_update)
+    return _eliminate(_square(m).entries, 1)
 
 
 def _det_step(a, k, div, gather, own):
@@ -573,9 +694,10 @@ def pf_fraction_free(a):
     k+3 with a later index whose one-step entry in row k+2 is nonzero
     (each a sign flip); if there is none, the Pfaffian is 0.  On int rows
     _eliminate strips each block's common content, and from 2n =
-    _PF_HALVES_MIN on the caller and one forked helper update the rows.
+    _PF_HALVES_MIN on the caller and this process's helper update the
+    rows.
     """
-    return _eliminate(a, 2, _PF_HALVES_MIN, _pf_step, _pf_update)
+    return _eliminate(a, 2)
 
 
 def _pf_step(a, k, div, gather, own):
@@ -638,6 +760,12 @@ def _pf_update(a, k, i, m, state, div):
     r0, r1, r2, r3, ri = a[k], a[k + 1], a[k + 2], a[k + 3], a[i]
     for j in range(i + 1, len(ri)):
         ri[j] = (ri[j] * q + r0[j] * t0 - r1[j] * t1 + r2[j] * t2 - r3[j] * t3) // div
+
+
+# _eliminate's two kernels by pivot width: the least dimension that shares
+# the loop with the helper, the block step and the update step.
+_KERNELS = {1: (_DET_HALVES_MIN, _det_step, _det_update),
+            2: (_PF_HALVES_MIN, _pf_step, _pf_update)}
 
 
 def pf_elimination(m: SquareMatrix):

@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction as F
 
@@ -716,13 +717,13 @@ def test_evaluate_oracle_only_on_request():
         evaluate(big, "det", "oracle")
 
 
-# -- the forked helper -----------------------------------------------------
+# -- the helper process ----------------------------------------------------
 #
 # det_bareiss from n = _DET_HALVES_MIN and pf_fraction_free from 2n =
-# _PF_HALVES_MIN split their row updates with one forked helper when the
-# rows are ints and two CPUs are free.  These tests sit one step either side
-# of each threshold; the `forks` fixture counts the helpers forked, which is
-# 0 on a machine with one CPU.
+# _PF_HALVES_MIN share their row updates with the process's one helper when
+# the rows are ints and two CPUs are free.  These tests sit one step either
+# side of each threshold; the `forks` fixture counts the eliminations shared
+# with the helper (jobs), which is 0 on a machine with one CPU.
 
 PF_MIN, DET_MIN = kernels._PF_HALVES_MIN, kernels._DET_HALVES_MIN
 TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
@@ -730,28 +731,32 @@ TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Counts the helpers forked.  A SIGALRM guard turns a hang, such as a
-    deadlock in the order of the helper's messages, into a failure."""
+    """Counts the jobs the helper is sent, from no helper at the start of
+    the test; none is left at its end.  A SIGALRM guard turns a hang, such
+    as a deadlock in the order of the helper's messages, into a failure."""
     count = [0]
-    fork = os.fork
+    share = kernels._HELPER.share
 
-    def counting_fork():
-        count[0] += 1
-        return fork()
+    def counting_share(a, unit):
+        pipe = share(a, unit)
+        count[0] += pipe is not None
+        return pipe
 
     def hung(signum, frame):
         raise TimeoutError("a helper test ran for 60 s: a message-order deadlock?")
 
-    monkeypatch.setattr(os, "fork", counting_fork)
+    kernels._HELPER.stop()
+    monkeypatch.setattr(kernels._HELPER, "share", counting_share)
     before = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     yield count
     signal.alarm(0)
     signal.signal(signal.SIGALRM, before)
+    kernels._HELPER.stop()
 
 
 def helpers(calls):
-    """The helpers that ``calls`` at or above a threshold fork."""
+    """The jobs that ``calls`` at or above a threshold send the helper."""
     return calls if TWO_CPUS else 0
 
 
@@ -817,8 +822,9 @@ def test_helper_thresholds_keep_values_and_types(forks, scalar):
 def test_helper_zero_pivots_and_zero_rows(forks, scalar):
     rng = random.Random(62)
     zero = scalar(0)
-    # Pf: a zero pivot at step 0, one at step 2 (Pf of the leading 4 x 4
-    # block is 0), and a zero row with and without a swap before it.
+    # Pf: a zero first pivot, a zero second pivot inside block 0 (Pf of the
+    # leading 4 x 4 block is 0), and a zero row with and without a swap
+    # before it.
     a = entries(rng, PF_MIN, scalar, skew=True)
     a[0][2], a[2][0] = zero, zero
     assert pf(swapped(a, 1, 2)) == -pf(a) != 0
@@ -833,8 +839,8 @@ def test_helper_zero_pivots_and_zero_rows(forks, scalar):
             a[index][j], a[j][index] = zero, zero
         value = pf(a)
         assert value == 0 and type(value) is scalar
-    # det: a zero pivot at step 0, one at step 1 (the leading 2 x 2 minor
-    # is 0), a zero column and a repeated row.
+    # det: a zero first pivot, a zero second pivot inside block 0 (the
+    # leading 2 x 2 minor is 0), a zero column and a repeated row.
     b = entries(rng, DET_MIN, scalar)
     b[0][0] = zero
     assert det(b) == -det(swapped(b, 0, 1, both=False)) != 0
@@ -853,7 +859,7 @@ def test_helper_zero_pivots_and_zero_rows(forks, scalar):
 
 
 @pytest.mark.parametrize("scalar", [int, F])
-@pytest.mark.parametrize("n", [3, 18, DET_MIN])
+@pytest.mark.parametrize("n", [3, 18, 22])
 def test_det_zero_at_the_last_pivot_only(forks, n, scalar):
     # A = L U with L unit lower triangular and U upper triangular whose
     # last diagonal entry is 0: the leading minors up to order n - 1 are
@@ -870,14 +876,14 @@ def test_det_zero_at_the_last_pivot_only(forks, n, scalar):
     assert value == 0 and type(value) is scalar
     assert det([row[:-1] for row in a[:-1]]) == math.prod(
         upper[i][i] for i in range(n - 1))
-    assert forks[0] == (helpers(1) if n >= DET_MIN else 0)
+    assert forks[0] == helpers((n >= DET_MIN) + (n - 1 >= DET_MIN))
 
 
 def test_helper_sends_rows_larger_than_a_pipe_buffer(forks):
-    # One entry of 538,000 bits in the last column of A: from step 0 on,
-    # every row carries a multiple of it, and each pivot row's marshal form
-    # is larger than the 64 KiB a pipe holds, so a blocking write waits
-    # for the other side to read.
+    # One entry of 538,000 bits in the last column of A: from block 0 on,
+    # every row carries a multiple of it, so the job and each half block
+    # the sides swap are larger than the 64 KiB a pipe holds, and a
+    # blocking write waits for the other side to read.
     huge = 3 ** 340000
     assert len(marshal.dumps(huge)) > 65536
     rng = random.Random(63)
@@ -896,8 +902,7 @@ def planted(rng, small, skew=False):
     rows and 3^b on the helper's (by the kernels' own kernels._side), so
     that the two sides' gcds differ and only their gcd divides the block;
     factor is what the scaling multiplies det (or Pf) by."""
-    unit = 2 if skew else 1
-    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if kernels._side(i, unit) == 0
+    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if kernels._side(i) == 0
                        else 3 ** rng.randint(2, 6)) for i in range(len(small))]
     rows = [[s[i] * s[j] * v for j, v in enumerate(row)] for i, row in enumerate(small)]
     return rows, math.prod(s) if skew else math.prod(s) ** 2
@@ -918,8 +923,9 @@ def test_helper_strips_with_the_common_gcd(forks):
 
 def test_helper_zero_pivot_and_zero_block_after_stripping(forks):
     rng = random.Random(65)
-    # Pf: step 0 strips, and the leading 4 x 4 Pfaffian is 0, so step 2
-    # swaps index 3 with a later one on the divided rows.
+    # Pf: the leading 4 x 4 Pfaffian, block 0's second pivot, is 0, so block
+    # 0 swaps index 3 with a later one, before any strip (the two-pair
+    # property plants a zero second pivot after one).
     a = entries(rng, PF_MIN, int, skew=True)
     a[0][1], a[1][0] = 1, -1
     a[2][3] = a[0][2] * a[1][3] - a[0][3] * a[1][2]
@@ -927,15 +933,15 @@ def test_helper_zero_pivot_and_zero_block_after_stripping(forks):
     rows, factor = planted(rng, a, skew=True)
     value = pf(rows)
     assert value == factor * pf(a) == -factor * pf(swapped(a, 3, 4)) != 0
-    # det: step 0 strips, and the leading 2 x 2 minor is 0, so step 1
-    # swaps row 1 with a later one.
+    # det: the leading 2 x 2 minor, block 0's second pivot, is 0, so block
+    # 0 swaps row 1 with a later one, before any strip.
     b = entries(rng, DET_MIN, int)
     b[0][0] = 1
     b[1][1] = b[1][0] * b[0][1]
     rows, factor = planted(rng, b)
     value = det(rows)
     assert value == factor * det(b) == -factor * det(swapped(b, 1, 2, both=False)) != 0
-    # Rank 1 (det) and rank 2 (Pf): the block after step 0 is all zero, so
+    # Rank 1 (det) and rank 2 (Pf): the block after block 0 is all zero, so
     # the gcd of the trailing block is 0 on both sides.
     u = [STRIP_HALF * rng.randint(1, 99) for _ in range(PF_MIN)]
     v = [STRIP_HALF * rng.randint(1, 99) for _ in range(PF_MIN)]
@@ -962,6 +968,31 @@ def test_helper_sends_a_gcd_larger_than_a_pipe_buffer(forks):
             rows[n - 3 + i][n - 3 + j] = h * c[i][j]
     assert det(rows) == h**3 * det(c)
     assert forks[0] == helpers(1)
+
+
+def test_threads_share_the_helper_one_loop_at_a_time(forks):
+    # More threads than CPUs, switching often: the loop that holds the
+    # helper shares it and the others run in one process.  Two loops on one
+    # pipe would mix their messages, giving wrong values or a hang.
+    rng = random.Random(68)
+    small = [entries(rng, PF_MIN - 2, int, skew=True) for _ in range(3)]
+    expected = [pf(a) for a in small]  # below the threshold: one process
+    shared = [direct_sum(a, [[0, 1], [-1, 0]]) for a in small]
+    got = [[] for _ in small]
+    threads = [threading.Thread(target=lambda t=t: got[t].extend(pf(shared[t]) for _ in range(4)),
+                                daemon=True) for t in range(len(small))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=50)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[value] * 4 for value in expected]
+    assert (forks[0] >= 1) == TWO_CPUS
 
 
 def bordered(a):
@@ -1150,24 +1181,40 @@ def test_pf_two_pair_matches_known_value(kind, half, draw_zero, plant, seed):
 
 
 # The script prints a line before any call, so the line sits unflushed in
-# stdout's buffer when the helper is forked; a helper that flushed on exit
-# would print it twice.  After each call, os.waitpid(-1, WNOHANG) must
-# find no child at all.
+# stdout's buffer when the helper, and a child of the script, are forked;
+# either would print it twice if it flushed on exit.  At each check the
+# script's only child must be its helper, one pid across calls, or no child
+# with one CPU; the helper must be gone once the script has exited.
 HYGIENE = """
-import json, os, random, signal
+import json, os, random, signal, sys, time
+from pfhaf import kernels
 from pfhaf.kernels import pf_fraction_free, _PF_HALVES_MIN
 from pfhaf.structured import SymmetricForm, fast_cauchy_hafnian
 from pfhaf.verify import gen_points
 
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
 print("printed before the calls")
 
 
-def no_child():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+def children():
+    me, found = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):  # not a process, or gone
+            continue
+        if ppid == me:
+            found.add(int(entry))
+    return found
+
+
+def only_helper():
+    # The helper's pid when it is this process's only child, else None.
+    pid = kernels._HELPER.pid
+    if TWO_CPUS and pid is not None and children() == {pid}:
+        return pid
+    return None if TWO_CPUS or children() else 0
 
 
 def skew(n, seed, bits):
@@ -1179,13 +1226,50 @@ def skew(n, seed, bits):
     return rows
 
 
-checks = {}
+# A matrix at the threshold with a 2 x 2 block J = [[0, 1], [-1, 0]] as its
+# last indices: its Pfaffian is that of the rest, which runs in one process.
+small = skew(_PF_HALVES_MIN - 2, 1, 64)
+value = pf_fraction_free(small)
+shared = [row + [0, 0] for row in small]
+shared += [[0] * len(small) + [0, 1], [0] * len(small) + [-1, 0]]
+
+
+def exact():
+    return pf_fraction_free(shared) == value
+
+
+checks, pids = {}, []
 fast_cauchy_hafnian(gen_points(1, 40, max_den=1), SymmetricForm.from_name("x+y"))
-checks["returned"] = no_child()
+pids.append(only_helper())
 rows = skew(_PF_HALVES_MIN, 2, 16)
 rows[0][1] = 0  # a pivot swap at step 0
 pf_fraction_free(rows)
-checks["zero_pivot"] = no_child()
+pids.append(only_helper())
+checks["exact"] = exact()
+pids.append(only_helper())
+checks["one_helper"] = None not in pids and len(set(pids)) == 1
+
+# A helper killed between calls is reaped and replaced at the next call.
+if TWO_CPUS:
+    os.kill(pids[0], signal.SIGKILL)
+    for _ in range(1000):  # until it has exited, unreaped
+        with open(f"/proc/{pids[0]}/stat") as fh:
+            if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                break
+        time.sleep(0.01)
+checks["exact_after_kill"] = exact()
+helper = only_helper()
+checks["replaced"] = helper is not None and (helper != pids[0] or not TWO_CPUS)
+
+# A forked child has its own helper, and the parent keeps using its own.
+child = os.fork()
+if child == 0:
+    ok = kernels._HELPER.pipe is None and exact() and only_helper() is not None and (
+        kernels._HELPER.pid != helper or not TWO_CPUS)
+    kernels._HELPER.stop()
+    os._exit(0 if ok and not children() else 1)
+checks["child"] = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+checks["parent_after_fork"] = exact() and only_helper() == helper
 
 
 class Alarm(Exception):
@@ -1204,8 +1288,10 @@ try:
     checks["raised"] = False
 except Alarm:
     checks["raised"] = True
-checks["after_raise"] = no_child()
+checks["after_raise"] = not children() and kernels._HELPER.pid is None
+checks["exact_after_raise"] = exact() and only_helper() is not None
 print(json.dumps(checks))
+print(json.dumps(kernels._HELPER.pid))
 """
 
 
@@ -1225,6 +1311,11 @@ def test_helper_leaves_no_process_and_prints_nothing():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines.count("printed before the calls") == 1
-    assert json.loads(lines[-1]) == {
-        "returned": True, "zero_pivot": True, "raised": True, "after_raise": True,
+    assert json.loads(lines[-2]) == {
+        "exact": True, "one_helper": True, "exact_after_kill": True, "replaced": True,
+        "child": True, "parent_after_fork": True, "raised": True, "after_raise": True,
+        "exact_after_raise": True,
     }
+    helper = json.loads(lines[-1])
+    assert (helper is not None) == TWO_CPUS
+    assert not TWO_CPUS or not os.path.exists(f"/proc/{helper}")
