@@ -25,12 +25,13 @@ step (Bareiss's two-step scheme; for the Pfaffian, the Pfaffian Sylvester
 identity on two pivot pairs), so each entry gets one exact division per
 two pivots.  Each kernel gives two step functions: a block step that makes
 the block's two pivots nonzero (det swaps rows, Pf swaps index k+1 or
-k+3) and computes what the block's update reads, and an update step that
-writes a row's new cells.  On Python ints the loop strips common
-content: its entries are minors of the input over a running integer
-scale, and at a block whose second pivot has _STRIP_BITS bits or more it
-divides the block's quantities, and after the block the trailing rows,
-by their gcds.
+k+3) and computes what the block's update reads: its second pivot and,
+for each later row that this side updates, two 2 x 2 minors (det) or
+four 4 x 4 Pfaffians (Pf); and an update step that writes a row's new
+cells.  On Python ints the loop strips common content: its entries are
+minors of the input over a running integer scale, and at a block whose
+second pivot has _STRIP_BITS bits or more it divides the block's
+quantities, and after the block the trailing rows, by their gcds.
 
 From n = 18 (det) and 2n = 24 (Pf), on rows of Python ints and with at
 least 2 CPUs, the loop shares its row updates with this process's helper
@@ -64,14 +65,16 @@ PERM_RYSER_MAX = 25
 # row updates with this process's helper (_Helper).  Below it, the job
 # message and the pipe exchanges of each block cost more than half of the
 # updates saves.  Medians of 11 (7 from det n = 20 and Pf 2n = 28 on)
-# alternating one- and two-process runs of 3 matrices each of
-# fast_cauchy_perm and fast_cauchy_hafnian, the helper already running
-# (CPython 3.11, 2 CPUs), one-process time over two-process time at x+y
-# points / 1-xy / random rational forms: det at n = 14, 16, 18, 20, 22:
-# 0.84 / 0.81 / 0.83, 0.96 / 0.99 / 1.06, 1.12 / 1.06 / 1.34, 1.18 / 1.15 /
-# 1.12, 1.11 / 1.39 / 1.48; Pf at 2n = 20, 22, 24, 28, 32, x+y / random:
-# 0.92 / 1.26, 0.80 / 1.25, 1.15 / 1.31, 1.24 / 1.28, 1.12 / 1.66.  Each
-# threshold is the least dimension from which every kind gained.
+# alternating one- and two-process runs of the matrices of
+# fast_cauchy_perm (6 each, with det's per-row quantities) and
+# fast_cauchy_hafnian (3 each), the helper already running (CPython 3.11,
+# 2 CPUs), one-process time over two-process time at x+y points / 1-xy /
+# random rational forms: det at n = 14, 16, 18, 20, 22: 0.83 / 0.79 /
+# 0.99, 1.04 / 1.09 / 0.96, 1.00 / 1.17 / 1.34, 1.38 / 1.41 / 1.44, 1.41 /
+# 1.39 / 1.41; Pf at 2n = 20, 22, 24, 28, 32, x+y / random: 0.92 / 1.26,
+# 0.80 / 1.25, 1.15 / 1.31, 1.24 / 1.28, 1.12 / 1.66.  Each threshold is
+# the least dimension from which no kind lost.  det at n = 16 and 17 read
+# 0.88-1.27 over repeated sweeps, within their noise of break-even.
 _DET_HALVES_MIN = 18
 _PF_HALVES_MIN = 24
 
@@ -198,6 +201,12 @@ def _side(i: int) -> int:
     return int(i % 4 in (1, 2))
 
 
+def _job_rows(n: int, unit: int):
+    """The rows of an n-row loop that the helper reads before any reaches
+    it through _Halves.pivots: block 0 and its own."""
+    return [i for i in range(n) if i < 2 * unit or _side(i)]
+
+
 def _send(pipe, data):
     data = marshal.dumps(data)
     data = memoryview(len(data).to_bytes(8, "little") + data)
@@ -317,9 +326,10 @@ class _Helper:
     _eliminate loop shared with it (see _Halves), from the first
     elimination that reaches a threshold until this process exits.
 
-    ``share`` sends it each job, the loop's ``unit`` and its cleared rows,
-    and both sides then run the loop on the same integers; a loop that
-    ends, or a ``gather``, leaves the helper idle for the next job.  A
+    ``share`` sends it each job, the loop's ``unit``, its dimension and
+    the cleared rows the helper reads first (_job_rows), and both sides
+    then run the loop on the same integers; a loop that ends, or a
+    ``gather``, leaves the helper idle for the next job.  A
     caller that raises mid-loop stops it, and a helper found dead at a
     call is reaped and replaced.  A child forked from this process drops
     the helper and its pipe ends (``forget``), and atexit stops it.  The
@@ -352,7 +362,8 @@ class _Helper:
                 self.lock.release()
                 return None
             # A Pfaffian's rows go without what the loop never reads.
-            _send(self.pipe, (unit, a if unit == 1 else [r[i + 1:] for i, r in enumerate(a)]))
+            rows = [a[i] if unit == 1 else a[i][i + 1:] for i in _job_rows(len(a), unit)]
+            _send(self.pipe, (unit, len(a), rows))
         except BaseException:
             self.stop()
             self.lock.release()
@@ -428,11 +439,14 @@ def _serve(inbox: int, outbox: int):
     pipe = (inbox, outbox)
     while True:
         try:
-            unit, a = _receive(pipe)
+            unit, n, rows = _receive(pipe)
         except EOFError:  # the caller has closed its end, or exited
             os._exit(0)
-        if unit == 2:
-            a = [[0] * (i + 1) + row for i, row in enumerate(a)]
+        # The caller's rows after block 0 reach this side through pivots,
+        # into rows of full length.
+        a = [[0] * n for _ in range(n)]
+        for i, row in zip(_job_rows(n, unit), rows):
+            a[i] = [0] * (n - len(row)) + row
         try:
             _steps(a, _Halves(a, unit, pipe, 1), True)
         except _Gathered:
@@ -448,9 +462,10 @@ def _eliminate(rows, unit: int):
     functions.  step(a, k, div, gather, own) makes the block's two pivots
     nonzero, calling gather(k) before it moves a row, and returns (s,
     state): s is 1, -1 after an odd number of swaps, or 0 when the value
-    is 0; state lists the block's quantities over ``div`` that the updates
-    of own(k + 2 unit, n) read, the second pivot first.  update(a, k, i,
-    m, state, div) writes the m-th of those rows, row i, from
+    is 0; state lists the block's quantities over ``div``, the second
+    pivot first and then those of each row own(k + 2 unit, n) gives, in
+    its order (2 per row for det, 4 for Pf).  update(a, k, i, m, state,
+    div) writes the m-th of those rows, row i, from
     _Halves.cells(i, k + 2 unit) on.  A last block of one pivot needs
     neither.  From that dimension on, on rows of Python ints, this
     process's helper updates half the rows."""
@@ -543,14 +558,16 @@ def det_bareiss(m: SquareMatrix):
     rows of ``_integer_rows``, and the value's type follows the entries.
     Singular input returns 0.  Each step takes the two pivots of rows k
     and k+1 (Bareiss's two-step scheme).  With c0 the second pivot after
-    one step, r_j row k+1's entry after one step and w_j = (a_{k,k+1}
-    a_{k+1,j} - a_kj a_{k+1,k+1}) / p_prev, each a minor of the input, a
-    later entry becomes
+    one step, rho_i = (a_kk a_{i,k+1} - a_{k,k+1} a_ik) / p_prev, row i's
+    entry in column k+1 after one step, and omega_i = (a_{k+1,k}
+    a_{i,k+1} - a_{k+1,k+1} a_ik) / p_prev, each a minor of the input, a
+    later entry is the 3 x 3 minor on rows k, k+1, i and columns k, k+1, j
+    over p_prev, the pivot before the block (1 at the start), expanded
+    along column j:
 
-        a'_ij = (a_ij c0 - a_{i,k+1} r_j + a_ik w_j) / p_prev,
+        a'_ij = (a_ij c0 - a_{k+1,j} rho_i + a_kj omega_i) / p_prev,
 
-    a 3 x 3 minor over p_prev, the pivot before the block (1 at the
-    start): 3 products and 1 exact division per two pivots.  A zero
+    3 products and 1 exact division per two pivots.  A zero
     a[k][k] is replaced by a row swap, a zero c0 by swapping row k+1 with
     a later row whose one-step entry in column k+1 is nonzero (each a sign
     flip); if there is none, the determinant is 0.  The last pivot is the
@@ -563,9 +580,9 @@ def det_bareiss(m: SquareMatrix):
 
 def _det_step(a, k, div, gather, own):
     """Rows k, k+1 of det_bareiss as one block: nonzero pivots a[k][k] and
-    c0 by row swaps, and (s, [c0, r_{k+2}, w_{k+2}, r_{k+3}, ...]) with r_j
-    row k+1's entry after one step and w_j the 2 x 2 minor on rows k, k+1
-    and columns k+1, j, each over ``div``."""
+    c0 by row swaps, and (s, [c0, rho_i, omega_i of each row i own(k+2, n)
+    gives]) with rho_i and omega_i the 2 x 2 minors on columns k, k+1 and
+    rows k, i and k+1, i, each over ``div``."""
     n, s = len(a), 1
     if a[k][k] == 0:
         gather(k)
@@ -587,18 +604,19 @@ def _det_step(a, k, div, gather, own):
         x, y = rr[k], rr[k + 1]
         c0 = (p * y - u * x) // div
     state = [c0]
-    for j in range(k + 2, n):
-        v, z = rr[j], rk[j]
-        state += (p * v - x * z) // div, (u * v - y * z) // div
+    for i in own(k + 2, n):
+        v, z = a[i][k], a[i][k + 1]
+        state += (p * z - u * v) // div, (x * z - y * v) // div
     return s, state
 
 
 def _det_update(a, k, i, m, state, div):
-    """The two-step update of row i's entries right of column k+1."""
-    ri, quantities = a[i], iter(state)
-    c0, x, y = next(quantities), ri[k], ri[k + 1]
-    for j, t, z in zip(range(k + 2, len(ri)), quantities, quantities):
-        ri[j] = (ri[j] * c0 - y * t + x * z) // div
+    """The two-step update of row i's entries right of column k+1, i the
+    m-th row of this side's."""
+    c0, rho, omega = state[0], state[2 * m + 1], state[2 * m + 2]
+    rk, rr, ri = a[k], a[k + 1], a[i]
+    for j in range(k + 2, len(ri)):
+        ri[j] = (ri[j] * c0 - rr[j] * rho + rk[j] * omega) // div
 
 
 # -- permanent -------------------------------------------------------------

@@ -1160,6 +1160,27 @@ def test_det_two_step_matches_known_value(kind, n, draw_zero, plant, seed):
 
 
 @settings(deadline=None, max_examples=40)
+@given(st.sampled_from(("int", "fraction", "sqrt2")), st.integers(1, DET_MIN + 3),
+       st.booleans(), st.integers(0, 2**32))
+@example("int", DET_MIN, True, 1)
+@example("int", DET_MIN + 1, False, 2)
+@example("fraction", DET_MIN + 3, True, 3)
+@example("sqrt2", DET_MIN, False, 4)
+def test_det_of_the_transpose(kind, n, in_rows, seed):
+    # The two-step update takes its quantities per row (rho_i, omega_i), so
+    # rows and columns meet different formulas: content planted in the rows
+    # of A sits in the columns of A^T.  From n = DET_MIN, int and Fraction
+    # input shares the loop with the helper on two CPUs.
+    rng = random.Random(seed)
+    a = [[scalar_of(rng, kind) for _ in range(n)] for _ in range(n)]
+    s = content(rng, n)
+    a = [[v * s[i if in_rows else j] for j, v in enumerate(row)] for i, row in enumerate(a)]
+    value, transposed = det(a), det([list(column) for column in zip(*a)])
+    assert value == transposed
+    assert type(value) is type(transposed) is two_step_type(kind)
+
+
+@settings(deadline=None, max_examples=40)
 @given(st.sampled_from(TWO_STEP_KINDS), st.integers(1, PF_MIN // 2 + 3), st.booleans(),
        st.booleans(), st.integers(0, 2**32))
 @example("int", PF_MIN // 2, True, True, 1)
