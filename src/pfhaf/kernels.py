@@ -12,9 +12,9 @@ input in Q and Q(sqrt(d)) (``_integer_rows``): with D_i the lcm of the
 denominators in row i (for a Pfaffian, right of the diagonal, the only
 entries it reads), det(D A) = prod(D_i) det(A), perm(D A) = prod(D_i)
 perm(A) and Pf(D A D) = prod(D_i) Pf(A), so their loops run on Python ints,
-or on pairs of ints in Z[sqrt(D)] (see scalar.ring_parts), with exact
-floor division, and one Fraction or QuadExt is formed at the end.  The type
-of every value follows the entries read: all ints give an int, any Fraction
+or on pairs of ints in Z[sqrt(D)] (a QuadExt holds one over an int), with
+exact floor division, and one Fraction or QuadExt is formed at the end.  The
+type of every value follows the entries read: all ints give an int, any Fraction
 a Fraction, any QuadExt a QuadExt.  hf_recursive stays on Fraction and
 QuadExt arithmetic: it is the slow side of the Hafnian separation that
 acceptance criterion 7 measures.
@@ -183,7 +183,7 @@ def _integer_rows(rows, skew=False):
     if all(issubclass(t, (int, _RootPair)) for t in kinds):
         return rows, None, None, kinds <= {int}
     ring = ring_of([v for row in cells for v in row]) if QuadExt in kinds else None
-    parts = [ring_parts(row, ring) for row in cells]
+    parts = [ring_parts(row) for row in cells]
     dens = [math.lcm(*ds) for _, ds in parts]
     a = [[n * (dd // d) for n, d in zip(*p)] for p, dd in zip(parts, dens)]
     if skew:

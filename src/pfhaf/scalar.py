@@ -8,10 +8,11 @@ and a fixed radicand d that is not the square of a rational; it is only
 needed for the Moebius-substitution derivation of the generalized Pfaffian
 identities, where sqrt(b^2 - a*c) enters the substitution constants.
 
-Under both lies one integer layer: ``ring_parts`` writes a rational as
-num/den with Python ints, and an element of Q(sqrt(d)), d = n/m, as
-(P + Q sqrt(D))/R with ints P, Q, R and D = n*m, since sqrt(n/m) =
-sqrt(n*m)/m; ``ring_quotient`` makes one Fraction or QuadExt of num/den.
+Under both lies one integer layer.  With d = n/m and D = n*m, sqrt(d) =
+sqrt(D)/m, so p + q*sqrt(d) = (P + Q sqrt(D))/R with ints P, Q and R > 0,
+and a QuadExt is held as its pair in Z[sqrt(D)] over R, as a Fraction is its
+numerator over its denominator.  ``ring_parts`` reads num/den off ints,
+Fractions and QuadExt; ``ring_quotient`` makes one Fraction or QuadExt.
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def unlimited_digits(convert, value):
@@ -105,7 +102,6 @@ def exact(value, what: str = "scalars"):
     return value if isinstance(value, (Fraction, QuadExt)) else rational(value, what)
 
 
-@dataclass(frozen=True)
 class QuadExt:
     """An element p + q*sqrt(d) of the quadratic field Q(sqrt(d)).
 
@@ -113,89 +109,90 @@ class QuadExt:
     square of a rational (use a Fraction in that case).  Negative radicands
     are allowed: sqrt(d) is then a formal symbol with sqrt(d)^2 = d, which
     is all the identity checks ever rely on.
+
+    It is immutable, held as ``num``, the pair P + Q*sqrt(D) of _ring(d),
+    over a positive int ``den``, with gcd(P, Q, den) = 1.
     """
 
-    p: Fraction
-    q: Fraction
-    d: Fraction
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        for name in "pqd":
-            value = rational(getattr(self, name), "QuadExt parts")
-            object.__setattr__(self, name, value)
-        if rat_is_square(self.d):
+    def __new__(cls, p, q, d):
+        p, q, d = (rational(v, "QuadExt parts") for v in (p, q, d))
+        if rat_is_square(d):
             raise DomainError(
-                f"radicand {render_rat(self.d)} is a rational square; use a Fraction"
+                f"radicand {render_rat(d)} is a rational square; use a Fraction"
             )
+        ring = _ring(d)
+        # p + q*sqrt(d) = p + (q/m)*sqrt(D)
+        b, e = p.denominator, q.denominator * ring.root_den
+        return ring_quotient(ring(p.numerator * e, q.numerator * b), b * e)
 
-    # -- helpers -----------------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadExt is immutable; cannot assign to {name}")
 
-    def _with(self, p: Fraction, q: Fraction) -> "QuadExt":
-        """p + q*sqrt(d) for Fractions p, q, skipping __post_init__: the
-        radicand was validated when this element was made."""
-        out = object.__new__(QuadExt)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "q", q)
-        object.__setattr__(out, "d", self.d)
-        return out
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.num.p, self.den)
 
-    def _coerce(self, other) -> "QuadExt":
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.num.q * self.num.root_den, self.den)
+
+    @property
+    def d(self) -> Fraction:
+        return self.num.d
+
+    def _parts(self, other):
+        """other as (num, den), the num an int or a pair of this radicand."""
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise DomainError(
-                    f"mixed radicands {render_rat(self.d)} and {render_rat(other.d)}"
-                )
-            return other
-        return self._with(rational(other, "operands"), ZERO)
+            if type(other.num) is not type(self.num):
+                ring_of([self, other])  # two radicands raise
+            return other.num, other.den
+        r = other if type(other) is int else rational(other, "operands")
+        return r.numerator, r.denominator
 
     def norm(self) -> Fraction:
         """(p + q*sqrt(d)) * (p - q*sqrt(d)) = p^2 - q^2*d, a rational."""
-        return self.p * self.p - self.q * self.q * self.d
+        return Fraction(self.num.norm(), self.den * self.den)
 
-    # -- field operations --------------------------------------------------
+    # -- field operations, on the pairs ------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return self._with(self.p + o.p, self.q + o.q)
+        num, den = self._parts(other)
+        return ring_quotient(self.num * den + num * self.den, self.den * den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with(-self.p, -self.q)
+        return ring_quotient(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        num, den = self._parts(other)
+        return ring_quotient(self.num * den - num * self.den, self.den * den)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -(self - other)
 
     def __mul__(self, other):
-        if not isinstance(other, QuadExt):
-            r = rational(other, "operands")
-            return self._with(self.p * r, self.q * r)
-        o = self._coerce(other)
-        return self._with(
-            self.p * o.p + self.q * o.q * self.d,
-            self.p * o.q + self.q * o.p,
-        )
+        num, den = self._parts(other)
+        return ring_quotient(self.num * num, self.den * den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.norm()
-        if n == 0:
+        num, den = self._parts(other)
+        if num == 0:
             raise DomainError("division by zero in quadratic extension")
-        inv = self._with(o.p / n, -o.q / n)
-        return self * inv
+        return ring_quotient(self.num * den, self.den * num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        num, den = self._parts(other)
+        return ring_quotient(num, den, type(self.num)) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("only nonnegative integer powers are supported")
-        out = self._with(ONE, ZERO)
+        out = ring_quotient(1, 1, type(self.num))
         base = self
         e = exponent
         while e:
@@ -206,25 +203,31 @@ class QuadExt:
                 base = base * base
         return out
 
+    # Both sides are in lowest terms, so equal values have equal parts.
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                return self.q == 0 and other.q == 0 and self.p == other.p
-            return self.p == other.p and self.q == other.q
+            a, b = self.num, other.num
+            return self.den == other.den and a == b and (a.q == 0 or a.d == b.d)
         if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p == other
+            return self.den == other.denominator and self.num == other.numerator
         return NotImplemented
 
     def __hash__(self):
-        if self.q == 0:
+        if self.num.q == 0:
             return hash(self.p)
         return hash((self.p, self.q, self.d))
 
     def __bool__(self):
-        return self.p != 0 or self.q != 0
+        return self.num.p != 0 or self.num.q != 0
 
     def __str__(self):
         return f"{render_rat(self.p)}+{render_rat(self.q)}*sqrt({render_rat(self.d)})"
+
+    def __repr__(self):
+        return f"QuadExt(p={self.p!r}, q={self.q!r}, d={self.d!r})"
+
+    def __reduce__(self):  # copy and pickle through the public constructor
+        return QuadExt, (self.p, self.q, self.d)
 
 
 # -- the integer layer -----------------------------------------------------
@@ -232,7 +235,7 @@ class QuadExt:
 
 class _RootPair:
     """P + Q*sqrt(D) in Z[sqrt(D)] for Python ints P and Q, with D a class
-    attribute: ``ring_of`` makes one subclass per radicand.  Ints mix in as
+    attribute: ``_ring`` makes one subclass per radicand.  Ints mix in as
     P + 0*sqrt(D).  x // t is x * conj(t) divided componentwise by the int
     norm N(t), exact whenever t divides x, as in the fraction-free
     eliminations, whose entries are minors.
@@ -241,7 +244,7 @@ class _RootPair:
     __slots__ = ("p", "q")
     radicand = 0  # D
     root_den = 1  # m, with sqrt(d) = sqrt(D)/m
-    root = None  # sqrt(d) as a QuadExt
+    d = None  # the radicand d = D/m^2, a Fraction
 
     def __init__(self, p: int, q: int):
         self.p = p
@@ -277,17 +280,12 @@ class _RootPair:
         return math.prod([self] * exponent, start=1)
 
     def __floordiv__(self, o):
-        if type(o) is int:
-            return self.__class__(self.p // o, self.q // o)
-        n = o.norm()
-        p, q, r, s = self.p, self.q, o.p, o.q
-        return self.__class__(
-            (p * r - self.radicand * q * s) // n, (q * r - p * s) // n
-        )
+        if type(o) is not int:
+            return self * o.conj() // o.norm()
+        return self.__class__(self.p // o, self.q // o)
 
     def __rfloordiv__(self, o):  # int // pair
-        n = self.norm()
-        return self.__class__(o * self.p // n, -o * self.q // n)
+        return o * self.conj() // self.norm()
 
     def __eq__(self, o):
         if type(o) is int:
@@ -308,8 +306,8 @@ class _RootPair:
 
 @functools.lru_cache(maxsize=64)
 def _ring(d: Fraction) -> type:
-    n, m, root = d.numerator, d.denominator, QuadExt(ZERO, ONE, d)
-    attrs = {"__slots__": (), "radicand": n * m, "root_den": m, "root": root}
+    n, m = d.numerator, d.denominator
+    attrs = {"__slots__": (), "radicand": n * m, "root_den": m, "d": d}
     return type(f"Z[sqrt({n * m})]", (_RootPair,), attrs)
 
 
@@ -323,39 +321,31 @@ def ring_of(values):
     return _ring(radicands.pop()) if radicands else None
 
 
-def ring_parts(values, ring):
-    """(nums, dens) with values[k] = nums[k] / dens[k], every den a positive
-    int: an int or Fraction gives its numerator, a QuadExt p + q*sqrt(d)
-    gives the pair P + Q*sqrt(D) of ``ring`` (= ring_of(values)) over
-    R = lcm(den p, m den q), as p + q*sqrt(d) = p + (q/m)*sqrt(D)."""
-    if ring is None:
-        return [v.numerator for v in values], [v.denominator for v in values]
-    nums, dens = [], []
-    for v in values:
-        if isinstance(v, QuadExt):
-            b, e = v.p.denominator, v.q.denominator * ring.root_den
-            den = math.lcm(b, e)
-            num = ring(v.p.numerator * (den // b), v.q.numerator * (den // e))
-        else:
-            num, den = v.numerator, v.denominator
-        nums.append(num)
-        dens.append(den)
+def ring_parts(values):
+    """(nums, dens) with values[k] = nums[k] / dens[k], dens positive ints: an
+    int's or Fraction's parts, a QuadExt's pair and den (ring_of checks radicands)."""
+    nums = [v.num if type(v) is QuadExt else v.numerator for v in values]
+    dens = [v.den if type(v) is QuadExt else v.denominator for v in values]
     return nums, dens
 
 
 def ring_quotient(num, den, ring=None):
     """num / den for ints and Z[sqrt(D)] pairs, den nonzero: a Fraction when
-    both are ints and no ``ring`` is given, else a QuadExt over the field of
-    ``ring`` or of the pair among them."""
+    both are ints and no ``ring`` is given, else a QuadExt, in lowest terms,
+    over the field of ``ring`` or of the pair among them: every QuadExt's maker."""
     if type(den) is not int:
         num, den = num * den.conj(), den.norm()
     if type(num) is int:
         if ring is None:
             return Fraction(num, den)
-        p, q = num, 0
-    else:
-        ring, p, q = num.__class__, num.p, num.q
-    return ring.root._with(Fraction(p, den), Fraction(q * ring.root_den, den))
+        num = ring(num, 0)
+    g = math.gcd(num.p, num.q, den)
+    if den < 0:
+        g = -g
+    out = object.__new__(QuadExt)
+    object.__setattr__(out, "num", num // g)
+    object.__setattr__(out, "den", den // g)
+    return out
 
 
 def render_scalar(value) -> str:

@@ -227,14 +227,14 @@ def _homogeneous(form, xs, ys) -> _Homogeneous:
     """The form at the points in homogeneous coordinates, for _table and
     gen_points' pole test.  Points in Q(sqrt(d)) share one radicand (two
     raise DomainError); the first pole in row-major order raises PoleError."""
-    ring = ring_of(xs if ys is None else (*xs, *ys))
+    ring_of(xs if ys is None else (*xs, *ys))
     coeffs = [getattr(form, f.name) for f in fields(form)]
     if isinstance(form, SymmetricForm):
         coeffs.insert(2, coeffs[1])  # g is the bilinear form with B = C
     scale = math.lcm(*(c.denominator for c in coeffs))
     coeffs = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
-    hx = ring_parts(xs, ring)
-    hy = None if ys is None else ring_parts(ys, ring)
+    hx = ring_parts(xs)
+    hy = None if ys is None else ring_parts(ys)
     return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import shlex
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +450,33 @@ def test_structured_negative_decimal_refused(capsys):
     )
     assert code == 2
     assert "argument --decimal: digits must be >= 0" in err
+
+
+@pytest.mark.parametrize("subcommand", ["eval", "structured"])
+@pytest.mark.parametrize("digits", [200_001, 10**9])
+def test_decimal_above_the_cap_refused_at_once(tmp_path, capsys, subcommand, digits):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+    argv = {
+        "eval": ("eval", "--csv", str(path), "--fn", "det"),
+        "structured": ("structured", "--xs", "1,2", "--target", "hafnian"),
+    }[subcommand]
+    start = time.perf_counter()
+    code, err = refused(capsys, *argv, "--decimal", str(digits))
+    # Rendering 10**9 digits would take days; the refusal reads only argv.
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert f"argument --decimal: digits must be <= 200000, got {digits}" in err
+
+
+def test_decimal_at_the_cap_is_rendered(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+    code, out, _ = run(
+        capsys, "eval", "--csv", str(path), "--fn", "det", "--decimal", "200000"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == f"~ -2.{'0' * 200_000} (approximate)"
 
 
 @pytest.mark.parametrize(

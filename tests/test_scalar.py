@@ -1,11 +1,16 @@
+import copy
+import math
 import operator
+import pickle
 import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pfhaf import scalar
 from pfhaf.errors import DomainError
+from pfhaf.kernels import pf_elimination, pf_oracle
 from pfhaf.matrix import SquareMatrix
 from pfhaf.scalar import (
     QuadExt,
@@ -154,6 +159,109 @@ def test_quad_norm_and_conjugate():
     a = q2(F(1, 2), F(3, 4))
     assert a.norm() == F(1, 4) - F(9, 16) * 2
     assert a * q2(a.p, -a.q) == a.norm()
+
+
+# An independent model of Q(sqrt(d)): p + q*sqrt(d) acts on the basis
+# (1, sqrt(d)) as the rational matrix [[p, d q], [q, p]], and the field
+# operations are the matrix ones.  d = 3/5 and -7/4 are not integers, so
+# sqrt(d) = sqrt(D)/m with m > 1.
+RADICANDS = (F(2), F(-3), F(3, 5), F(-7, 4))
+small_rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def as_matrix(v, d):
+    p, q = (v.p, v.q) if isinstance(v, QuadExt) else (F(v), F(0))
+    return ((p, d * q), (q, p))
+
+
+def mat_add(a, b, sign=1):
+    return tuple(tuple(x + sign * y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+def mat_inv(a):
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return ((a[1][1] / det, -a[0][1] / det), (-a[1][0] / det, a[0][0] / det))
+
+
+@given(
+    st.sampled_from(RADICANDS),
+    small_rats, small_rats, small_rats, small_rats, small_rats,
+    st.integers(0, 5),
+)
+def test_quad_agrees_with_its_matrix_model(d, p1, q1, p2, q2_, r, e):
+    x, y = QuadExt(p1, q1, d), QuadExt(p2, q2_, d)
+    mx, my, mr = as_matrix(x, d), as_matrix(y, d), as_matrix(r, d)
+    power = ((F(1), F(0)), (F(0), F(1)))
+    for _ in range(e):
+        power = mat_mul(power, mx)
+    cases = [
+        (x + y, mat_add(mx, my)),
+        (x - y, mat_add(mx, my, -1)),
+        (x * y, mat_mul(mx, my)),
+        (r + x, mat_add(mr, mx)),
+        (r - x, mat_add(mr, mx, -1)),
+        (x * r, mat_mul(mx, mr)),
+        (-x, mat_mul(as_matrix(-1, d), mx)),
+        (x**e, power),
+    ]
+    if y:
+        cases.append((x / y, mat_mul(mx, mat_inv(my))))
+    if x:
+        cases.append((r / x, mat_mul(mr, mat_inv(mx))))
+    for got, want in cases:
+        assert type(got) is QuadExt and got.d == d
+        assert as_matrix(got, d) == want
+        # lowest terms: the pair and its denominator share no factor
+        assert got.den > 0 and math.gcd(got.num.p, got.num.q, got.den) == 1
+
+
+@given(small_rats, st.sampled_from(RADICANDS), st.sampled_from(RADICANDS))
+def test_quad_without_root_is_its_rational(r, d1, d2):
+    a, b = QuadExt(r, 0, d1), QuadExt(r, 0, d2)
+    assert a == r and r == a and hash(a) == hash(r)
+    assert a == b and hash(a) == hash(b)
+    assert QuadExt(r, 1, d1) != QuadExt(r, 1, d2) or d1 == d2
+
+
+def test_quad_with_no_root_is_not_a_new_point():
+    with pytest.raises(DomainError, match="x points must be distinct"):
+        PointConfig([QuadExt(1, 0, 2), F(1)])
+
+
+def test_radicands_compare_by_value_across_rebuilt_rings():
+    a = QuadExt(F(1), F(1), F(2))
+    scalar._ring.cache_clear()  # the next Q(sqrt(2)) element gets a new ring class
+    b = QuadExt(F(1, 2), F(-1), F(2))
+    assert type(a.num) is not type(b.num)
+    assert a + b == QuadExt(F(3, 2), F(0), F(2)) == F(3, 2)
+    assert a == QuadExt(F(1), F(1), F(2)) and hash(a) == hash(QuadExt(F(1), F(1), F(2)))
+    upper = [[a, b, F(1)], [a * b, b], [a - b]]
+    rows = [[F(0)] * 4 for _ in range(4)]
+    for i, row in enumerate(upper):
+        for j, v in enumerate(row, i + 1):
+            rows[i][j], rows[j][i] = v, -v
+    m = SquareMatrix(rows)
+    value = pf_elimination(m)
+    assert type(value) is QuadExt and value == pf_oracle(m)
+
+
+def test_quad_repr_immutability_and_copies():
+    v = QuadExt(F(1), F(2), F(2))
+    assert repr(v) == "QuadExt(p=Fraction(1, 1), q=Fraction(2, 1), d=Fraction(2, 1))"
+    for name in ("p", "num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    assert v == QuadExt(F(1), F(2), F(2))
+    w = QuadExt(F(1, 3), F(-2, 5), F(-7, 4))
+    for copied in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert type(copied) is QuadExt and copied == w and str(copied) == str(w)
 
 
 # -- the exact domain at every constructor ---------------------------------
