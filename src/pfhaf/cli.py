@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import json
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import DomainError, PfhafError
 from .kernels import det_bareiss, evaluate, hf_recursive, perm_ryser, pf_elimination
@@ -53,26 +55,31 @@ def _parse_scalar_list(text: str):
 
 
 def _parse_sizes(text: str):
-    out = []
+    """The sizes of a list like "1..3,5", increasing and each once, read
+    lazily: no range is built into a list, so run_suite refuses a size
+    beyond its kernel guards as it reads it, however long the range."""
+    ranges = []
     try:
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
-            if ".." in part:
-                lo, hi = part.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo, hi = part.split("..") if ".." in part else (part, part)
+            lo, hi = (unlimited_digits(int, end) for end in (lo, hi))
+            ranges.append(range(lo, hi + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f'not a size list: {text!r} (e.g. "1..3" or "1,2,4")'
+            f'not a size list: {_shown(text, repr)} (e.g. "1..3" or "1,2,4")'
         ) from None
-    if not out:
-        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
-    if min(out) < 1:
-        raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {min(out)}")
-    return sorted(set(out))
+    ranges = [r for r in ranges if r]
+    if not ranges:
+        raise argparse.ArgumentTypeError(f"no sizes in {_shown(text, repr)}")
+    low = min(r.start for r in ranges)
+    if low < 1:
+        raise argparse.ArgumentTypeError(
+            f"sizes must be >= 1, got {_shown(unlimited_digits(str, low))}"
+        )
+    return (size for size, _ in groupby(heapq.merge(*ranges)))
 
 
 def _parse_identities(text: str):
@@ -88,13 +95,22 @@ def _parse_identities(text: str):
     return ids
 
 
+def _shown(text: str, form=str) -> str:
+    """form(text) for an error message; a text of more than 40 characters
+    shows its first 20 and its length."""
+    if len(text) <= 40:
+        return form(text)
+    return f"{form(text[:20])}... ({len(text)} characters)"
+
+
 def _integer(text: str, valid: str) -> int:
-    """int(text), or an argparse error saying what a valid value is (left
-    to argparse, a ValueError would name the type function instead)."""
+    """int(text) at any number of digits, or an argparse error saying what a
+    valid value is (left to argparse, a ValueError would name the type
+    function instead)."""
     try:
-        return int(text)
+        return unlimited_digits(int, text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{valid}, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"{valid}, got {_shown(text, repr)}") from None
 
 
 # _decimal_str is quadratic in the digits: 0.66 s at 200,000 on a 2-CPU VM.
@@ -104,10 +120,10 @@ DECIMAL_MAX = 200_000
 def _digits(text: str) -> int:
     value = _integer(text, "digits must be an integer >= 0")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"digits must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"digits must be >= 0, got {_shown(text)}")
     if value > DECIMAL_MAX:
         raise argparse.ArgumentTypeError(
-            f"digits must be <= {DECIMAL_MAX}, got {value}"
+            f"digits must be <= {DECIMAL_MAX}, got {_shown(text)}"
         )
     return value
 
@@ -115,7 +131,7 @@ def _digits(text: str) -> int:
 def _positive(text: str) -> int:
     value = _integer(text, "must be an integer >= 1")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {_shown(text)}")
     return value
 
 

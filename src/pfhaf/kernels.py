@@ -17,7 +17,8 @@ exact floor division, and one Fraction or QuadExt is formed at the end.  The
 type of every value follows the entries read: all ints give an int, any Fraction
 a Fraction, any QuadExt a QuadExt.  hf_recursive stays on Fraction and
 QuadExt arithmetic: it is the slow side of the Hafnian separation that
-acceptance criterion 7 measures.
+acceptance criterion 7 measures.  hf_minors reads Hafnian minors of one
+matrix from that recursion's one memo.
 
 det_bareiss (Bareiss 1968) and pf_fraction_free (Galbiati & Maffioli
 1994) are one fraction-free loop, _eliminate, which takes two pivots per
@@ -52,7 +53,7 @@ import threading
 from itertools import chain, permutations
 
 from .errors import DomainError, SizeError
-from .matrix import SquareMatrix
+from .matrix import SquareMatrix, check_index_set
 from .scalar import QuadExt, _RootPair, ring_of, ring_parts, ring_quotient
 
 DET_ORACLE_MAX = 8
@@ -828,10 +829,39 @@ def hf_recursive(m: SquareMatrix):
         raise SizeError(
             f"hf_recursive guard is 2n <= {HF_RECURSIVE_MAX}, got {m.n}"
         )
-    n = m.n
-    if n == 0:
-        return 1
-    e = m.entries
+    return _hafnians(m.entries, [(1 << m.n) - 1])[0]
+
+
+def hf_minors(m: SquareMatrix, removed):
+    """[Hf of m without the 1-based rows and columns in r, for each index
+    set r in ``removed``], all read from one memo over m's index masks.
+
+    This is hf_recursive's recursion: a minor's Hafnian is the value at
+    its mask, so the minors share every sub-mask they reach, and each
+    value equals hf_recursive(minor(m, r)) in value and type.  Every minor
+    needs an even dimension, and hf_recursive's guard bounds each minor's
+    dimension, not m's: a minor that removes indices never reaches m's
+    full mask.
+    """
+    _require_matchable(m, skew=False)
+    masks = []
+    for indices in removed:
+        gone = check_index_set(indices, m.n)
+        size = m.n - len(gone)
+        if size % 2:
+            raise DomainError(
+                f"minor dimension {size} is odd; Hf needs an even dimension"
+            )
+        if size > HF_RECURSIVE_MAX:
+            raise SizeError(
+                f"hf_recursive guard is 2n <= {HF_RECURSIVE_MAX}, got {size}"
+            )
+        masks.append(sum(1 << (i - 1) for i in gone) ^ ((1 << m.n) - 1))
+    return _hafnians(m.entries, masks)
+
+
+def _hafnians(e, masks):
+    """The Hafnians of the rows ``e`` on each index mask, from one memo."""
     memo = {}
 
     def go(mask):
@@ -857,7 +887,7 @@ def hf_recursive(m: SquareMatrix):
     # go refers to itself through its closure; deleting it breaks that
     # cycle, so memo is freed on return, not at the next cyclic collection.
     try:
-        return go((1 << n) - 1)
+        return [go(mask) for mask in masks]
     finally:
         del go
 

@@ -11,7 +11,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .scalar import _RootPair, exact
+from .scalar import QuadExt, _RootPair, exact
+
+# The entry types that need no domain check; Z[sqrt(D)] pairs need none either.
+_SCALARS = {int, Fraction, QuadExt}
+
 
 def classify(rows: Sequence[Sequence]) -> str:
     """Strictest symmetry tag of a square array: skew before symmetric.
@@ -42,17 +46,22 @@ class SquareMatrix:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DomainError("matrix is not square")
-        for row in entries:  # ints and Fractions skip the domain check
-            for v in row:
-                if type(v) is not Fraction and type(v) is not int:
-                    if not isinstance(v, _RootPair):
+        # One pass collects the entry types; exact() sees only the entries
+        # of a type that is not a scalar of the package.
+        kinds = {type(v) for row in entries for v in row} - _SCALARS
+        rest = {t for t in kinds if not issubclass(t, _RootPair)}
+        if rest:  # the first refused entry in row-major order raises
+            for row in entries:
+                for v in row:
+                    if type(v) in rest:
                         exact(v, "matrix entries")
         skew = all(entries[i][i] == 0 for i in range(n))
         sym = True
         for i, row in enumerate(entries):
             for j in range(i + 1, n):
                 v, w = row[j], entries[j][i]
-                if sym and v != w:
+                # a mirrored entry is often the same object: equal, no call
+                if sym and v is not w and v != w:
                     sym = False
                 if skew and v != -w:
                     skew = False

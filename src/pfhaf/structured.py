@@ -20,11 +20,15 @@ form at the points in homogeneous coordinates (x = p/q, and the form
 scaled by the lcm L of its coefficient denominators), which reads the
 point type and raises the first pole.  The builders, the closed forms, the
 fast paths, the identity checks and the substitution witness all work
-from that one table, and each value becomes at most one Fraction.  A
-point in Q(sqrt(d)) has p in Z[sqrt(D)], a pair of ints (see
-scalar.ring_parts); the same code runs on those pairs, and a value that
-reads one becomes one QuadExt.  gen_points' pole test, which reads no
-shape, builds the table with _homogeneous alone.
+from that one table, and each value becomes at most one Fraction.  The
+det and Pf sides of the identity checks take the fast paths' integer
+routes (_det_cauchy, _pf_schur) and build no matrix of Fractions; the
+builders serve perm_ryser and hf_recursive.  A point in Q(sqrt(d)) has p
+in Z[sqrt(D)], a pair of ints (see scalar.ring_parts); the same code runs
+on those pairs, and a value that reads one becomes one QuadExt.  The
+substitution witness maps the points on the same layer (_images).
+gen_points' pole test, which reads no shape, builds the table with
+_homogeneous alone.
 
 Note on signs: the product prefactor of the closed-form determinant is
 (-1)^{n(n-1)/2} (ad - bc)^{n(n-1)/2}, i.e. (bc - ad)^{n(n-1)/2}; writing
@@ -36,15 +40,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DegenerateFormError, DomainError, PoleError
 from .kernels import (
     det_bareiss,
     hf_recursive,
     perm_ryser,
-    pf_elimination,
     pf_fraction_free,
 )
 from .matrix import SquareMatrix
@@ -172,7 +176,9 @@ class SymmetricForm(_Form):
 #
 # and g is the bilinear form with B = C, so G_ij = L q_i q_j g(x_i, x_j).
 # p_i and r_j are ints at rational points and Z[sqrt(D)] pairs at points in
-# Q(sqrt(d)); q_i and s_j are always ints.
+# Q(sqrt(d)); q_i and s_j are positive ints.  Only the witness's images
+# (_images) have denominators Q_i that may be negative or pairs, and the
+# integer routes, the closed form and _hafnian read those as well.
 
 
 def _pole(row, i: int, lo: int, symmetric: bool) -> PoleError:
@@ -400,35 +406,16 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
     return ring_quotient(*_closed_form(_table(pc, g, SymmetricForm)))
 
 
-# -- the structured identities ---------------------------------------------
-
-
-def _sides(family: str, h: _Homogeneous):
-    """(lhs, rhs) of one structured identity on the table h of _table: a
-    general kernel on a builder's matrix, against the closed form.
-
-        DET    det(1/f)            = cauchy_det_closed
-        BORCH  det(1/f^2)          = cauchy_det_closed * perm(1/f)
-        SCHUR  Pf((x_j - x_i)/g)   = schur_pf_closed
-        MAIN   Pf((x_j - x_i)/g^2) = schur_pf_closed * Hf(1/g)
-    """
-    closed = ring_quotient(*_closed_form(h))
-    if family == "DET":
-        return det_bareiss(_cauchy(h, 1)), closed
-    if family == "BORCH":
-        return det_bareiss(_cauchy(h, 2)), closed * perm_ryser(_cauchy(h, 1))
-    if family == "SCHUR":
-        return pf_elimination(_schur(h, 1)), closed
-    return pf_elimination(_schur(h, 2)), closed * hf_recursive(_hafnian(h))
-
-
-# -- fast paths ------------------------------------------------------------
+# -- the integer routes ----------------------------------------------------
 #
-# Both fast paths run on the integers of the homogeneous layer, at rational
-# points and in Q(sqrt(d)) alike.  Each row of the squared matrix is cleared
-# of denominators by the lcm of its entries, rows with smaller scalings are
-# eliminated first, and the integer det or Pf is divided by _closed_form,
-# the closed form as integers.
+# det(1/f^p) and Pf((x_j - x_i)/g^p), p in {1, 2}, run on the integers of
+# the homogeneous layer, at rational points and in Q(sqrt(d)) alike: each
+# row of 1/F^p or 1/G^p is cleared of denominators by the lcm of its
+# entries (_row_lcm_scaling), rows with smaller scalings are eliminated
+# first, and the integer det or Pf comes back as (num, den), ints or
+# Z[sqrt(D)] pairs, with the reordering's sign undone.  The fast paths
+# divide it by _closed_form, the closed form as integers, and _sides
+# compares the two, so every value is one Fraction or QuadExt at the end.
 
 
 def _row_lcm_scaling(table):
@@ -455,6 +442,110 @@ def _reordered(points, order):
     return [ps[i] for i in order], [qs[i] for i in order]
 
 
+def _sign(order) -> int:
+    """The sign of the permutation i -> order[i]: a cycle of length k is
+    k - 1 transpositions."""
+    sign, seen = 1, [False] * len(order)
+    for i in range(len(order)):
+        j = order[i]
+        seen[i] = True
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            sign = -sign
+    return sign
+
+
+def _det_cauchy(h: _Homogeneous, power: int):
+    """(num, den) with det(1/f^power) = num / den at the n x and n y points
+    of h, power in {1, 2}.
+
+    In the homogeneous coordinates of _homogeneous, 1/f_ij^p =
+    (L q_i s_j)^p / F_ij^p.  Scaling row i by l_i^p, with l_i from
+    _row_lcm_scaling, makes N_ij = (l_i / F_ij)^p an integer matrix, and
+
+        det(1/f^p) = L^{pn} prod(q_i^p) prod(s_j^p) det(N) / prod(l_i^p),
+
+    with det(N) from det_bareiss on Python ints, or on Z[sqrt(D)] pairs at
+    points in Q(sqrt(d)).
+    """
+    lcms, quotients, order = _row_lcm_scaling(h.table)
+    rows = [quotients[i] for i in order]
+    if power == 2:
+        rows = [[u * u for u in row] for row in rows]
+    weight = h.scale ** len(order) * math.prod(h.xs[1]) * math.prod(h.ys[1])
+    det_n = det_bareiss(SquareMatrix(rows))
+    return _sign(order) * weight**power * det_n, math.prod(lcms) ** power
+
+
+def _pf_schur(h: _Homogeneous, power: int):
+    """(num, den) with Pf((x_j - x_i)/g^power) = num / den at the 2n points
+    of h, power in {1, 2}.
+
+    In the homogeneous coordinates of _homogeneous, (x_j - x_i)/g^p =
+    L^p (q_i q_j)^(p-1) d_ij / G_ij^p.  Scaling index i by D_i, the l_i of
+    _row_lcm_scaling on the whole symmetric table, makes D_i D_j d_ij /
+    G_ij^p an integer skew matrix M (d_ij (D_i/G_ij)(D_j/G_ij) for p = 2,
+    d_ij (D_i/G_ij) D_j for p = 1), and multilinearity of Pf gives
+
+        Pf((x_j - x_i)/g^p) = L^{pn} prod(q_i)^(p-1) Pf(M) / prod(D_i),
+
+    with Pf(M) from pf_fraction_free, over Z[sqrt(D)] at points in
+    Q(sqrt(d)).
+    """
+    # The table holds j > i; the row lcms read the whole symmetric table,
+    # with 1 on the diagonal.
+    gs = h.table
+    full = [[gs[j][i - j - 1] for j in range(i)] + [1] + gs[i] for i in range(len(gs))]
+    dens, quotients, order = _row_lcm_scaling(full)
+    quotients = [[quotients[i][j] for j in order] for i in order]
+    right = quotients if power == 2 else [[dens[i]] * len(order) for i in order]
+    mat = [
+        [0] * (i + 1)
+        + [quotients[i][j] * right[j][i] * dv for j, dv in enumerate(ds, i + 1)]
+        for i, ds in enumerate(_differences(_reordered(h.xs, order)))
+    ]
+    weight = h.scale ** (power * len(order) // 2) * math.prod(h.xs[1]) ** (power - 1)
+    return _sign(order) * weight * pf_fraction_free(mat), math.prod(dens)
+
+
+# -- the structured identities ---------------------------------------------
+
+
+def _sides(family: str, h: _Homogeneous):
+    """(lhs, rhs) of one structured identity on the table h of _table: the
+    integer route against the closed form, times perm_ryser or
+    hf_recursive on a builder's matrix for BORCH and MAIN.
+
+        DET    det(1/f)            = cauchy_det_closed
+        BORCH  det(1/f^2)          = cauchy_det_closed * perm(1/f)
+        SCHUR  Pf((x_j - x_i)/g)   = schur_pf_closed
+        MAIN   Pf((x_j - x_i)/g^2) = schur_pf_closed * Hf(1/g)
+
+    Each side has the type a general kernel gives on the builder's matrix:
+    that matrix holds a QuadExt exactly where the table (det) or the table
+    and the points (Pf) hold a Z[sqrt(D)] pair.
+    """
+    rhs = ring_quotient(*_closed_form(h))
+    power = 2 if family in ("BORCH", "MAIN") else 1
+    if family in ("DET", "BORCH"):
+        num, den = _det_cauchy(h, power)
+        reads = chain.from_iterable(h.table)
+    else:
+        num, den = _pf_schur(h, power)
+        reads = chain(h.xs[0], *h.table)
+    ring = next((type(v) for v in reads if type(v) is not int), None)
+    lhs = ring_quotient(num, den, ring)
+    if family == "BORCH":
+        rhs *= perm_ryser(_cauchy(h, 1))
+    elif family == "MAIN":
+        rhs *= hf_recursive(_hafnian(h))
+    return lhs, rhs
+
+
+# -- fast paths ------------------------------------------------------------
+
+
 def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     """Permanent of the Cauchy-type matrix 1/f(x_i, y_j) in O(n^3) ops.
 
@@ -462,31 +553,19 @@ def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     (otherwise the closed form vanishes and the division-form shortcut is
     unavailable: fall back to perm_ryser).
 
-    Everything runs on integers.  In the homogeneous coordinates of
-    _homogeneous, 1/f_ij^2 = L^2 q_i^2 s_j^2 / F_ij^2.  Scaling row i by
-    D_i = l_i^2, with l_i from _row_lcm_scaling, makes N_ij = D_i / F_ij^2
-    an integer matrix, and
-
-        det(1/f^2) = L^{2n} prod(q_i^2) prod(s_j^2) det(N) / prod(D_i),
-
-    which is divided by det(1/f) from _closed_form.  det(N) comes from
-    det_bareiss on Python ints, or on Z[sqrt(D)] pairs at points in
-    Q(sqrt(d)), and the only Fraction or QuadExt is the final quotient.
-    Poles are found in row-major order, as the closed form finds them.
+    Everything runs on integers: det(1/f^2) comes from _det_cauchy and
+    det(1/f) from _closed_form, and the only Fraction or QuadExt is the
+    final quotient.  Poles are found in row-major order, as the closed
+    form finds them.
     """
     if _need(f, BilinearForm).disc == 0:
         raise DegenerateFormError(
             "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
         )
     h = _table(pc, f, BilinearForm)
-    lcms, quotients, order = _row_lcm_scaling(h.table)
-    # The permanent does not see the order of the x points; det(N) and the
-    # closed form change sign together.
-    h = replace(h, xs=_reordered(h.xs, order))
-    det_n = det_bareiss(SquareMatrix([[u * u for u in quotients[i]] for i in order]))
+    det_num, det_den = _det_cauchy(h, 2)
     num, den = _closed_form(h)
-    weight = h.scale ** len(pc.xs) * math.prod(h.xs[1]) * math.prod(h.ys[1])
-    return ring_quotient(weight**2 * det_n * den, math.prod(lcms) ** 2 * num)
+    return ring_quotient(det_num * den, det_den * num)
 
 
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
@@ -495,40 +574,18 @@ def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     Divides Pf((x_j - x_i)/g^2) by the closed-form Pf((x_j - x_i)/g).
     Requires b^2 - ac != 0 and distinct xs (the closed form is the divisor).
 
-    Everything runs on integers.  In the homogeneous coordinates of
-    _homogeneous, (x_j - x_i)/g^2 = L^2 q_i q_j d_ij / G_ij^2.  Scaling
-    index i by D_i, the l_i of _row_lcm_scaling on the G_ij, makes
-    D_i D_j d_ij / G_ij^2 an integer skew matrix M, and multilinearity of
-    Pf gives, for 2n points,
-
-        Pf((x_j - x_i)/g^2) = L^{2n} prod(q_i) Pf(M) / prod(D_i),
-
-    which is divided by Pf((x_j - x_i)/g) from _closed_form.  Pf(M) comes
-    from the integer elimination, over Z[sqrt(D)] at points in Q(sqrt(d)),
-    and the only Fraction or QuadExt is the final quotient.
+    Everything runs on integers: Pf((x_j - x_i)/g^2) comes from _pf_schur
+    and Pf((x_j - x_i)/g) from _closed_form, and the only Fraction or
+    QuadExt is the final quotient.
     """
     if _need(g, SymmetricForm).disc == 0:
         raise DegenerateFormError(
             "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead"
         )
     h = _table(pc, g, SymmetricForm)
-    # The table holds j > i; the row lcms read the whole symmetric table,
-    # with 1 on the diagonal.
-    gs = h.table
-    full = [[gs[j][i - j - 1] for j in range(i)] + [1] + gs[i] for i in range(len(gs))]
-    dens, quotients, order = _row_lcm_scaling(full)
-    # The Hafnian does not see the order of the points; Pf(M) and the
-    # closed form change sign together.
-    h = replace(h, xs=_reordered(h.xs, order))
-    quotients = [[quotients[i][j] for j in order] for i in order]
-    mat = [
-        [0] * (i + 1)
-        + [quotients[i][j] * quotients[j][i] * dv for j, dv in enumerate(ds, i + 1)]
-        for i, ds in enumerate(_differences(h.xs))
-    ]
+    pf_num, pf_den = _pf_schur(h, 2)
     num, den = _closed_form(h)
-    weight = h.scale ** len(pc.xs) * math.prod(h.xs[1])
-    return ring_quotient(weight * pf_fraction_free(mat) * den, math.prod(dens) * num)
+    return ring_quotient(pf_num * den, pf_den * num)
 
 
 # -- Moebius substitution --------------------------------------------------
@@ -588,6 +645,25 @@ def _moebius_for_root(g: SymmetricForm, s) -> MoebiusMap:
     )
 
 
+_XPY = (0, 1, 1, 0)  # x + y as the integer bilinear form of _form_table
+
+
+def _images(mob: MoebiusMap, points):
+    """(E, S, (P, Q)) for the images phi(x_i) = P_i / Q_i of homogeneous
+    points (p, q): with E the lcm of the map's coefficient denominators,
+    P_i = E (A p_i + B q_i), Q_i = E (C p_i + D q_i) = E q_i u_i and
+    S = E^2 (BC - AD) = E^2 s, ints or Z[sqrt(D)] pairs."""
+    nums, dens = ring_parts([mob.A, mob.B, mob.C, mob.D])
+    e = math.lcm(*dens)
+    a, b, c, d = (v * (e // w) for v, w in zip(nums, dens))
+    ps, qs = points
+    images = (
+        [a * p + b * q for p, q in zip(ps, qs)],
+        [c * p + d * q for p, q in zip(ps, qs)],
+    )
+    return e, b * c - a * d, images
+
+
 def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     """Exact witness that the Moebius substitution carries the classical
     Pfaffian identities into their generalized forms for g.
@@ -606,41 +682,55 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     the root -s instead; PoleError is raised only when the points hold the
     poles of both.  lhs and rhs of the report are the two sides of the
     generalized Pfaffian-Hafnian identity.
+
+    Everything runs on the homogeneous layer: with x_i = p_i/q_i, the
+    images are phi(x_i) = P_i/Q_i and u_i = Q_i/(E q_i) (_images), so the
+    two factorizations are the integer identities
+
+        P_j Q_i - P_i Q_j = -S d_ij   and   L (P_i Q_j + P_j Q_i) = E^2 G_ij
+
+    between the differences and x + y tables at the images and the
+    differences and g table at the points, and the classical identities
+    run on the images' x + y table, whose Q_i may be pairs.
     """
     start = time.perf_counter()
     mob = moebius_for_form(g)
     at_points = _table(pc, g, SymmetricForm)  # a pole of g is named before the map's
     xs = pc.xs
     s = mob.B * mob.C - mob.A * mob.D
-    u = [mob.C * x + mob.D for x in xs]
-    if 0 in u:
+    ring_of([*xs, s])  # points in another field than sqrt(b^2 - ac) raise
+    e, big_s, images = _images(mob, at_points.xs)
+    if 0 in images[1]:
         # g has no pole at the map's own pole (s - b)/a; the map of the
         # other root -s moves it to (-s - b)/a.
-        hit = xs[u.index(0)]
+        hit = xs[images[1].index(0)]
         mob, s = _moebius_for_root(g, -s), -s
-        u = [mob.C * x + mob.D for x in xs]
-        if 0 in u:
+        e, big_s, images = _images(mob, at_points.xs)
+        if 0 in images[1]:
+            other = xs[images[1].index(0)]
             raise PoleError(
                 f"Moebius map poles at {render_scalar(hit)} and "
-                f"{render_scalar(xs[u.index(0)])}, one for each root of b^2 - ac"
+                f"{render_scalar(other)}, one for each root of b^2 - ac"
             )
     field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     # The map is injective, so the images are distinct points.
-    images = PointConfig([(mob.A * x + mob.B) / ux for x, ux in zip(xs, u)])
-    phi = images.xs
+    at_images = _Homogeneous(1, _XPY, images, None, _form_table(_XPY, images))
+    scale, e2 = at_points.scale, e * e
     checks = {
         "entrywise_factorization": all(
-            (phi[j] - phi[i]) * u[i] * u[j] == -s * (xs[j] - xs[i])
-            and (phi[i] + phi[j]) * u[i] * u[j] == g(xs[i], xs[j])
-            for i in range(len(xs))
-            for j in range(i + 1, len(xs))
+            di == -big_s * d and scale * hv == e2 * gv
+            for rows in zip(
+                _differences(images), _differences(at_points.xs),
+                at_images.table, at_points.table,
+            )
+            for di, d, hv, gv in zip(*rows)
         )
     }
     # The classical x + y identities at the images, then the generalized
     # ones for g at the points: the Schur identity and the Pfaffian-Hafnian
     # identity, both with numerators x_j - x_i.
     for kind, where, h in (
-        ("classical", "images", _table(images, SymmetricForm(0, 1, 0), SymmetricForm)),
+        ("classical", "images", at_images),
         ("generalized", "points", at_points),
     ):
         schur, closed = _sides("SCHUR", h)

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DomainError, GenError, PoleError, SizeError
-from .kernels import det_bareiss, hf_recursive, perm_ryser, pf_elimination
-from .matrix import SquareMatrix, minor
+from .kernels import det_bareiss, hf_minors, perm_ryser, pf_elimination
+from .matrix import SquareMatrix
 from .report import IdentityReport
-from .scalar import exact, render_scalar
+from .scalar import exact, render_scalar, unlimited_digits
 from .structured import (
     BilinearForm,
     PointConfig,
@@ -270,17 +270,17 @@ def _check(identity: IdentityId, pc, form, z):
         g = SymmetricForm.from_name("x+y")
         b = build_hafnian_mat(pc, g)
         m = len(xs)
+        # Hf(B) and its (k, l) minors, from one memo over B's index masks.
+        pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+        haf_b, *hafs = hf_minors(b, [(), *((k + 1, l + 1) for k, l in pairs)])
+        haf_minor = dict(zip(pairs, hafs))
         lhs = Fraction(0)
-        haf_minor = {}
-        for k in range(m):
-            for l in range(k + 1, m):
-                haf_minor[(k, l)] = hf_recursive(minor(b, (k + 1, l + 1)))
         for k in range(m):
             for l in range(m):
                 if k != l:
                     key = (k, l) if k < l else (l, k)
                     lhs += haf_minor[key] / ((xs[k] - z) * (xs[l] + z))
-        rhs = hf_recursive(b) * sum(2 * x / (x * x - z * z) for x in xs)
+        rhs = haf_b * sum(2 * x / (x * x - z * z) for x in xs)
         return lhs, rhs, params
 
     if identity is IdentityId.LEMMA2:
@@ -290,7 +290,8 @@ def _check(identity: IdentityId, pc, form, z):
         g = SymmetricForm.from_name("x+y")
         b = build_hafnian_mat(pc, g)
         m = len(xs)
-        hafs = [hf_recursive(minor(b, (k + 1, m))) for k in range(m - 1)]
+        # The (k, 2s) minors from one memo; Hf(B) itself is never computed.
+        hafs = hf_minors(b, [(k + 1, m) for k in range(m - 1)])
         lhs = Fraction(0)
         for k in range(m - 1):
             prod = Fraction(1)
@@ -391,7 +392,8 @@ def _largest_size(identity: IdentityId):
     """(kernel, largest size) for an identity whose cells call a size-guarded
     exponential kernel, read from that kernel's guard; None for the others.
     A size-s cell runs perm_ryser on s x s (BORCH, CARLITZ) or hf_recursive
-    on 2s points (MAIN, LEMMA1), or on the (2s - 2)-point minors (LEMMA2)."""
+    on 2s points (MAIN), and hf_minors, under hf_recursive's guard, on 2s
+    points (LEMMA1) or on the (2s - 2)-point minors only (LEMMA2)."""
     family = _FORMS.get(identity, (identity.value,))[0]
     if family in ("BORCH", "CARLITZ"):
         return "perm_ryser", kernels.PERM_RYSER_MAX
@@ -400,6 +402,17 @@ def _largest_size(identity: IdentityId):
     if family == "LEMMA2":
         return "hf_recursive", kernels.HF_RECURSIVE_MAX // 2 + 1
     return None
+
+
+def _refuse_size(guards, size: int):
+    """SizeError for the first of ``guards``, (identity, (kernel, largest
+    size)) in identity order, that ``size`` is beyond; nothing if none."""
+    for identity, (kernel, largest) in guards:
+        if size > largest:
+            raise SizeError(
+                f"{identity.value} at size {unlimited_digits(str, size)} is beyond "
+                f"the {kernel} guard: {identity.value} supports sizes up to {largest}"
+            )
 
 
 def run_suite(
@@ -416,26 +429,13 @@ def run_suite(
     refused with DomainError, and so are sizes that are not an iterable of
     ints, a trial count that is not an int, and an ``only`` that holds
     anything but IdentityId members; one with a size beyond an identity's
-    kernel guard is refused with SizeError.  Each refusal comes before any
-    cell is computed.
+    kernel guard is refused with SizeError, one beyond every guard as soon
+    as it is read.  Each refusal comes before any cell is computed.
     """
     try:
         sizes = iter(sizes)
     except TypeError:
         raise DomainError(f"sizes must be an iterable of ints, got {sizes!r}") from None
-    sizes = list(sizes)
-    stray = next((s for s in sizes if not isinstance(s, int)), None)
-    if stray is not None:
-        raise DomainError(f"sizes must be ints, got {stray!r}")
-    sizes.sort()
-    if not sizes:
-        raise DomainError("need at least one size")
-    if sizes[0] < 1:
-        raise DomainError(f"sizes must be >= 1, got {sizes[0]}")
-    if not isinstance(trials_per_size, int):
-        raise DomainError(f"trials_per_size must be an int, got {trials_per_size!r}")
-    if trials_per_size < 1:
-        raise DomainError(f"need at least one trial per size, got {trials_per_size}")
     if only is not None:
         only = set(only)
         stray = next((i for i in only if not isinstance(i, IdentityId)), None)
@@ -446,13 +446,29 @@ def run_suite(
     identities = sorted(
         (i for i in IdentityId if only is None or i in only), key=lambda i: i.value
     )
-    for identity in identities:
-        guard = _largest_size(identity)
-        if guard is not None and sizes[-1] > guard[1]:
-            raise SizeError(
-                f"{identity.value} at size {sizes[-1]} is beyond the {guard[0]} "
-                f"guard: {identity.value} supports sizes up to {guard[1]}"
-            )
+    guards = [(i, _largest_size(i)) for i in identities]
+    guards = [(i, g) for i, g in guards if g is not None]
+    # A size beyond every guard is refused as it is read, so a long or
+    # endless iterable is never held; the others are refused once all are
+    # read, naming the largest size.
+    largest = max((g[1] for _, g in guards), default=None)
+    read = []
+    for size in sizes:
+        if not isinstance(size, int):
+            raise DomainError(f"sizes must be ints, got {size!r}")
+        if largest is not None and size > largest:
+            _refuse_size(guards, size)
+        read.append(size)
+    sizes = sorted(read)
+    if not sizes:
+        raise DomainError("need at least one size")
+    if sizes[0] < 1:
+        raise DomainError(f"sizes must be >= 1, got {sizes[0]}")
+    if not isinstance(trials_per_size, int):
+        raise DomainError(f"trials_per_size must be an int, got {trials_per_size!r}")
+    if trials_per_size < 1:
+        raise DomainError(f"need at least one trial per size, got {trials_per_size}")
+    _refuse_size(guards, sizes[-1])
     reports = []
     for identity in identities:
         for size in sizes:

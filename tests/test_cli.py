@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pfhaf.cli import main
+from pfhaf.cli import build_parser, main
 from pfhaf.kernels import det_oracle, hf_oracle, perm_oracle, pf_oracle
 from pfhaf.scalar import parse_rat, render_scalar
 from pfhaf.structured import (
@@ -467,6 +467,60 @@ def test_decimal_above_the_cap_refused_at_once(tmp_path, capsys, subcommand, dig
     assert time.perf_counter() - start < 5
     assert code == 2
     assert f"argument --decimal: digits must be <= 200000, got {digits}" in err
+
+
+def test_counts_past_the_int_string_limit(tmp_path, capsys):
+    # More than CPython's 4,300 digits is still an integer: it gets the
+    # refusal its value earns, and the message shows 20 of its characters.
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n3,4\n")
+    nines = "9" * 5000
+    code, err = refused(
+        capsys, "eval", "--csv", str(path), "--fn", "det", "--decimal", nines
+    )
+    assert code == 2
+    assert err.endswith(
+        "argument --decimal: digits must be <= 200000, got "
+        f"{nines[:20]}... (5000 characters)\n"
+    )
+    assert len(err) < 1000
+    code, err = refused(capsys, "verify", "--trials", "-" + nines)
+    assert code == 2
+    assert err.endswith(
+        f"argument --trials: must be >= 1, got -{nines[:19]}... (5001 characters)\n"
+    )
+    code, err = refused(capsys, "verify", "--trials", nines + "x")
+    assert code == 2
+    assert err.endswith(
+        f"argument --trials: must be an integer >= 1, got '{nines[:20]}'... "
+        "(5001 characters)\n"
+    )
+    # 5,000 zeros and a one is one trial
+    one = "0" * 5000 + "1"
+    code, out, _ = run(
+        capsys, "verify", "--trials", one, "--sizes", "1", "--only", "SCHUR1"
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
+def test_verify_size_range_beyond_the_guards_refused_at_once(capsys):
+    # The range is read lazily, and run_suite refuses its first size beyond
+    # every kernel guard as it reads it.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--sizes", "1..3000000")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: BORCH1 at size 26 is beyond the perm_ryser guard: "
+        "BORCH1 supports sizes up to 25\n"
+    )
+
+
+def test_verify_size_list_is_sorted_and_each_size_once():
+    sizes = build_parser().parse_args(["verify", "--sizes", "4,1..3,2..5,9..8"]).sizes
+    assert list(sizes) == [1, 2, 3, 4, 5]
 
 
 def test_decimal_at_the_cap_is_rendered(tmp_path, capsys):

@@ -21,6 +21,7 @@ from pfhaf.kernels import (
     det_oracle,
     evaluate,
     hf_oracle,
+    hf_minors,
     hf_recursive,
     perm_oracle,
     perm_ryser,
@@ -28,7 +29,7 @@ from pfhaf.kernels import (
     pf_fraction_free,
     pf_oracle,
 )
-from pfhaf.matrix import SquareMatrix
+from pfhaf.matrix import SquareMatrix, minor
 from pfhaf.scalar import QuadExt
 from pfhaf.structured import BilinearForm, PointConfig, build_cauchy, fast_cauchy_perm
 from pfhaf.verify import gen_points
@@ -583,6 +584,74 @@ def test_hf_recursive_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_hf_minors_leave_no_cyclic_garbage():
+    m = rand_symmetric(random.Random(24), 16)
+    gc.collect()
+    gc.disable()
+    try:
+        hf_minors(m, [(), (1, 2), (5, 16), (1, 2, 3, 4)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def symmetric_rows(draw):
+    """A symmetric matrix of even dimension up to 10 over ints, Fractions
+    or Q(sqrt(2)), with zeros of the entries' type and int zeros mixed in;
+    the diagonal holds junk the Hafnian never reads."""
+    n = 2 * draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["int", "Fraction", "QuadExt"]))
+    small = st.integers(-3, 3)
+
+    def entry():
+        p = draw(small)
+        if draw(st.integers(0, 5)) == 0:
+            return 0
+        if kind == "int":
+            return p
+        if kind == "Fraction":
+            return F(p, draw(st.integers(1, 4)))
+        return QuadExt(F(p, draw(st.integers(1, 4))), draw(small), F(2))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    return rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(symmetric_rows())
+def test_hf_minors_read_from_one_memo_are_the_minors_hafnians(rows):
+    # Every (k, l) minor, Hf itself and a few 4-index minors, from one memo,
+    # against hf_recursive on the minor as its own matrix: value and type.
+    m = SquareMatrix(rows)
+    n = m.n
+    removed = [(), *((k + 1, l + 1) for k in range(n) for l in range(k + 1, n))]
+    removed += [tuple(range(1, 5)), tuple(range(n - 3, n + 1))] if n >= 4 else []
+    for indices, value in zip(removed, hf_minors(m, removed)):
+        expected = hf_recursive(minor(m, indices))
+        assert value == expected and type(value) is type(expected), indices
+
+
+def test_hf_minors_guard_each_minor(monkeypatch):
+    m = rand_symmetric(random.Random(5), 6)
+    monkeypatch.setattr(kernels, "HF_RECURSIVE_MAX", 4)
+    # the 4-point minors are within the guard, though m is not
+    assert hf_minors(m, [(1, 6), (2, 3)]) == [
+        hf_recursive(minor(m, (1, 6))), hf_recursive(minor(m, (2, 3)))
+    ]
+    with pytest.raises(SizeError, match="hf_recursive guard is 2n <= 4, got 6"):
+        hf_minors(m, [(1, 6), ()])
+    with pytest.raises(DomainError, match="minor dimension 5 is odd"):
+        hf_minors(m, [(2,)])
+    with pytest.raises(DomainError, match="index out of range"):
+        hf_minors(m, [(1, 7)])
+    with pytest.raises(DomainError, match="not symmetric"):
+        hf_minors(rand_skew(random.Random(5), 6), [(1, 2)])
 
 
 def test_hf_ignores_diagonal():

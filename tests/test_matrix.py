@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from pfhaf.errors import DomainError
 from pfhaf.kernels import hf_oracle, hf_recursive, pf_elimination, pf_oracle
 from pfhaf.matrix import SquareMatrix, classify, minor
-from pfhaf.scalar import QuadExt
+from pfhaf.scalar import QuadExt, _ring
 from pfhaf.structured import PointConfig, SymmetricForm, build_hafnian_mat
 
 
@@ -152,3 +152,26 @@ def test_permutation_conjugation_preserves_kind():
         [[m.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     )
     assert conj.kind == "skew"
+
+
+@pytest.mark.parametrize(
+    "rows, name",
+    [
+        ([[1, 2.5], [None, F(1)]], "float"),
+        ([[F(1), 1], ["3", 2.5]], "str"),
+        ([[QuadExt(1, 1, 2), 1], [1, None]], "NoneType"),
+    ],
+)
+def test_the_first_refused_entry_in_row_major_order_is_named(rows, name):
+    with pytest.raises(DomainError) as exc:
+        SquareMatrix(rows)
+    message = f"need exact rational matrix entries, got {name}; pass Fractions"
+    assert str(exc.value) == message
+
+
+def test_every_exact_entry_type_is_accepted():
+    pair = _ring(F(2))(1, 2)
+    s2 = QuadExt(1, 1, 2)
+    m = SquareMatrix([[True, F(1, 2), 3], [F(1, 2), s2, pair], [3, pair, 0]])
+    assert m.symmetric and not m.skew
+    assert m.entries[0][0] is True and m.entries[1][2] is pair

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pfhaf import structured
 from pfhaf.errors import DegenerateFormError, DomainError, PoleError
@@ -561,6 +561,59 @@ def test_benchmark_witness_reports_are_unchanged(monkeypatch):
                 digest.update(json.dumps(obj).encode() + b"\n")
     assert rational == {True, False}
     assert digest.hexdigest() == WITNESS_GOLDEN
+
+
+
+# sha256 of every build_verify_suite report line of benchmark seeds 1-5
+# (69 per seed: 64 identity cells and 5 witnesses, JSON lines without
+# "elapsed"), taken while the identity checks still ran the general kernels
+# on the builders' Fraction and QuadExt matrices.
+VERIFY_SUITE_GOLDEN = "9ad11b1146d61f2eafe710e0b3c870c539212fdd07426b2cc3c70e8e0737ee6d"
+
+
+def test_benchmark_verify_suite_reports_are_unchanged(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    digest = hashlib.sha256()
+    for seed in range(1, 6):
+        instances = workloads.build_verify_suite(seed)
+        assert len(instances) == 69
+        for inst in instances:
+            digest.update(workloads.run_op(inst).encode() + b"\n")
+    assert digest.hexdigest() == VERIFY_SUITE_GOLDEN
+
+
+# Degenerate forms at points mixing Q and Q(sqrt(2)): the value is 0 and
+# still a QuadExt, as on the builders' matrices.
+@example((BilinearForm(1, 0, 0, 0), [[F(1), QuadExt(0, 1, 2)], [F(1), F(2)]]), 1)
+@example((SymmetricForm(1, 0, 0), [[F(1), F(2), QuadExt(0, 1, 2), F(3)]]), 2)
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([F(2), F(-3), None]).flatmap(layer_cases),
+    st.sampled_from([1, 2]),
+)
+def test_builders_match_the_integer_routes(case, power):
+    # The identity checks no longer run the builders' matrices through the
+    # general kernels; the integer route of each det and Pf side must give
+    # what they gave, in value and type, at pole-free points in Q and in
+    # Q(sqrt(d)).
+    form, points = case
+    pc = PointConfig(*points)
+    assume(pc.xs)
+    bilinear = pc.ys is not None
+    try:
+        h = structured._table(pc, form, BilinearForm if bilinear else SymmetricForm)
+    except PoleError:
+        assume(False)
+    if bilinear:
+        expected = det_bareiss(build_cauchy(pc, form, power))
+        family = "DET" if power == 1 else "BORCH"
+    else:
+        expected = pf_elimination(build_schur(pc, form, power))
+        family = "SCHUR" if power == 1 else "MAIN"
+    value = structured._sides(family, h)[0]
+    assert value == expected and type(value) is type(expected)
 
 
 # -- fast paths ------------------------------------------------------------

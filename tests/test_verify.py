@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -423,6 +425,22 @@ def test_run_suite_refuses_sizes_beyond_a_kernel_guard(monkeypatch):
     )
     with pytest.raises(SizeError, match="BORCH1 at size 26 .* sizes up to 25"):
         run_suite(1, range(1, 27), 1)
+
+
+def test_run_suite_refuses_an_endless_size_iterable_at_once(monkeypatch):
+    # A size beyond every selected guard is refused as it is read, so
+    # neither a range of 10^12 sizes nor an endless count is ever held.
+    monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    start = time.perf_counter()
+    with pytest.raises(SizeError) as exc:
+        run_suite(1, range(1, 10**12), 1)
+    assert str(exc.value) == (
+        "BORCH1 at size 26 is beyond the perm_ryser guard: "
+        "BORCH1 supports sizes up to 25"
+    )
+    with pytest.raises(SizeError, match="^MAIN1 at size 12 is beyond"):
+        run_suite(1, itertools.count(1), 1, only={IdentityId.MAIN1, IdentityId.SCHUR1})
+    assert time.perf_counter() - start < 5
 
 
 # With hf_recursive's guard at 2n <= 6 and perm_ryser's at n <= 3: the
