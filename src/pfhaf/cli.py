@@ -165,8 +165,11 @@ _TARGETS = {
 
 
 def cmd_eval(args) -> int:
-    with open(args.csv, newline="") as fh:
-        rows = [[parse_rat(cell) for cell in row] for row in csv.reader(fh) if row]
+    try:
+        with open(args.csv, newline="", encoding="utf-8") as fh:
+            rows = [[parse_rat(cell) for cell in row] for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"--csv {args.csv} cannot be read as CSV: {exc}") from None
     if not rows:
         raise DomainError(f"--csv {args.csv} has no rows")
     _print_value(evaluate(SquareMatrix(rows), args.fn, args.algorithm), args.decimal)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all pfhaf modules."""
+"""Exception hierarchy shared by all pfhaf modules, and their type refusal."""
 
 
 class PfhafError(Exception):
@@ -33,3 +33,10 @@ class DegenerateFormError(PfhafError):
 
 class GenError(PfhafError):
     """Random instance generation could not satisfy its constraints."""
+
+
+def need(value, cls):
+    """value, refused with DomainError unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -50,11 +50,12 @@ import marshal
 import math
 import os
 import threading
+from fractions import Fraction
 from itertools import chain, permutations
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, need
 from .matrix import SquareMatrix, check_index_set
-from .scalar import QuadExt, _RootPair, ring_of, ring_parts, ring_quotient
+from .scalar import QuadExt, _RootPair, exact, ring_of, ring_parts, ring_quotient
 
 DET_ORACLE_MAX = 8
 PERM_ORACLE_MAX = 8
@@ -63,56 +64,51 @@ HF_RECURSIVE_MAX = 22
 PERM_RYSER_MAX = 25
 
 # The least dimension at which det_bareiss and pf_fraction_free share their
-# row updates with this process's helper (_Helper).  Below it, the job
-# message and the pipe exchanges of each block cost more than half of the
-# updates saves.  Medians of 11 (7 from det n = 20 and Pf 2n = 28 on)
-# alternating one- and two-process runs of the matrices of
-# fast_cauchy_perm (6 each, with det's per-row quantities) and
-# fast_cauchy_hafnian (3 each), the helper already running (CPython 3.11,
-# 2 CPUs), one-process time over two-process time at x+y points / 1-xy /
-# random rational forms: det at n = 14, 16, 18, 20, 22: 0.83 / 0.79 /
-# 0.99, 1.04 / 1.09 / 0.96, 1.00 / 1.17 / 1.34, 1.38 / 1.41 / 1.44, 1.41 /
-# 1.39 / 1.41; Pf at 2n = 20, 22, 24, 28, 32, x+y / random: 0.92 / 1.26,
-# 0.80 / 1.25, 1.15 / 1.31, 1.24 / 1.28, 1.12 / 1.66.  Each threshold is
-# the least dimension from which no kind lost.  det at n = 16 and 17 read
-# 0.88-1.27 over repeated sweeps, within their noise of break-even.
+# row updates with this process's helper (_Helper): below it, the job message
+# and each block's exchanges cost more than half the updates saves.  The
+# sweeps are in CHANGES.md (the resident-helper and per-row-quantities entries).
 _DET_HALVES_MIN = 18
 _PF_HALVES_MIN = 24
 
 # The least pivot bit length at which a step strips the gcd of the trailing
-# block: each strip costs a gcd scan, a division of every entry and, with
-# the helper, one exchange, against smaller products.  Time for all
-# 21 hafnian_fast and 21 perm_fast matrices of seed 1 with a helper forked
-# per call from n = 22 and 2n = 32, never stripping over stripping from
-# 0 / 300 / 600 / 1000 / 2000 bits, medians of 5 interleaved rounds: Pf
-# 1.23 / 1.23 / 1.27 / 1.24 / 1.07, det 1.19 / 1.18 / 1.22 / 1.21 / 1.16.
+# block: a strip costs a gcd scan, a division of every entry and, with the
+# helper, one exchange, against smaller products.  The sweep is in
+# CHANGES.md (the stripping entry).
 _STRIP_BITS = 600
 
 
-def _perm_sign(p) -> int:
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
+def _sign(order) -> int:
+    """The sign of the permutation i -> order[i]: a cycle of length k is
+    k - 1 transpositions."""
+    sign, seen = 1, [False] * len(order)
+    for i in range(len(order)):
+        j = order[i]
+        seen[i] = True
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            sign = -sign
     return sign
-
-
-def _square(m: SquareMatrix) -> SquareMatrix:
-    """m, refused with DomainError unless it is a SquareMatrix."""
-    if not isinstance(m, SquareMatrix):
-        raise DomainError(f"expected a SquareMatrix, got {type(m).__name__}")
-    return m
 
 
 def _require_matchable(m: SquareMatrix, skew: bool):
     """Pf (``skew``) and Hf need a SquareMatrix of even dimension and, as
     read by SquareMatrix, skew entries (Pf) or entries symmetric off the
     diagonal (Hf)."""
-    if _square(m).n % 2 != 0:
-        raise DomainError(f"dimension {m.n} is odd; Pf/Hf need an even dimension")
+    _even(need(m, SquareMatrix).n)
     if not (m.skew if skew else m.symmetric):
         raise DomainError(f"matrix is not {'skew-symmetric' if skew else 'symmetric'}")
+
+
+def _even(n: int):
+    if n % 2:
+        raise DomainError(f"dimension {n} is odd; Pf/Hf need an even dimension")
+
+
+def _guard(kernel: str, n: int, largest: int, dim: str = "2n"):
+    """SizeError unless the dimension n is within ``kernel``'s guard."""
+    if n > largest:
+        raise SizeError(f"{kernel} guard is {dim} <= {largest}, got {n}")
 
 
 def _leibniz_sum(m: SquareMatrix, signed: bool):
@@ -121,10 +117,7 @@ def _leibniz_sum(m: SquareMatrix, signed: bool):
     e = m.entries
     total = 0
     for p in permutations(range(m.n)):
-        term = _perm_sign(p) if signed else 1
-        for i in range(m.n):
-            term *= e[i][p[i]]
-        total += term
+        total += math.prod((e[i][p[i]] for i in range(m.n)), start=_sign(p) if signed else 1)
     return total
 
 
@@ -135,10 +128,8 @@ def _matching_sum(m: SquareMatrix, signed: bool):
     e = m.entries
     total = 0
     for matching in _matchings(list(range(m.n))):
-        term = _perm_sign([idx for pair in matching for idx in pair]) if signed else 1
-        for a, b in matching:
-            term *= e[a][b]
-        total += term
+        term = _sign([idx for pair in matching for idx in pair]) if signed else 1
+        total += math.prod((e[a][b] for a, b in matching), start=term)
     return total
 
 
@@ -183,6 +174,10 @@ def _integer_rows(rows, skew=False):
     kinds = {type(v) for row in cells for v in row}
     if all(issubclass(t, (int, _RootPair)) for t in kinds):
         return rows, None, None, kinds <= {int}
+    # Only pf_fraction_free's raw rows hold other entries: refuse the first.
+    rest = {t for t in kinds if not issubclass(t, (int, Fraction, QuadExt))}
+    if rest:
+        exact(next(v for row in cells for v in row if type(v) in rest), "matrix entries")
     ring = ring_of([v for row in cells for v in row]) if QuadExt in kinds else None
     parts = [ring_parts(row) for row in cells]
     dens = [math.lcm(*ds) for _, ds in parts]
@@ -200,12 +195,6 @@ def _side(i: int) -> int:
     Pfaffian's rows i, i+3 hold as many cells as rows i+1, i+2, so every
     step's trailing cells split evenly."""
     return int(i % 4 in (1, 2))
-
-
-def _job_rows(n: int, unit: int):
-    """The rows of an n-row loop that the helper reads before any reaches
-    it through _Halves.pivots: block 0 and its own."""
-    return [i for i in range(n) if i < 2 * unit or _side(i)]
 
 
 def _send(pipe, data):
@@ -327,18 +316,18 @@ class _Helper:
     _eliminate loop shared with it (see _Halves), from the first
     elimination that reaches a threshold until this process exits.
 
-    ``share`` sends it each job, the loop's ``unit``, its dimension and
-    the cleared rows the helper reads first (_job_rows), and both sides
-    then run the loop on the same integers; a loop that ends, or a
-    ``gather``, leaves the helper idle for the next job.  A
-    caller that raises mid-loop stops it, and a helper found dead at a
-    call is reaped and replaced.  A child forked from this process drops
-    the helper and its pipe ends (``forget``), and atexit stops it.  The
-    helper ignores SIGINT, exits on EOF, holds no descriptor except its two
-    pipe ends (stdio is /dev/null, so a reader of this process's output
-    sees EOF when it exits) and ends in os._exit, flushing nothing it
-    inherited.  It runs only the loop, marshal and os calls, which take no
-    lock another thread of this process could hold at the fork.
+    ``share`` sends it each job, the loop's ``unit`` and its cleared rows
+    (a Pfaffian's right of the diagonal), and both sides then run the loop
+    on the same integers; a loop that ends, or a ``gather``, leaves the
+    helper idle for the next job.  A caller that raises mid-loop stops
+    it, and a helper found dead at a call is reaped and replaced.  A child
+    forked from this process drops the helper and its pipe ends
+    (``forget``), and atexit stops it.  The helper ignores SIGINT, exits
+    on EOF, holds no descriptor except its two pipe ends (stdio is
+    /dev/null, so a reader of this process's output sees EOF when it
+    exits) and ends in os._exit, flushing nothing it inherited.  It runs
+    only the loop, marshal and os calls, which take no lock another thread
+    of this process could hold at the fork.
     """
 
     def __init__(self):
@@ -363,8 +352,7 @@ class _Helper:
                 self.lock.release()
                 return None
             # A Pfaffian's rows go without what the loop never reads.
-            rows = [a[i] if unit == 1 else a[i][i + 1:] for i in _job_rows(len(a), unit)]
-            _send(self.pipe, (unit, len(a), rows))
+            _send(self.pipe, (unit, a if unit == 1 else [r[i + 1:] for i, r in enumerate(a)]))
         except BaseException:
             self.stop()
             self.lock.release()
@@ -440,14 +428,11 @@ def _serve(inbox: int, outbox: int):
     pipe = (inbox, outbox)
     while True:
         try:
-            unit, n, rows = _receive(pipe)
+            unit, a = _receive(pipe)
         except EOFError:  # the caller has closed its end, or exited
             os._exit(0)
-        # The caller's rows after block 0 reach this side through pivots,
-        # into rows of full length.
-        a = [[0] * n for _ in range(n)]
-        for i, row in zip(_job_rows(n, unit), rows):
-            a[i] = [0] * (n - len(row)) + row
+        if unit == 2:
+            a = [[0] * (i + 1) + row for i, row in enumerate(a)]
         try:
             _steps(a, _Halves(a, unit, pipe, 1), True)
         except _Gathered:
@@ -547,8 +532,7 @@ def _steps(a, h: _Halves, ints: bool):
 
 def det_oracle(m: SquareMatrix):
     """Leibniz-expansion determinant; n <= 8."""
-    if _square(m).n > DET_ORACLE_MAX:
-        raise SizeError(f"det_oracle guard is n <= {DET_ORACLE_MAX}, got {m.n}")
+    _guard("det_oracle", need(m, SquareMatrix).n, DET_ORACLE_MAX, "n")
     return _leibniz_sum(m, signed=True)
 
 
@@ -576,7 +560,7 @@ def det_bareiss(m: SquareMatrix):
     content, and from n = _DET_HALVES_MIN on the caller and this
     process's helper update the rows.
     """
-    return _eliminate(_square(m).entries, 1)
+    return _eliminate(need(m, SquareMatrix).entries, 1)
 
 
 def _det_step(a, k, div, gather, own):
@@ -625,8 +609,7 @@ def _det_update(a, k, i, m, state, div):
 
 def perm_oracle(m: SquareMatrix):
     """Definition-level permanent (unsigned Leibniz sum); n <= 8."""
-    if _square(m).n > PERM_ORACLE_MAX:
-        raise SizeError(f"perm_oracle guard is n <= {PERM_ORACLE_MAX}, got {m.n}")
+    _guard("perm_oracle", need(m, SquareMatrix).n, PERM_ORACLE_MAX, "n")
     return _leibniz_sum(m, signed=False)
 
 
@@ -637,7 +620,7 @@ def perm_ryser(m: SquareMatrix):
     ``_integer_rows``, and the value's type follows the entries.  Hard
     guard at n <= 25, where that is already about 8e8 row-sum updates.
     """
-    n = _square(m).n
+    n = need(m, SquareMatrix).n
     if n > PERM_RYSER_MAX:
         work = n * math.log10(2) + math.log10(n)
         raise SizeError(
@@ -660,9 +643,7 @@ def perm_ryser(m: SquareMatrix):
             else:
                 row_sums[i] = row_sums[i] - e[i][flipped]
         gray = new_gray
-        prod = 1
-        for s in row_sums:
-            prod *= s
+        prod = math.prod(row_sums)
         size = gray.bit_count()
         if (n - size) % 2:
             total -= prod
@@ -682,8 +663,7 @@ def pf_oracle(m: SquareMatrix):
     Pf([[0, a], [-a, 0]]) = a.
     """
     _require_matchable(m, skew=True)
-    if m.n > MATCHING_ORACLE_MAX:
-        raise SizeError(f"pf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
+    _guard("pf_oracle", m.n, MATCHING_ORACLE_MAX)
     return _matching_sum(m, signed=True)
 
 
@@ -714,8 +694,16 @@ def pf_fraction_free(a):
     (each a sign flip); if there is none, the Pfaffian is 0.  On int rows
     _eliminate strips each block's common content, and from 2n =
     _PF_HALVES_MIN on the caller and this process's helper update the
-    rows.
+    rows.  Malformed rows (not n x n, inexact entries, odd n) raise DomainError.
     """
+    try:
+        n = len(a)
+        square = all(len(row) == n for row in a)
+    except TypeError as exc:
+        raise DomainError(f"need a sequence of row sequences: {exc}") from None
+    if not square:
+        raise DomainError("matrix is not square")
+    _even(n)
     return _eliminate(a, 2)
 
 
@@ -804,8 +792,7 @@ def hf_oracle(m: SquareMatrix):
     The diagonal is never read, so its entries are irrelevant.
     """
     _require_matchable(m, skew=False)
-    if m.n > MATCHING_ORACLE_MAX:
-        raise SizeError(f"hf_oracle guard is 2n <= {MATCHING_ORACLE_MAX}, got {m.n}")
+    _guard("hf_oracle", m.n, MATCHING_ORACLE_MAX)
     return _matching_sum(m, signed=False)
 
 
@@ -814,22 +801,14 @@ def hf_recursive(m: SquareMatrix):
     the bitmask of active indices: O(2^{2n} * n) time, O(2^{2n}) memory.
 
     Hard guard at 2n <= 22; beyond that the memo table is no longer
-    desk-scale.
+    desk-scale.  It is hf_minors on no removed index.
 
     It runs on the entries as given, Fraction arithmetic for rational
     input, and does not clear row denominators as det_bareiss, perm_ryser
-    and pf_fraction_free do.  An integer version measured 7-10x faster at
-    2n = 20-22 (about 1,000 -> 100-140 ms, and 3,019 -> 410 ms), which would
-    cut acceptance criterion 7's separation of fast_cauchy_hafnian over
-    this kernel from 490-852x to roughly 60-100x, against its gate of
-    100x.  The gate stays as written, and so does this kernel.
+    and pf_fraction_free do: an integer version would cut acceptance
+    criterion 7's separation below its 100x gate (ROADMAP item 8).
     """
-    _require_matchable(m, skew=False)
-    if m.n > HF_RECURSIVE_MAX:
-        raise SizeError(
-            f"hf_recursive guard is 2n <= {HF_RECURSIVE_MAX}, got {m.n}"
-        )
-    return _hafnians(m.entries, [(1 << m.n) - 1])[0]
+    return hf_minors(m, [()])[0]
 
 
 def hf_minors(m: SquareMatrix, removed):
@@ -844,18 +823,17 @@ def hf_minors(m: SquareMatrix, removed):
     full mask.
     """
     _require_matchable(m, skew=False)
+    try:
+        removed = list(removed)
+    except TypeError as exc:
+        raise DomainError(f"need an iterable of index sets: {exc}") from None
     masks = []
     for indices in removed:
         gone = check_index_set(indices, m.n)
         size = m.n - len(gone)
         if size % 2:
-            raise DomainError(
-                f"minor dimension {size} is odd; Hf needs an even dimension"
-            )
-        if size > HF_RECURSIVE_MAX:
-            raise SizeError(
-                f"hf_recursive guard is 2n <= {HF_RECURSIVE_MAX}, got {size}"
-            )
+            raise DomainError(f"minor dimension {size} is odd; Hf needs an even dimension")
+        _guard("hf_recursive", size, HF_RECURSIVE_MAX)
         masks.append(sum(1 << (i - 1) for i in gone) ^ ((1 << m.n) - 1))
     return _hafnians(m.entries, masks)
 
@@ -894,18 +872,12 @@ def _hafnians(e, masks):
 
 # -- dispatch --------------------------------------------------------------
 
-_ORACLES = {
-    "det": det_oracle,
-    "perm": perm_oracle,
-    "pf": pf_oracle,
-    "hf": hf_oracle,
-}
-
-_FAST = {
-    "det": det_bareiss,
-    "perm": perm_ryser,
-    "pf": pf_elimination,
-    "hf": hf_recursive,
+# functional -> {algorithm: kernel}
+_FUNCTIONALS = {
+    "det": {"fast": det_bareiss, "oracle": det_oracle},
+    "perm": {"fast": perm_ryser, "oracle": perm_oracle},
+    "pf": {"fast": pf_elimination, "oracle": pf_oracle},
+    "hf": {"fast": hf_recursive, "oracle": hf_oracle},
 }
 
 
@@ -915,10 +887,8 @@ def evaluate(m: SquareMatrix, functional: str, algorithm: str = "fast"):
     efficient algorithm, or "oracle", the definition-level sum, which runs
     only on explicit request.
     """
-    if not isinstance(functional, str) or functional not in _ORACLES:
+    if not isinstance(functional, str) or functional not in _FUNCTIONALS:
         raise DomainError(f"unknown functional {functional!r}")
-    if algorithm == "oracle":
-        return _ORACLES[functional](m)
-    if algorithm == "fast":
-        return _FAST[functional](m)
-    raise DomainError(f"unknown algorithm {algorithm!r}")
+    if not isinstance(algorithm, str) or algorithm not in _FUNCTIONALS[functional]:
+        raise DomainError(f"unknown algorithm {algorithm!r}")
+    return _FUNCTIONALS[functional][algorithm](m)

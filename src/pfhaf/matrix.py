@@ -7,6 +7,7 @@ removed; internally everything is plain 0-based tuples.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -94,7 +95,10 @@ class SquareMatrix:
 
 def check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate a 1-based index set against dimension n; returns it sorted."""
-    out = sorted(indices)
+    try:
+        out = sorted(operator.index(i) for i in indices)
+    except TypeError as exc:
+        raise DomainError(f"need an iterable of int indices: {exc}") from None
     if any(i < 1 or i > n for i in out):
         raise DomainError(f"index out of range 1..{n}: {out}")
     if len(set(out)) != len(out):

@@ -192,16 +192,7 @@ class QuadExt:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("only nonnegative integer powers are supported")
-        out = ring_quotient(1, 1, type(self.num))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return ring_quotient(self.num**exponent, self.den**exponent, type(self.num))
 
     # Both sides are in lowest terms, so equal values have equal parts.
     def __eq__(self, other):
@@ -277,7 +268,15 @@ class _RootPair:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return math.prod([self] * exponent, start=1)
+        """Square-and-multiply: the int 1 at an exponent <= 0, else a pair."""
+        out, base = 1, self
+        while exponent > 0:
+            if exponent & 1:
+                out = base * out
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return out
 
     def __floordiv__(self, o):
         if type(o) is not int:

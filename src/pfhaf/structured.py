@@ -44,13 +44,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 
-from .errors import DegenerateFormError, DomainError, PoleError
-from .kernels import (
-    det_bareiss,
-    hf_recursive,
-    perm_ryser,
-    pf_fraction_free,
-)
+from .errors import DegenerateFormError, DomainError, PoleError, need
+from .kernels import _sign, det_bareiss, hf_recursive, perm_ryser, pf_fraction_free
 from .matrix import SquareMatrix
 from .report import IdentityReport
 from .scalar import (
@@ -249,8 +244,8 @@ def _table(pc: PointConfig, form, cls) -> _Homogeneous:
     input.  A form that is not a ``cls`` is refused, then points that are
     not a PointConfig, then a shape other than n x and n y points, or 2n x
     points and no y for a SymmetricForm."""
-    _need(form, cls)
-    _need(pc, PointConfig)
+    need(form, cls)
+    need(pc, PointConfig)
     if cls is BilinearForm:
         if pc.ys is None or len(pc.xs) != len(pc.ys):
             raise DomainError("need equally many x and y points")
@@ -259,13 +254,6 @@ def _table(pc: PointConfig, form, cls) -> _Homogeneous:
     elif len(pc.xs) % 2 != 0:
         raise DomainError("need an even number of x points")
     return _homogeneous(form, pc.xs, pc.ys)
-
-
-def _need(value, cls):
-    """value, refused with DomainError unless it is a ``cls``."""
-    if not isinstance(value, cls):
-        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
-    return value
 
 
 def _differences(points):
@@ -297,7 +285,7 @@ def _mirrored(upper, skew: bool):
 def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatrix:
     """The n x n matrix with entries 1/f(x_i, y_j)^power, power in {1, 2}:
     (L q_i s_j)^power / F_ij^power."""
-    if power not in (1, 2):
+    if not isinstance(power, int) or power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     return _cauchy(_table(pc, f, BilinearForm), power)
 
@@ -315,7 +303,7 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
     """Skew matrix with entries (x_j - x_i)/g(x_i, x_j)^power, power in
     {1, 2}: L^power d_ij (q_i q_j)^(power - 1) / G_ij^power, with
     d_ij = p_j q_i - p_i q_j."""
-    if power not in (1, 2):
+    if not isinstance(power, int) or power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     return _schur(_table(pc, g, SymmetricForm), power)
 
@@ -436,26 +424,6 @@ def _row_lcm_scaling(table):
     return lcms, quotients, sorted(range(len(lcms)), key=lcms.__getitem__)
 
 
-def _reordered(points, order):
-    """Homogeneous points (p, q) in the given order."""
-    ps, qs = points
-    return [ps[i] for i in order], [qs[i] for i in order]
-
-
-def _sign(order) -> int:
-    """The sign of the permutation i -> order[i]: a cycle of length k is
-    k - 1 transpositions."""
-    sign, seen = 1, [False] * len(order)
-    for i in range(len(order)):
-        j = order[i]
-        seen[i] = True
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            sign = -sign
-    return sign
-
-
 def _det_cauchy(h: _Homogeneous, power: int):
     """(num, den) with det(1/f^power) = num / den at the n x and n y points
     of h, power in {1, 2}.
@@ -503,7 +471,7 @@ def _pf_schur(h: _Homogeneous, power: int):
     mat = [
         [0] * (i + 1)
         + [quotients[i][j] * right[j][i] * dv for j, dv in enumerate(ds, i + 1)]
-        for i, ds in enumerate(_differences(_reordered(h.xs, order)))
+        for i, ds in enumerate(_differences([[v[k] for k in order] for v in h.xs]))
     ]
     weight = h.scale ** (power * len(order) // 2) * math.prod(h.xs[1]) ** (power - 1)
     return _sign(order) * weight * pf_fraction_free(mat), math.prod(dens)
@@ -549,43 +517,36 @@ def _sides(family: str, h: _Homogeneous):
 def fast_cauchy_perm(pc: PointConfig, f: BilinearForm):
     """Permanent of the Cauchy-type matrix 1/f(x_i, y_j) in O(n^3) ops.
 
-    Divides det(1/f^2) by the closed-form det(1/f); requires ad - bc != 0
-    (otherwise the closed form vanishes and the division-form shortcut is
-    unavailable: fall back to perm_ryser).
-
-    Everything runs on integers: det(1/f^2) comes from _det_cauchy and
-    det(1/f) from _closed_form, and the only Fraction or QuadExt is the
-    final quotient.  Poles are found in row-major order, as the closed
-    form finds them.
+    Divides det(1/f^2) (_det_cauchy) by the closed-form det(1/f); requires
+    ad - bc != 0 (otherwise the closed form vanishes and the division-form
+    shortcut is unavailable: fall back to perm_ryser).  Poles are found in
+    row-major order, as the closed form finds them.
     """
-    if _need(f, BilinearForm).disc == 0:
-        raise DegenerateFormError(
-            "ad - bc = 0: no closed-form divisor; use perm_ryser instead"
-        )
-    h = _table(pc, f, BilinearForm)
-    det_num, det_den = _det_cauchy(h, 2)
-    num, den = _closed_form(h)
-    return ring_quotient(det_num * den, det_den * num)
+    return _fast(pc, f, BilinearForm, _det_cauchy,
+                 "ad - bc = 0: no closed-form divisor; use perm_ryser instead")
 
 
 def fast_cauchy_hafnian(pc: PointConfig, g: SymmetricForm):
     """Hafnian of the matrix 1/g(x_i, x_j) in O(n^3) ops.
 
-    Divides Pf((x_j - x_i)/g^2) by the closed-form Pf((x_j - x_i)/g).
-    Requires b^2 - ac != 0 and distinct xs (the closed form is the divisor).
-
-    Everything runs on integers: Pf((x_j - x_i)/g^2) comes from _pf_schur
-    and Pf((x_j - x_i)/g) from _closed_form, and the only Fraction or
-    QuadExt is the final quotient.
+    Divides Pf((x_j - x_i)/g^2) (_pf_schur) by the closed-form
+    Pf((x_j - x_i)/g).  Requires b^2 - ac != 0 and distinct xs (the closed
+    form is the divisor).
     """
-    if _need(g, SymmetricForm).disc == 0:
-        raise DegenerateFormError(
-            "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead"
-        )
-    h = _table(pc, g, SymmetricForm)
-    pf_num, pf_den = _pf_schur(h, 2)
+    return _fast(pc, g, SymmetricForm, _pf_schur,
+                 "b^2 - ac = 0: no closed-form divisor; use hf_recursive instead")
+
+
+def _fast(pc: PointConfig, form, cls, route, degenerate: str):
+    """The fast paths' one body, on integers: route(h, 2) over _closed_form,
+    so the only Fraction or QuadExt is the final quotient.  A zero disc
+    raises DegenerateFormError(``degenerate``)."""
+    if need(form, cls).disc == 0:
+        raise DegenerateFormError(degenerate)
+    h = _table(pc, form, cls)
+    num2, den2 = route(h, 2)
     num, den = _closed_form(h)
-    return ring_quotient(pf_num * den, pf_den * num)
+    return ring_quotient(num2 * den, den2 * num)
 
 
 # -- Moebius substitution --------------------------------------------------
@@ -627,7 +588,7 @@ def moebius_for_form(g: SymmetricForm) -> MoebiusMap:
 
     Requires a nonzero discriminant.
     """
-    if _need(g, SymmetricForm).disc == 0:
+    if need(g, SymmetricForm).disc == 0:
         raise DegenerateFormError("b^2 - ac = 0: no Moebius reduction")
     if g.a == 0:
         return MoebiusMap(A=g.b, B=g.c / 2, C=Fraction(0), D=Fraction(1))

@@ -1,17 +1,21 @@
 import ast
 import hashlib
+import io
 import json
 import shlex
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfhaf.cli import build_parser, main
 from pfhaf.kernels import det_oracle, hf_oracle, perm_oracle, pf_oracle
 from pfhaf.scalar import parse_rat, render_scalar
+from pfhaf.verify import IdentityId, _largest_size
 from pfhaf.structured import (
     BilinearForm,
     PointConfig,
@@ -555,3 +559,136 @@ def test_missing_file_is_error(capsys):
     code, _, err = run(capsys, "eval", "--csv", "/nonexistent.csv", "--fn", "det")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe1,2\n3,4\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"1," + b"1" * 131_073 + b"\n", "field larger than field limit"),
+    ],
+    ids=["not-utf8", "field-over-the-limit"],
+)
+def test_unreadable_csv_is_error(tmp_path, capsys, data, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    code, _, err = run(capsys, "eval", "--fn", "det", "--csv", str(path))
+    assert code == 1
+    assert err.startswith(f"error: --csv {path} cannot be read as CSV: ") and message in err
+    assert "Traceback" not in err
+
+
+# -- every subcommand, argv drawn from its grammar ---------------------------
+#
+# Each run returns 0, 1 or 2 (argparse's usage errors) and raises nothing
+# else, so it prints no traceback; sizes stay below the helper thresholds and
+# the exponential kernels' guards, and each run has a time budget (deadline).
+
+CLI_SETTINGS = settings(max_examples=100, deadline=5000)
+RATIONALS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).map(str)
+CELLS = st.one_of(
+    RATIONALS, RATIONALS, RATIONALS,
+    st.sampled_from(["", " ", "x", "1/0", "\u22122", "1.5", "\x00"]),
+)
+DECIMAL = st.one_of(st.none(), st.none(), st.integers(0, 30).map(str),
+                    st.sampled_from(["-1", "x", "1e3"]))
+
+
+def cli_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def with_decimal(argv, decimal):
+    return argv if decimal is None else [*argv, "--decimal", decimal]
+
+
+@st.composite
+def csv_bytes(draw):
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=n, max_size=n))
+    grid = "\n".join(",".join(row) for row in rows).encode()
+    return draw(st.sampled_from([
+        grid,
+        grid,
+        b"\xff\xfe" + grid,
+        grid.replace(b",", b",\x00", 1),
+        b"1," + b"1" * 131_073 + b"\n" + grid,
+        draw(st.binary(max_size=48)),
+    ]))
+
+
+@CLI_SETTINGS
+@given(data=csv_bytes(), fn=st.sampled_from(["det", "perm", "pf", "hf"] * 3 + ["trace"]),
+       algorithm=st.sampled_from([None, "fast", "oracle"] * 2 + ["auto"]), decimal=DECIMAL)
+def test_eval_grammar_ends_in_an_exit_code(tmp_path_factory, data, fn, algorithm, decimal):
+    path = tmp_path_factory.mktemp("eval") / "m.csv"
+    path.write_bytes(data)
+    argv = ["eval", "--csv", str(path), "--fn", fn]
+    if algorithm is not None:
+        argv += ["--algorithm", algorithm]
+    cli_run(with_decimal(argv, decimal))
+
+
+@st.composite
+def structured_argv(draw):
+    target = draw(st.sampled_from(["det", "perm", "pf", "hafnian"] * 3 + ["hf"]))
+    n = draw(st.integers(0, 4))
+    points = st.lists(st.one_of(RATIONALS, RATIONALS, RATIONALS, CELLS), min_size=n, max_size=n)
+    # --xs=...: a list that starts with a minus sign is a value, not an option
+    argv = ["structured", "--target", target, "--xs=" + ",".join(draw(points))]
+    if draw(st.booleans()) if target in ("pf", "hafnian") else draw(st.integers(0, 5)):
+        argv.append("--ys=" + ",".join(draw(points)))
+    if draw(st.booleans()):
+        argv.append("--form=" + draw(st.one_of(
+            st.sampled_from(["x+y", "1-xy", "x y", "0,0,0", "1,2", "a,b,c", ""]),
+            st.lists(st.integers(-3, 3).map(str), min_size=3, max_size=4).map(",".join),
+        )))
+    if draw(st.booleans()):
+        argv.append("--crosscheck")
+    return with_decimal(argv, draw(DECIMAL))
+
+
+@CLI_SETTINGS
+@given(argv=structured_argv())
+def test_structured_grammar_ends_in_an_exit_code(argv):
+    cli_run(argv)
+
+
+IDS = [i.value for i in IdentityId]
+EXPONENTIAL = [i.value for i in IdentityId if _largest_size(i)]  # size-guarded kernels
+
+
+@st.composite
+def verify_argv(draw):
+    argv = ["verify", "--seed", str(draw(st.integers(0, 10**6)))]
+    only = draw(st.lists(st.sampled_from(IDS), max_size=3, unique=True))
+    kind = draw(st.sampled_from(["small"] * 3 + ["beyond", "malformed"]))
+    if kind == "small":
+        lo = draw(st.integers(1, 4))
+        hi = draw(st.integers(lo, 4))
+        sizes = draw(st.sampled_from([f"{lo}..{hi}", f"{hi},{lo}", str(lo)]))
+    elif kind == "beyond":
+        lo = draw(st.integers(26, 10**12))
+        sizes = draw(st.sampled_from([str(lo), f"{lo}..{lo + 10**6}"]))
+        only.append(draw(st.sampled_from(EXPONENTIAL)))
+    else:
+        sizes = draw(st.sampled_from(["0", "4..1", "x", "1..", "", "-3..2"]))
+    argv += ["--sizes", sizes, "--trials", draw(st.sampled_from(["1", "1", "2", "0", "x"]))]
+    if only:
+        argv += ["--only", ",".join(only)]
+    if draw(st.booleans()):
+        argv.append("--timings")
+    return argv
+
+
+@settings(max_examples=50, deadline=5000)
+@given(argv=verify_argv())
+def test_verify_grammar_ends_in_an_exit_code(argv):
+    cli_run(argv)

@@ -654,6 +654,36 @@ def test_hf_minors_guard_each_minor(monkeypatch):
         hf_minors(rand_skew(random.Random(5), 6), [(1, 2)])
 
 
+@pytest.mark.parametrize("removed, message", [
+    (5, "need an iterable of index sets"),
+    ([5], "need an iterable of int indices"),
+    ([(1.5, 2)], "need an iterable of int indices"),
+    ([("a", "b")], "need an iterable of int indices"),
+    ([(1, None)], "need an iterable of int indices"),
+])
+def test_hf_minors_refuse_what_is_not_index_sets(removed, message):
+    with pytest.raises(DomainError, match=message):
+        hf_minors(rand_symmetric(random.Random(5), 4), removed)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
+     "dimension 3 is odd; Pf/Hf need an even dimension"),
+    ([[0, 1.5], [-1.5, 0]], "need exact rational matrix entries, got float; pass Fractions"),
+    ([[0, F(1), "2", 3]] + [[0] * 4] * 3, "need exact rational matrix entries, got str"),
+    (5, "need a sequence of row sequences"),
+    ([5, 6], "need a sequence of row sequences"),
+    ([[0, 1], [-1]], "matrix is not square"),
+])
+def test_pf_fraction_free_refuses_malformed_rows(rows, message):
+    with pytest.raises(DomainError, match=message):
+        pf_fraction_free(rows)
+
+
+def test_pf_fraction_free_reads_nothing_below_the_diagonal():
+    assert pf_fraction_free([[None, F(1, 2)], [0.5, "x"]]) == F(1, 2)
+
+
 def test_hf_ignores_diagonal():
     rng = random.Random(21)
     m = rand_symmetric(rng, 6)

@@ -127,17 +127,30 @@ def test_quad_power_squares_only_between_bits(monkeypatch):
     for _ in range(5):
         products.append(products[-1] * a)
     count = [0]
-    mul = QuadExt.__mul__
+    mul = scalar._RootPair.__mul__
 
     def counting(self, other):
         count[0] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    monkeypatch.setattr(scalar._RootPair, "__mul__", counting)
     assert [a**e for e in range(6)] == products
     # products into the result plus squarings between bits, for e = 0..5;
     # e = 1 needs one product and e = 5 = 0b101 two products, two squarings
     assert count[0] == 0 + 1 + 2 + 3 + 3 + 4
+
+
+@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(0, 12))
+def test_quad_and_pair_powers_agree_and_keep_their_types(p, q, e):
+    a = QuadExt(F(p, 3), F(q), F(2))
+    expected = QuadExt(F(1), F(0), F(2))
+    for _ in range(e):
+        expected = expected * a
+    assert type(a**e) is QuadExt and a**e == expected
+    pair = a.num
+    assert type(pair**0) is int and pair**0 == 1
+    if e:
+        assert pair**e == (pair**(e - 1)) * pair
 
 
 def test_quad_negative_radicand_is_formal():

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pfhaf import structured
-from pfhaf.errors import DegenerateFormError, DomainError, PoleError
+from pfhaf.errors import DegenerateFormError, DomainError, PfhafError, PoleError
 from pfhaf.kernels import (
     det_bareiss,
+    evaluate,
+    hf_minors,
     hf_oracle,
     hf_recursive,
     perm_oracle,
@@ -191,6 +193,14 @@ def test_builders_reject_bad_input():
         build_schur(PointConfig([F(1), F(2)]), GXPY, power=0)
 
 
+@pytest.mark.parametrize("power", [1.0, 2.0, F(1), "1"])
+def test_builders_refuse_a_power_that_is_not_an_int(power):
+    with pytest.raises(DomainError, match="power must be 1 or 2"):
+        build_cauchy(PointConfig([F(1)], [F(2)]), XPY, power=power)
+    with pytest.raises(DomainError, match="power must be 1 or 2"):
+        build_schur(PointConfig([F(1), F(2)]), GXPY, power=power)
+
+
 # Every structured entry and the form class it reads.
 ENTRIES = {
     build_cauchy: BilinearForm,
@@ -260,6 +270,86 @@ def test_structured_entries_refuse_bad_input(entry, pc, form, message):
     with pytest.raises(DomainError) as exc:
         entry(form) if entry is moebius_for_form else entry(pc, form)
     assert type(exc.value) is DomainError and str(exc.value) == message
+
+
+# Wrong types and shapes for the library entries, at dimensions below the
+# helper thresholds: anything but an int, a Fraction, a list or a tuple where
+# one is read, ragged and odd matrices, repeated and misplaced points.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.complex_numbers(max_magnitude=2), st.just(object()),
+)
+SMALL = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4))
+ENTRY = st.one_of(SMALL, SMALL, JUNK)
+ROWS = st.lists(st.one_of(st.lists(ENTRY, max_size=5), st.tuples(ENTRY, ENTRY), JUNK),
+                max_size=5)
+
+
+def square(entries):
+    return st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def symmetric(n):
+    def mirror(values):
+        it = iter(values)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = next(it)
+        return SquareMatrix(rows)
+    return st.lists(SMALL, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(mirror)
+
+
+MATRICES = st.one_of(
+    square(SMALL).map(SquareMatrix), st.integers(0, 3).flatmap(lambda k: symmetric(2 * k)),
+    ROWS, JUNK,
+)
+POINTS = st.one_of(
+    st.builds(PointConfig, st.lists(SMALL, unique=True, max_size=6)),
+    st.builds(PointConfig, st.lists(SMALL, unique=True, max_size=4),
+              st.lists(SMALL, unique=True, max_size=4)),
+    st.lists(SMALL, max_size=4), JUNK,
+)
+
+
+def coeffs(k):
+    return st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any)
+
+
+FORMS = st.one_of(
+    coeffs(4).map(lambda c: BilinearForm(*c)), coeffs(3).map(lambda c: SymmetricForm(*c)),
+    st.sampled_from(["x+y", "1-xy"]).map(SymmetricForm.from_name), JUNK,
+)
+INDEX_SETS = st.one_of(
+    st.lists(st.one_of(st.lists(st.one_of(st.integers(-1, 7), JUNK), max_size=3),
+                       st.integers(0, 3), JUNK), max_size=3),
+    JUNK,
+)
+POWERS = st.one_of(st.integers(0, 3), st.sampled_from([1.0, 2.0, F(1)]), JUNK)
+LIBRARY = {
+    pf_fraction_free: st.tuples(st.one_of(ROWS, square(ENTRY), JUNK)),
+    hf_minors: st.tuples(MATRICES, INDEX_SETS),
+    evaluate: st.tuples(MATRICES, st.one_of(st.sampled_from(["det", "perm", "pf", "hf"]),
+                                            st.lists(st.just("det"), max_size=1), JUNK),
+                        st.one_of(st.sampled_from(["fast", "oracle"]), st.just(["fast"]), JUNK)),
+    build_cauchy: st.tuples(POINTS, FORMS, POWERS),
+    build_schur: st.tuples(POINTS, FORMS, POWERS),
+    build_hafnian_mat: st.tuples(POINTS, FORMS),
+    fast_cauchy_perm: st.tuples(POINTS, FORMS),
+    fast_cauchy_hafnian: st.tuples(POINTS, FORMS),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_library_entries_raise_only_pfhaf_errors(data):
+    entry = data.draw(st.sampled_from(list(LIBRARY)), label="entry")
+    args = data.draw(LIBRARY[entry], label="args")
+    try:
+        entry(*args)
+    except PfhafError:
+        pass
 
 
 # -- closed forms ----------------------------------------------------------
