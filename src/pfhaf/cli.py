@@ -231,9 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser(
         "structured", help="fast paths for Cauchy-type structured matrices"
     )
-    p_st.add_argument("--xs", required=True, help="comma-separated rational x points")
-    p_st.add_argument("--ys", help="comma-separated rational y points (det, perm)")
-    form_help = '"x+y" (default), "1-xy", "a,b,c,d" of f (det, perm) or "a,b,c" of g'
+    p_st.add_argument("--xs", required=True,
+                      help="comma-separated rational x points; --xs=-3,2 if the first is negative")
+    p_st.add_argument("--ys", help="comma-separated rational y points (det, perm); --ys=-3,2 "
+                      "if the first is negative")
+    form_help = ('"x+y" (default), "1-xy", "a,b,c,d" of f (det, perm) or "a,b,c" of g; '
+                 "--form=-1,0,1 if a is negative")
     p_st.add_argument("--form", default="x+y", help=form_help)
     p_st.add_argument("--target", required=True, choices=list(_TARGETS))
     p_st.add_argument("--crosscheck", action="store_true")

@@ -38,8 +38,10 @@ From n = 18 (det) and 2n = 24 (Pf), on rows of Python ints and with at
 least 2 CPUs, the loop shares its row updates with this process's helper
 (_Helper), computing the same integers: one process, forked at the first
 such elimination, that serves every later one until this process exits.
-Each side updates half of every block's rows (_Halves).  The thresholds
-are where two processes stopped losing (see _DET_HALVES_MIN).
+Each side updates half of every block's rows (_Halves).  A pivot swap
+ends a shared loop on both sides, and the caller runs it again in one
+process from the cleared rows.  The thresholds are where two processes
+stopped losing (see _DET_HALVES_MIN).
 """
 
 from __future__ import annotations
@@ -221,8 +223,8 @@ def _read(fd, size):
     return buf
 
 
-class _Gathered(Exception):
-    """Raised in the helper once it has handed its rows back (gather)."""
+class _Alone(Exception):
+    """Raised on both sides of a shared loop before a pivot swap (alone)."""
 
 
 class _Halves:
@@ -230,7 +232,7 @@ class _Halves:
     and outbox descriptors) to the other side, the caller (``side`` 0) and
     the helper (side 1) run the same loop, and each updates only the rows
     i with _side(i) == side; without one (``pipe`` None) the loop runs in
-    one process, and gather does nothing.
+    one process, and alone does nothing.
 
     At the top of each step after the first, the two sides swap their
     halves of the step's block, from the first column the loop reads on
@@ -241,8 +243,10 @@ class _Halves:
     rows, and both sides divide what they hold by the common gcd.  A
     stripping step's quantities for each side's rows are divided by the
     gcd common to both sides' too (``common``).  Before a pivot swap,
-    ``gather`` hands the helper's rows back, the caller finishes alone
-    and the helper goes idle.
+    ``alone`` ends the loop on both sides: the caller reruns it in one
+    process and the helper goes idle.  Besides the job, those are the
+    only messages: the block halves with their gcds, and the quantities'
+    gcds.
     """
 
     def __init__(self, a, unit: int, pipe=None, side: int = 0):
@@ -286,20 +290,14 @@ class _Halves:
             return range(lo, hi)
         return [i for i in range(lo, hi) if _side(i) == self.side]
 
-    def gather(self, k: int):
-        """Before a pivot swap at step k: the helper's rows after the block
-        go back to the caller, which runs the rest of the loop alone, and
-        the helper goes idle."""
-        if self.pipe is None:
-            return
-        a = self.a
-        theirs = [i for i in range(k + 2 * self.unit, len(a)) if _side(i)]
-        if self.side:
-            _send(self.pipe, [a[i][self.cells(i, k):] for i in theirs])
-            raise _Gathered
-        for i, got in zip(theirs, _receive(self.pipe)):
-            a[i][self.cells(i, k):] = got
-        self.pipe = None
+    def alone(self):
+        """Before a pivot swap: end a shared loop on both sides (_Alone),
+        so that the caller reruns it in one process; nothing in one
+        process.  Both sides decide a swap on the block's rows alone, which
+        pivots has made whole, so they raise at the same step with no
+        message unread."""
+        if self.pipe is not None:
+            raise _Alone
 
 
 def _exited(pid: int) -> bool:
@@ -318,16 +316,16 @@ class _Helper:
 
     ``share`` sends it each job, the loop's ``unit`` and its cleared rows
     (a Pfaffian's right of the diagonal), and both sides then run the loop
-    on the same integers; a loop that ends, or a ``gather``, leaves the
-    helper idle for the next job.  A caller that raises mid-loop stops
-    it, and a helper found dead at a call is reaped and replaced.  A child
-    forked from this process drops the helper and its pipe ends
-    (``forget``), and atexit stops it.  The helper ignores SIGINT, exits
-    on EOF, holds no descriptor except its two pipe ends (stdio is
-    /dev/null, so a reader of this process's output sees EOF when it
-    exits) and ends in os._exit, flushing nothing it inherited.  It runs
-    only the loop, marshal and os calls, which take no lock another thread
-    of this process could hold at the fork.
+    on the same integers; a loop that ends, or that a pivot swap ends
+    (_Halves.alone), leaves the helper idle for the next job.  A caller
+    that raises mid-loop stops it, and a helper found dead at a call is
+    reaped and replaced.  A child forked from this process drops the
+    helper and its pipe ends (``forget``), and atexit stops it.  The
+    helper ignores SIGINT, exits on EOF, holds no descriptor except its
+    two pipe ends (stdio is /dev/null, so a reader of this process's
+    output sees EOF when it exits) and ends in os._exit, flushing nothing
+    it inherited.  It runs only the loop, marshal and os calls, which take
+    no lock another thread of this process could hold at the fork.
     """
 
     def __init__(self):
@@ -411,7 +409,8 @@ if hasattr(os, "register_at_fork"):
 
 def _serve(inbox: int, outbox: int):
     """The helper's life in the forked child: side 1 of each job's loop,
-    until EOF on ``inbox``."""
+    until EOF on ``inbox``.  A job ends when its loop does, or at a pivot
+    swap (_Alone), which the caller reruns alone."""
     import signal  # here, in the helper: about 1 ms its owner never pays
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -435,7 +434,7 @@ def _serve(inbox: int, outbox: int):
             a = [[0] * (i + 1) + row for i, row in enumerate(a)]
         try:
             _steps(a, _Halves(a, unit, pipe, 1), True)
-        except _Gathered:
+        except _Alone:  # the caller reruns the loop alone; wait for the next job
             pass
 
 
@@ -445,8 +444,8 @@ def _eliminate(rows, unit: int):
     per step: step k eliminates rows k .. k + 2 unit - 1 with one exact
     division per later entry.  _KERNELS[unit] gives the least dimension
     that shares the loop with the helper, and the kernel's two step
-    functions.  step(a, k, div, gather, own) makes the block's two pivots
-    nonzero, calling gather(k) before it moves a row, and returns (s,
+    functions.  step(a, k, div, alone, own) makes the block's two pivots
+    nonzero, calling alone() before it moves a row, and returns (s,
     state): s is 1, -1 after an odd number of swaps, or 0 when the value
     is 0; state lists the block's quantities over ``div``, the second
     pivot first and then those of each row own(k + 2 unit, n) gives, in
@@ -454,15 +453,19 @@ def _eliminate(rows, unit: int):
     div) writes the m-th of those rows, row i, from
     _Halves.cells(i, k + 2 unit) on.  A last block of one pivot needs
     neither.  From that dimension on, on rows of Python ints, this
-    process's helper updates half the rows."""
-    a, den, ring, ints = _integer_rows(rows, skew=unit == 2)
-    a = [list(row) for row in a]
+    process's helper updates half the rows; at a pivot swap (_Alone) the
+    caller keeps the helper, idle, and runs the loop again in one process
+    on a fresh copy of the cleared rows."""
+    cleared, den, ring, ints = _integer_rows(rows, skew=unit == 2)
+    a = [list(row) for row in cleared]
     pipe = _HELPER.share(a, unit) if ints and len(a) >= _KERNELS[unit][0] else None
-    h = _Halves(a, unit, pipe)
     try:
-        value = _steps(a, h, ints)
+        value = _steps(a, _Halves(a, unit, pipe), ints)
+    except _Alone:  # a pivot swap: the helper has gone idle
+        a = [list(row) for row in cleared]
+        value = _steps(a, _Halves(a, unit), ints)
     except BaseException:
-        if h.pipe is not None:  # the helper is mid-loop
+        if pipe is not None:  # the helper is mid-loop
             _HELPER.stop()
         raise
     finally:
@@ -501,7 +504,7 @@ def _steps(a, h: _Halves, ints: bool):
         if scale > 1:
             g = math.gcd(scale * scale, prev)
             div, lift = prev // g, scale * scale // g
-        s, state = step(a, k, div, h.gather, h.own)
+        s, state = step(a, k, div, h.alone, h.own)
         sign *= s
         if not sign:
             break
@@ -563,14 +566,14 @@ def det_bareiss(m: SquareMatrix):
     return _eliminate(need(m, SquareMatrix).entries, 1)
 
 
-def _det_step(a, k, div, gather, own):
+def _det_step(a, k, div, alone, own):
     """Rows k, k+1 of det_bareiss as one block: nonzero pivots a[k][k] and
     c0 by row swaps, and (s, [c0, rho_i, omega_i of each row i own(k+2, n)
     gives]) with rho_i and omega_i the 2 x 2 minors on columns k, k+1 and
     rows k, i and k+1, i, each over ``div``."""
     n, s = len(a), 1
     if a[k][k] == 0:
-        gather(k)
+        alone()
         t = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
         if t is None:  # column k is zero from the diagonal down
             return 0, None
@@ -580,7 +583,7 @@ def _det_step(a, k, div, gather, own):
     p, u, x, y = rk[k], rk[k + 1], rr[k], rr[k + 1]
     c0 = (p * y - u * x) // div
     if c0 == 0:  # search column k+1 after one step
-        gather(k)
+        alone()
         t = next((i for i in range(k + 2, n) if p * a[i][k + 1] != u * a[i][k]), None)
         if t is None:
             return 0, None
@@ -707,7 +710,7 @@ def pf_fraction_free(a):
     return _eliminate(a, 2)
 
 
-def _pf_step(a, k, div, gather, own):
+def _pf_step(a, k, div, alone, own):
     """Indices k .. k+3 of pf_fraction_free as one block: nonzero pivots
     a[k][k+1] and P' = Pf(block) / div by swaps of index k+1 or k+3 with a
     later index, and (s, [P', tau_0, tau_1, tau_2, tau_3 of each row i
@@ -718,7 +721,7 @@ def _pf_step(a, k, div, gather, own):
         t = next((j for j in range(k + 2, n) if r0[j] != 0), None)
         if t is None:  # row k is zero
             return 0, None
-        gather(k)
+        alone()
         _pf_swap(a, k, k + 1, t)
         s = -1
     r1, r2, r3 = a[k + 1], a[k + 2], a[k + 3]
@@ -732,7 +735,7 @@ def _pf_step(a, k, div, gather, own):
         t = next((j for j in range(k + 4, n) if one_step(j) != 0), None)
         if t is None:
             return 0, None
-        gather(k)
+        alone()
         _pf_swap(a, k, k + 3, t)
         s = -s
         q = one_step(k + 3) // div

@@ -31,13 +31,14 @@ class SquareMatrix:
     Fractions or QuadExt values, or the Z[sqrt(D)] pairs of the fast paths'
     integer layer; any other entry raises DomainError.
 
-    One scan of the entries on construction sets ``skew`` (zero diagonal,
-    a_ij = -a_ji) and ``symmetric`` (a_ij = a_ji off the diagonal); a zero
-    off-diagonal part can be both.  ``kind`` is read from these facts,
-    skew before symmetric: "skew", "symmetric" or "general".
+    ``skew`` (a_ij = -a_ji for j >= i, so a zero diagonal) and
+    ``symmetric`` (a_ij = a_ji for j > i) scan the entries each time they
+    are read, and only then; a zero off-diagonal part can be both.
+    ``kind`` is read from them, skew before symmetric: "skew",
+    "symmetric" or "general".
     """
 
-    __slots__ = ("n", "entries", "skew", "symmetric")
+    __slots__ = ("n", "entries")
 
     def __init__(self, rows: Sequence[Sequence]):
         try:
@@ -56,22 +57,20 @@ class SquareMatrix:
                 for v in row:
                     if type(v) in rest:
                         exact(v, "matrix entries")
-        skew = all(entries[i][i] == 0 for i in range(n))
-        sym = True
-        for i, row in enumerate(entries):
-            for j in range(i + 1, n):
-                v, w = row[j], entries[j][i]
-                # a mirrored entry is often the same object: equal, no call
-                if sym and v is not w and v != w:
-                    sym = False
-                if skew and v != -w:
-                    skew = False
-            if not sym and not skew:
-                break
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "skew", skew)
-        object.__setattr__(self, "symmetric", sym)
+
+    @property
+    def skew(self) -> bool:
+        e = self.entries
+        return all(e[i][j] == -e[j][i] for i in range(self.n) for j in range(i, self.n))
+
+    @property
+    def symmetric(self) -> bool:
+        e = self.entries
+        # a mirrored entry is often the same object: equal, no call
+        return all(e[i][j] is e[j][i] or e[i][j] == e[j][i]
+                   for i in range(self.n) for j in range(i + 1, self.n))
 
     @property
     def kind(self) -> str:

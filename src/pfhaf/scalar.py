@@ -44,14 +44,19 @@ def unlimited_digits(convert, value):
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse "p/q" or "p" (optional sign) into an exact rational.
+    """Parse "p/q" or "p" (optional sign), or a decimal such as "1.5",
+    into an exact rational.
 
     Unicode minus signs are accepted so rendered values round-trip.
-    Anything but a string is refused with DomainError.
+    Anything but a string is refused with DomainError, and so is an
+    exponent ("1e9"): nine characters of one would be an integer of
+    millions of digits.
     """
     if not isinstance(text, str):
         raise DomainError(f'not a rational: {text!r} (write it as text, e.g. "3/4")')
     s = text.strip().replace("−", "-")
+    if "e" in s.lower():
+        raise DomainError(f"not a rational: {text!r} (write it as p/q or p, with no exponent)")
     try:
         return unlimited_digits(Fraction, s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -126,15 +126,7 @@ class BilinearForm(_Form):
         return self.a * self.d - self.b * self.c
 
     def __call__(self, x, y):
-        # Zero terms are skipped, and so is adding to a zero partial sum.
-        v = self.d
-        if self.c:
-            v = self.c * y + v if v else self.c * y
-        if self.b:
-            v = self.b * x + v if v else self.b * x
-        if self.a:
-            v = self.a * x * y + v if v else self.a * x * y
-        return v
+        return self.a * x * y + self.b * x + self.c * y + self.d
 
 
 @dataclass(frozen=True)
@@ -152,14 +144,7 @@ class SymmetricForm(_Form):
         return self.b * self.b - self.a * self.c
 
     def __call__(self, x, y):
-        # Zero terms are skipped, and so is adding to a zero partial sum:
-        # x + y at points in Q(sqrt(d)) is then one sum and one scaling.
-        v = self.c
-        if self.b:
-            v = self.b * (x + y) + v if v else self.b * (x + y)
-        if self.a:
-            v = self.a * x * y + v if v else self.a * x * y
-        return v
+        return self.a * x * y + self.b * (x + y) + self.c
 
 
 # -- the form at the points ------------------------------------------------
@@ -190,8 +175,7 @@ def _form_table(coeffs, xs, ys=None):
     F_ij with ys = xs over j > i.  The first zero in row-major order raises
     PoleError naming its pair.  A point enters only through the nonzero
     coefficients that read it, so an entry is a Z[sqrt(D)] pair exactly
-    when the form reads a point in Q(sqrt(d)), as form(x, y) is then a
-    QuadExt."""
+    when the form's nonzero terms read a point in Q(sqrt(d))."""
     a, b, c, d = coeffs
     ps, qs = xs
     rs, ss = xs if ys is None else ys
@@ -305,10 +289,7 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
     d_ij = p_j q_i - p_i q_j."""
     if not isinstance(power, int) or power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    return _schur(_table(pc, g, SymmetricForm), power)
-
-
-def _schur(h: _Homogeneous, power: int) -> SquareMatrix:
+    h = _table(pc, g, SymmetricForm)
     lp, qs = h.scale**power, h.xs[1]
     upper = [
         [

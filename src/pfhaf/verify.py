@@ -388,6 +388,12 @@ def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
     return pc, form, None
 
 
+# The largest size of a sweep whose identities have no kernel guard: the
+# largest guard, perm_ryser's.  Their O(n^3) cells would otherwise take any
+# number of sizes, each of any size.
+_SUITE_MAX = kernels.PERM_RYSER_MAX
+
+
 def _largest_size(identity: IdentityId):
     """(kernel, largest size) for an identity whose cells call a size-guarded
     exponential kernel, read from that kernel's guard; None for the others.
@@ -406,12 +412,14 @@ def _largest_size(identity: IdentityId):
 
 def _refuse_size(guards, size: int):
     """SizeError for the first of ``guards``, (identity, (kernel, largest
-    size)) in identity order, that ``size`` is beyond; nothing if none."""
+    size)) in identity order, that ``size`` is beyond; nothing if none.  A
+    kernel of None stands for the suite's cap (_SUITE_MAX)."""
     for identity, (kernel, largest) in guards:
         if size > largest:
+            where = f"the {kernel} guard" if kernel else "the suite's largest size"
             raise SizeError(
                 f"{identity.value} at size {unlimited_digits(str, size)} is beyond "
-                f"the {kernel} guard: {identity.value} supports sizes up to {largest}"
+                f"{where}: {identity.value} supports sizes up to {largest}"
             )
 
 
@@ -430,7 +438,8 @@ def run_suite(
     ints, a trial count that is not an int, and an ``only`` that holds
     anything but IdentityId members; one with a size beyond an identity's
     kernel guard is refused with SizeError, one beyond every guard as soon
-    as it is read.  Each refusal comes before any cell is computed.
+    as it is read.  When no selected identity has a kernel guard, _SUITE_MAX
+    stands in for one.  Each refusal comes before any cell is computed.
     """
     try:
         sizes = iter(sizes)
@@ -448,15 +457,17 @@ def run_suite(
     )
     guards = [(i, _largest_size(i)) for i in identities]
     guards = [(i, g) for i, g in guards if g is not None]
+    if not guards:  # only polynomial cells: the suite's cap bounds them
+        guards = [(i, (None, _SUITE_MAX)) for i in identities]
     # A size beyond every guard is refused as it is read, so a long or
     # endless iterable is never held; the others are refused once all are
     # read, naming the largest size.
-    largest = max((g[1] for _, g in guards), default=None)
+    largest = max(g[1] for _, g in guards)
     read = []
     for size in sizes:
         if not isinstance(size, int):
             raise DomainError(f"sizes must be ints, got {size!r}")
-        if largest is not None and size > largest:
+        if size > largest:
             _refuse_size(guards, size)
         read.append(size)
     sizes = sorted(read)

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from pfhaf.cli import build_parser, main
 from pfhaf.kernels import det_oracle, hf_oracle, perm_oracle, pf_oracle
 from pfhaf.scalar import parse_rat, render_scalar
-from pfhaf.verify import IdentityId, _largest_size
+from pfhaf import verify
+from pfhaf.verify import IdentityId
 from pfhaf.structured import (
     BilinearForm,
     PointConfig,
@@ -522,6 +523,21 @@ def test_verify_size_range_beyond_the_guards_refused_at_once(capsys):
     )
 
 
+def test_verify_polynomial_identities_capped_at_once(capsys, monkeypatch):
+    # SCHUR1 has no kernel guard; the suite's cap refuses the range at its
+    # size 26, as it reads it, before any cell runs.
+    monkeypatch.setattr(verify, "check_identity", None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--only", "SCHUR1", "--sizes", "1..3000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: SCHUR1 at size 26 is beyond the suite's largest size: "
+        "SCHUR1 supports sizes up to 25\n"
+    )
+
+
 def test_verify_size_list_is_sorted_and_each_size_once():
     sizes = build_parser().parse_args(["verify", "--sizes", "4,1..3,2..5,9..8"]).sizes
     assert list(sizes) == [1, 2, 3, 4, 5]
@@ -553,6 +569,27 @@ def test_malformed_csv_is_error(tmp_path, capsys, text, message):
     code, _, err = run(capsys, "eval", "--fn", "det", "--csv", str(path))
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("cell", ["1e1000000", "1e-1000000", "2E3"])
+def test_exponent_cell_is_refused_at_once(tmp_path, capsys, cell):
+    # Nine characters of exponent would be a million-digit integer, and
+    # rendering it would take minutes.
+    path = tmp_path / "m.csv"
+    path.write_text(f"{cell},0\n0,1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--fn", "det", "--csv", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == f"error: not a rational: {cell!r} (write it as p/q or p, with no exponent)\n"
+
+
+def test_exponent_point_is_refused(capsys):
+    code, out, err = run(capsys, "structured", "--xs=1e1000000,2", "--target", "pf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: not a rational: '1e1000000'")
 
 
 def test_missing_file_is_error(capsys):
@@ -588,7 +625,7 @@ CLI_SETTINGS = settings(max_examples=100, deadline=5000)
 RATIONALS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).map(str)
 CELLS = st.one_of(
     RATIONALS, RATIONALS, RATIONALS,
-    st.sampled_from(["", " ", "x", "1/0", "\u22122", "1.5", "\x00"]),
+    st.sampled_from(["", " ", "x", "1/0", "\u22122", "1.5", "\x00", "1e9", "1e-9", "2E3"]),
 )
 DECIMAL = st.one_of(st.none(), st.none(), st.integers(0, 30).map(str),
                     st.sampled_from(["-1", "x", "1e3"]))
@@ -640,7 +677,9 @@ def test_eval_grammar_ends_in_an_exit_code(tmp_path_factory, data, fn, algorithm
 def structured_argv(draw):
     target = draw(st.sampled_from(["det", "perm", "pf", "hafnian"] * 3 + ["hf"]))
     n = draw(st.integers(0, 4))
-    points = st.lists(st.one_of(RATIONALS, RATIONALS, RATIONALS, CELLS), min_size=n, max_size=n)
+    exponents = st.sampled_from(["-1e-9", "1e1000000"])
+    points = st.lists(st.one_of(RATIONALS, RATIONALS, RATIONALS, CELLS, exponents),
+                      min_size=n, max_size=n)
     # --xs=...: a list that starts with a minus sign is a value, not an option
     argv = ["structured", "--target", target, "--xs=" + ",".join(draw(points))]
     if draw(st.booleans()) if target in ("pf", "hafnian") else draw(st.integers(0, 5)):
@@ -662,7 +701,6 @@ def test_structured_grammar_ends_in_an_exit_code(argv):
 
 
 IDS = [i.value for i in IdentityId]
-EXPONENTIAL = [i.value for i in IdentityId if _largest_size(i)]  # size-guarded kernels
 
 
 @st.composite
@@ -677,7 +715,7 @@ def verify_argv(draw):
     elif kind == "beyond":
         lo = draw(st.integers(26, 10**12))
         sizes = draw(st.sampled_from([str(lo), f"{lo}..{lo + 10**6}"]))
-        only.append(draw(st.sampled_from(EXPONENTIAL)))
+        only.append(draw(st.sampled_from(IDS)))
     else:
         sizes = draw(st.sampled_from(["0", "4..1", "x", "1..", "", "-3..2"]))
     argv += ["--sizes", sizes, "--trials", draw(st.sampled_from(["1", "1", "2", "0", "x"]))]

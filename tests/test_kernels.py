@@ -1300,6 +1300,40 @@ def test_pf_two_pair_matches_known_value(kind, half, draw_zero, plant, seed):
     assert got * got == det(rows)
 
 
+def test_a_pivot_swap_reruns_a_shared_loop_alone(forks, monkeypatch):
+    # A zero second pivot at a late block, after block 0 has stripped: both
+    # sides end the shared loop there, the caller runs it again in one
+    # process, and the helper, idle, serves the next elimination.
+    ended = []  # per alone() call in this process: whether the loop was shared
+    alone = kernels._Halves.alone
+
+    def recording_alone(self):
+        ended.append(self.pipe is not None)
+        alone(self)
+
+    monkeypatch.setattr(kernels._Halves, "alone", recording_alone)
+    rng = random.Random(70)
+    a = entries(rng, PF_MIN, int, skew=True)
+    expected = pf(a)  # forks the helper on two CPUs
+    helper = kernels._HELPER.pid
+    n = PF_MIN + 4
+    rows, value = known_pf(rng, "int", n, (n - 2) // 4 - 1, plant=True)
+    got = pf(rows)
+    assert got == value and type(got) is int
+    assert got * got == det(rows)  # a swap at its first, zero, pivot
+    assert pf(a) == expected
+    b = entries(rng, DET_MIN, int)
+    expected = det(b)
+    n = DET_MIN + 2
+    rows, value = known_det(rng, "int", n, (n - 1) // 2 - 1, plant=True)
+    got = det(rows)
+    assert got == value != 0 and type(got) is int
+    assert det(b) == expected
+    assert kernels._HELPER.pid == helper
+    assert ended.count(True) == helpers(3)
+    assert forks[0] == helpers(7)
+
+
 # The script prints a line before any call, so the line sits unflushed in
 # stdout's buffer when the helper, and a child of the script, are forked;
 # either would print it twice if it flushed on exit.  At each check the

@@ -56,6 +56,18 @@ def test_parse_rejects_garbage():
         parse_rat("1/0")
 
 
+@pytest.mark.parametrize("text", ["1e9", "1E-9", "-2e3", "1e1000000", "1e-1000000", "1.5e2"])
+def test_parse_refuses_an_exponent(text):
+    message = rf"^not a rational: '{text}' \(write it as p/q or p, with no exponent\)$"
+    with pytest.raises(DomainError, match=message):
+        parse_rat(text)
+
+
+def test_parse_reads_decimals():
+    assert parse_rat("1.5") == F(3, 2)
+    assert parse_rat("-0.25") == F(-1, 4)
+
+
 @given(rats)
 def test_parse_render_round_trip(r):
     assert parse_rat(render_rat(r)) == r

@@ -443,6 +443,30 @@ def test_run_suite_refuses_an_endless_size_iterable_at_once(monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+def test_run_suite_caps_the_polynomial_identities_at_once(monkeypatch):
+    # No selected identity has a kernel guard: the suite's cap, 25, is
+    # refused as it is read, so 3 million sizes are never held.
+    monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    monkeypatch.setattr(verify, "make_instance", None)
+    start = time.perf_counter()
+    with pytest.raises(SizeError) as exc:
+        run_suite(1, range(1, 3_000_001), 1, only={IdentityId.SCHUR1})
+    assert str(exc.value) == (
+        "SCHUR1 at size 26 is beyond the suite's largest size: "
+        "SCHUR1 supports sizes up to 25"
+    )
+    with pytest.raises(SizeError, match="^CAUCHY1 at size 26 is beyond the suite's"):
+        run_suite(1, itertools.count(1), 1, only={IdentityId.SCHUR1, IdentityId.CAUCHY1})
+    with pytest.raises(SizeError, match="^DEGENERATE_PF at size 30 is beyond the suite's"):
+        run_suite(1, [3, 30], 1, only={IdentityId.DEGENERATE_PF})
+    assert time.perf_counter() - start < 1
+
+
+def test_run_suite_runs_a_polynomial_identity_at_the_cap():
+    (report,) = run_suite(1, [25], 1, only={IdentityId.DEGENERATE_PF})
+    assert report.passed and report.params["size"] == 25
+
+
 # With hf_recursive's guard at 2n <= 6 and perm_ryser's at n <= 3: the
 # kernel whose guard limits each identity, and the largest size it runs.
 SMALL_GUARDS = {
