@@ -38,5 +38,6 @@ class GenError(PfhafError):
 def need(value, cls):
     """value, refused with DomainError unless it is a ``cls``."""
     if not isinstance(value, cls):
-        raise DomainError(f"need a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"need {article} {cls.__name__}, got {type(value).__name__}")
     return value

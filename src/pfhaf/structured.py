@@ -548,6 +548,7 @@ class MoebiusMap:
 
 def sqrt_disc(disc: Fraction):
     """sqrt(b^2 - ac) as a Fraction when possible, else as a QuadExt element."""
+    disc = rational(disc, "discriminants")
     if rat_is_square(disc):
         return rat_sqrt(disc)
     return QuadExt(Fraction(0), Fraction(1), disc)

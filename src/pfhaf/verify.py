@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import kernels
-from .errors import DomainError, GenError, PoleError, SizeError
+from .errors import DomainError, GenError, PoleError, SizeError, need
 from .kernels import det_bareiss, hf_minors, perm_ryser, pf_elimination
 from .matrix import SquareMatrix
 from .report import IdentityReport
@@ -137,12 +137,12 @@ def gen_points(
     rejected while any pair hits a zero of the form, read from the integer
     table of the form at the points, with no Fraction made.  Raises
     GenError when the constraints cannot be met within the attempt budget,
-    DomainError for a count that is not an int or is negative, or a max_den
-    below 1.
+    DomainError for a seed, count, lo, hi or max_den that is not an int, a
+    negative count, a max_den below 1 or a no_pole that is not a form.
     """
-    for name, count in (("m", m), ("ys", ys)):
-        if count is not None and not isinstance(count, int):
-            raise DomainError(f"{name} must be an int, got {count!r}")
+    _ints(seed=seed, m=m, ys=0 if ys is None else ys, lo=lo, hi=hi, max_den=max_den)
+    if no_pole is not None and not isinstance(no_pole, (BilinearForm, SymmetricForm)):
+        raise DomainError(f"no_pole must be a form, got {type(no_pole).__name__}")
     if min(m, ys or 0) < 0:
         raise DomainError(f"point counts must be >= 0, got {min(m, ys or 0)}")
     if max_den < 1:
@@ -181,6 +181,7 @@ def gen_points(
 
 def gen_rank2(seed: int, n: int) -> Rank2Spec:
     """A rank <= 2 spec with all n^2 entries nonzero, deterministic per seed."""
+    _ints(seed=seed, n=n)
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = random.Random(seed)
@@ -193,6 +194,13 @@ def gen_rank2(seed: int, n: int) -> Rank2Spec:
         except PoleError:
             continue
     raise GenError("could not build a rank-2 spec with nonzero entries")
+
+
+def _ints(**values):
+    """DomainError naming the first of ``values`` that is not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an int, got {value!r}")
 
 
 def _gen_form(rng: random.Random, cls):
@@ -355,7 +363,11 @@ def _sub_seed(seed: int, identity: IdentityId, size: int, trial: int) -> int:
 
 
 def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
-    """Deterministic (pc, form, z) for one suite cell."""
+    """Deterministic (pc, form, z) for one suite cell, of a size >= 1."""
+    need(identity, IdentityId)
+    _ints(size=size, trial=trial)
+    if size < 1:
+        raise DomainError(f"size must be >= 1, got {size}")
     s = _sub_seed(seed, identity, size, trial)
     rng = random.Random(s)
 
@@ -493,6 +505,11 @@ def run_suite(
 
 
 def summarize(reports) -> dict:
+    """Counts of passed and failed reports, in all and per identity."""
+    try:
+        reports = [need(r, IdentityReport) for r in reports]
+    except TypeError:
+        raise DomainError(f"need an iterable of reports, got {type(reports).__name__}") from None
     by_id = {}
     for r in reports:
         bucket = by_id.setdefault(r.identity, [0, 0])

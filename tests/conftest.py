@@ -12,9 +12,10 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def time_limit():
-    """A SIGALRM guard on every test.  The kernels' helper process serves
-    every test in this process, so a deadlock in the order of its messages
-    could otherwise hang any test that reaches a helper threshold."""
+    """A SIGALRM guard on every test.  The elimination engine's helper
+    process (pfhaf.fraction_free._HELPER) serves every test in this
+    process, so a deadlock in the order of its messages could otherwise
+    hang any test that reaches a helper threshold."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return

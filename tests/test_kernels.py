@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import marshal
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pfhaf import kernels
+from pfhaf import fraction_free, kernels
 from pfhaf.errors import DomainError, SizeError
 from pfhaf.kernels import (
     det_bareiss,
@@ -486,7 +487,7 @@ def test_perm_ryser_on_cauchy_matches_fast_path():
 # scaled by 2^(_STRIP_BITS/2) times a product of small prime powers, so
 # every nonzero pivot is long enough for stripping to start at step 0.
 
-STRIP_HALF = 2 ** (kernels._STRIP_BITS // 2)
+STRIP_HALF = 2 ** (fraction_free._STRIP_BITS // 2)
 prime_powers = st.builds(
     lambda e: math.prod(p**k for p, k in zip((2, 3, 5, 7, 11), e)),
     st.lists(st.integers(0, 12), min_size=5, max_size=5),
@@ -820,11 +821,12 @@ def test_evaluate_oracle_only_on_request():
 #
 # det_bareiss from n = _DET_HALVES_MIN and pf_fraction_free from 2n =
 # _PF_HALVES_MIN share their row updates with the process's one helper when
-# the rows are ints and two CPUs are free.  These tests sit one step either
-# side of each threshold; the `forks` fixture counts the eliminations shared
-# with the helper (jobs), which is 0 on a machine with one CPU.
+# the rows are ints with a nonzero first pivot and two CPUs are free.  These
+# tests sit one step either side of each threshold; the `forks` fixture
+# counts the eliminations shared with the helper (jobs), which is 0 on a
+# machine with one CPU.
 
-PF_MIN, DET_MIN = kernels._PF_HALVES_MIN, kernels._DET_HALVES_MIN
+PF_MIN, DET_MIN = fraction_free._PF_HALVES_MIN, fraction_free._DET_HALVES_MIN
 TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
@@ -834,7 +836,7 @@ def forks(monkeypatch):
     the test; none is left at its end.  A SIGALRM guard turns a hang, such
     as a deadlock in the order of the helper's messages, into a failure."""
     count = [0]
-    share = kernels._HELPER.share
+    share = fraction_free._HELPER.share
 
     def counting_share(a, unit):
         pipe = share(a, unit)
@@ -844,14 +846,14 @@ def forks(monkeypatch):
     def hung(signum, frame):
         raise TimeoutError("a helper test ran for 60 s: a message-order deadlock?")
 
-    kernels._HELPER.stop()
-    monkeypatch.setattr(kernels._HELPER, "share", counting_share)
+    fraction_free._HELPER.stop()
+    monkeypatch.setattr(fraction_free._HELPER, "share", counting_share)
     before = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     yield count
     signal.alarm(0)
     signal.signal(signal.SIGALRM, before)
-    kernels._HELPER.stop()
+    fraction_free._HELPER.stop()
 
 
 def helpers(calls):
@@ -907,13 +909,13 @@ def test_helper_thresholds_keep_values_and_types(forks, scalar):
     above = pf(direct_sum(a, [[scalar(0), scalar(1)], [scalar(-1), scalar(0)]]))
     assert forks[0] == helpers(1)
     assert above == below and type(above) is type(below) is scalar
-    assert det(a) == below * below  # det at n = PF_MIN - 2 forks too
+    assert det(a) == below * below  # a zero first pivot: no job
     b = entries(rng, DET_MIN - 1, scalar)
     calls = forks[0]
     below = det(b)
     assert forks[0] == calls
     above = det(direct_sum(b, [[scalar(1)]]))
-    assert forks[0] == helpers(3)
+    assert forks[0] == helpers(2)
     assert above == below != 0 and type(above) is type(below) is scalar
 
 
@@ -954,7 +956,7 @@ def test_helper_zero_pivots_and_zero_rows(forks, scalar):
     c[DET_MIN - 1] = list(c[3])
     for value in (det(b), det(c)):
         assert value == 0 and type(value) is scalar
-    assert forks[0] == helpers(12)
+    assert forks[0] == helpers(10)  # a zero first pivot sends no job
 
 
 @pytest.mark.parametrize("scalar", [int, F])
@@ -998,10 +1000,10 @@ def test_helper_sends_rows_larger_than_a_pipe_buffer(forks):
 def planted(rng, small, skew=False):
     """(rows, factor): the int matrix ``small`` with row i and column j
     (index i when ``skew``) scaled by STRIP_HALF times 2^a on the caller's
-    rows and 3^b on the helper's (by the kernels' own kernels._side), so
+    rows and 3^b on the helper's (by the engine's own fraction_free._side), so
     that the two sides' gcds differ and only their gcd divides the block;
     factor is what the scaling multiplies det (or Pf) by."""
-    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if kernels._side(i) == 0
+    s = [STRIP_HALF * (2 ** rng.randint(3, 9) if fraction_free._side(i) == 0
                        else 3 ** rng.randint(2, 6)) for i in range(len(small))]
     rows = [[s[i] * s[j] * v for j, v in enumerate(row)] for i, row in enumerate(small)]
     return rows, math.prod(s) if skew else math.prod(s) ** 2
@@ -1305,22 +1307,22 @@ def test_a_pivot_swap_reruns_a_shared_loop_alone(forks, monkeypatch):
     # sides end the shared loop there, the caller runs it again in one
     # process, and the helper, idle, serves the next elimination.
     ended = []  # per alone() call in this process: whether the loop was shared
-    alone = kernels._Halves.alone
+    alone = fraction_free._Halves.alone
 
     def recording_alone(self):
         ended.append(self.pipe is not None)
         alone(self)
 
-    monkeypatch.setattr(kernels._Halves, "alone", recording_alone)
+    monkeypatch.setattr(fraction_free._Halves, "alone", recording_alone)
     rng = random.Random(70)
     a = entries(rng, PF_MIN, int, skew=True)
     expected = pf(a)  # forks the helper on two CPUs
-    helper = kernels._HELPER.pid
+    helper = fraction_free._HELPER.pid
     n = PF_MIN + 4
     rows, value = known_pf(rng, "int", n, (n - 2) // 4 - 1, plant=True)
     got = pf(rows)
     assert got == value and type(got) is int
-    assert got * got == det(rows)  # a swap at its first, zero, pivot
+    assert got * got == det(rows)  # a zero first pivot: one process
     assert pf(a) == expected
     b = entries(rng, DET_MIN, int)
     expected = det(b)
@@ -1329,9 +1331,41 @@ def test_a_pivot_swap_reruns_a_shared_loop_alone(forks, monkeypatch):
     got = det(rows)
     assert got == value != 0 and type(got) is int
     assert det(b) == expected
-    assert kernels._HELPER.pid == helper
-    assert ended.count(True) == helpers(3)
-    assert forks[0] == helpers(7)
+    assert fraction_free._HELPER.pid == helper
+    assert ended.count(True) == helpers(2)
+    assert forks[0] == helpers(6)
+
+
+@pytest.mark.parametrize("n", [DET_MIN, DET_MIN + 2])
+def test_a_zero_first_pivot_sends_no_job(forks, n):
+    # A skew matrix's diagonal is zero, so its det swaps at step 0 and at
+    # every later block: the loop runs in one process from the start.
+    a = entries(random.Random(71 + n), n, int, skew=True)
+    value = det(a)
+    assert value == pf(a) ** 2 != 0 and type(value) is int
+    assert forks[0] == 0
+
+
+def imported(module):
+    """The top-level names of the modules that ``module``'s source imports,
+    anywhere in it; a relative import counts as "pfhaf"."""
+    names = set()
+    with open(module.__file__) as fh:
+        for node in ast.walk(ast.parse(fh.read())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add("pfhaf" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_the_engine_stands_alone_and_kernels_starts_no_process():
+    # The import runs one way, kernels -> fraction_free, and every process,
+    # pipe and lock of the elimination lives in the engine.
+    engine = imported(fraction_free)
+    assert "pfhaf" not in engine and engine <= sys.stdlib_module_names
+    assert not imported(kernels) & {"os", "marshal", "atexit", "threading", "gc", "signal"}
+    assert kernels.eliminate is fraction_free.eliminate
 
 
 # The script prints a line before any call, so the line sits unflushed in
@@ -1341,8 +1375,9 @@ def test_a_pivot_swap_reruns_a_shared_loop_alone(forks, monkeypatch):
 # with one CPU; the helper must be gone once the script has exited.
 HYGIENE = """
 import json, os, random, signal, sys, time
-from pfhaf import kernels
-from pfhaf.kernels import pf_fraction_free, _PF_HALVES_MIN
+from pfhaf import fraction_free
+from pfhaf.fraction_free import _PF_HALVES_MIN
+from pfhaf.kernels import pf_fraction_free
 from pfhaf.structured import SymmetricForm, fast_cauchy_hafnian
 from pfhaf.verify import gen_points
 
@@ -1365,7 +1400,7 @@ def children():
 
 def only_helper():
     # The helper's pid when it is this process's only child, else None.
-    pid = kernels._HELPER.pid
+    pid = fraction_free._HELPER.pid
     if TWO_CPUS and pid is not None and children() == {pid}:
         return pid
     return None if TWO_CPUS or children() else 0
@@ -1396,7 +1431,7 @@ checks, pids = {}, []
 fast_cauchy_hafnian(gen_points(1, 40, max_den=1), SymmetricForm.from_name("x+y"))
 pids.append(only_helper())
 rows = skew(_PF_HALVES_MIN, 2, 16)
-rows[0][1] = 0  # a pivot swap at step 0
+rows[0][3] = rows[1][3] = rows[2][3] = 0  # a zero second pivot: a swap at step 0
 pf_fraction_free(rows)
 pids.append(only_helper())
 checks["exact"] = exact()
@@ -1418,9 +1453,9 @@ checks["replaced"] = helper is not None and (helper != pids[0] or not TWO_CPUS)
 # A forked child has its own helper, and the parent keeps using its own.
 child = os.fork()
 if child == 0:
-    ok = kernels._HELPER.pipe is None and exact() and only_helper() is not None and (
-        kernels._HELPER.pid != helper or not TWO_CPUS)
-    kernels._HELPER.stop()
+    ok = fraction_free._HELPER.pipe is None and exact() and only_helper() is not None and (
+        fraction_free._HELPER.pid != helper or not TWO_CPUS)
+    fraction_free._HELPER.stop()
     os._exit(0 if ok and not children() else 1)
 checks["child"] = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
 checks["parent_after_fork"] = exact() and only_helper() == helper
@@ -1442,10 +1477,10 @@ try:
     checks["raised"] = False
 except Alarm:
     checks["raised"] = True
-checks["after_raise"] = not children() and kernels._HELPER.pid is None
+checks["after_raise"] = not children() and fraction_free._HELPER.pid is None
 checks["exact_after_raise"] = exact() and only_helper() is not None
 print(json.dumps(checks))
-print(json.dumps(kernels._HELPER.pid))
+print(json.dumps(fraction_free._HELPER.pid))
 """
 
 

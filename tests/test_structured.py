@@ -25,6 +25,7 @@ from pfhaf.kernels import (
     pf_oracle,
 )
 from pfhaf.matrix import SquareMatrix
+from pfhaf.report import IdentityReport
 from pfhaf.scalar import QuadExt
 from pfhaf.structured import (
     BilinearForm,
@@ -42,7 +43,14 @@ from pfhaf.structured import (
     sqrt_disc,
     substitution_witness,
 )
-from pfhaf.verify import gen_points
+from pfhaf.verify import (
+    IdentityId,
+    check_identity,
+    gen_points,
+    gen_rank2,
+    make_instance,
+    summarize,
+)
 
 XPY = BilinearForm.from_name("x+y")
 GXPY = SymmetricForm.from_name("x+y")
@@ -327,6 +335,16 @@ INDEX_SETS = st.one_of(
     JUNK,
 )
 POWERS = st.one_of(st.integers(0, 3), st.sampled_from([1.0, 2.0, F(1)]), JUNK)
+# Counts and sizes of at most 6: the generators have no size cap.
+COUNTS = st.one_of(st.integers(-2, 6), JUNK)
+SEEDS = st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9), max_size=2), JUNK)
+IDS = st.one_of(st.sampled_from(IdentityId), st.just("MAIN1"), JUNK)
+RANK2 = st.builds(gen_rank2, st.integers(0, 9), st.integers(1, 4))
+REPORTS = st.one_of(
+    st.lists(st.one_of(st.builds(IdentityReport, st.sampled_from(["MAIN1", "CARLITZ"]),
+                                 st.just({}), passed=st.booleans()), JUNK), max_size=3),
+    JUNK,
+)
 LIBRARY = {
     pf_fraction_free: st.tuples(st.one_of(ROWS, square(ENTRY), JUNK)),
     hf_minors: st.tuples(MATRICES, INDEX_SETS),
@@ -338,16 +356,35 @@ LIBRARY = {
     build_hafnian_mat: st.tuples(POINTS, FORMS),
     fast_cauchy_perm: st.tuples(POINTS, FORMS),
     fast_cauchy_hafnian: st.tuples(POINTS, FORMS),
+    gen_points: st.tuples(SEEDS, COUNTS),
+    gen_rank2: st.tuples(SEEDS, COUNTS),
+    make_instance: st.tuples(SEEDS, IDS, COUNTS, COUNTS),
+    summarize: st.tuples(REPORTS),
+    sqrt_disc: st.tuples(st.one_of(SMALL, JUNK)),
+    moebius_for_form: st.tuples(FORMS),
+    check_identity: st.tuples(IDS, POINTS, st.one_of(FORMS, RANK2), st.one_of(SMALL, JUNK)),
+    substitution_witness: st.tuples(POINTS, FORMS),
+    cauchy_det_closed: st.tuples(POINTS, FORMS),
+    schur_pf_closed: st.tuples(POINTS, FORMS),
+}
+# Keyword-only arguments, for the entries that take them.
+KEYWORDS = {
+    gen_points: st.fixed_dictionaries({}, optional={
+        "positive": st.booleans(), "lo": st.one_of(st.integers(-9, 9), JUNK),
+        "hi": st.one_of(st.integers(-9, 99), JUNK), "max_den": st.one_of(st.integers(-1, 9), JUNK),
+        "no_pole": FORMS, "ys": st.one_of(st.none(), COUNTS),
+    }),
 }
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=1350, deadline=None)
 @given(st.data())
 def test_library_entries_raise_only_pfhaf_errors(data):
     entry = data.draw(st.sampled_from(list(LIBRARY)), label="entry")
     args = data.draw(LIBRARY[entry], label="args")
+    kwargs = data.draw(KEYWORDS.get(entry, st.just({})), label="kwargs")
     try:
-        entry(*args)
+        entry(*args, **kwargs)
     except PfhafError:
         pass
 

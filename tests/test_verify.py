@@ -15,6 +15,7 @@ from pfhaf.structured import (
     BilinearForm,
     PointConfig,
     SymmetricForm,
+    sqrt_disc,
     substitution_witness,
 )
 from pfhaf.verify import (
@@ -101,6 +102,32 @@ def test_gen_points_impossible_raises():
 )
 def test_counts_that_are_not_ints_are_refused(monkeypatch, call, message):
     monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sqrt_disc("a"), "need exact rational discriminants, got str; pass Fractions"),
+        (lambda: sqrt_disc(2.0), "need exact rational discriminants, got float; pass Fractions"),
+        (lambda: summarize(None), "need an iterable of reports, got NoneType"),
+        (lambda: summarize("ab"), "need an IdentityReport, got str"),
+        (lambda: summarize([1]), "need an IdentityReport, got int"),
+        (lambda: make_instance(1, "MAIN1", 1, 0), "need an IdentityId, got str"),
+        (lambda: make_instance(1, IdentityId.CARLITZ, 1.5, 0), "size must be an int, got 1.5"),
+        (lambda: make_instance(1, IdentityId.MAIN1, "a", 0), "size must be an int, got 'a'"),
+        (lambda: make_instance(1, IdentityId.MAIN1, -1, 0), "size must be >= 1, got -1"),
+        (lambda: gen_points(1, 2, lo=1.5), "lo must be an int, got 1.5"),
+        (lambda: gen_points(1, 2, hi=9.5), "hi must be an int, got 9.5"),
+        (lambda: gen_points(1, 2, max_den="a"), "max_den must be an int, got 'a'"),
+        (lambda: gen_points([1], 2), "seed must be an int, got [1]"),
+        (lambda: gen_points(1, 2, no_pole=3), "no_pole must be a form, got int"),
+        (lambda: gen_rank2(1, 1.5), "n must be an int, got 1.5"),
+    ],
+)
+def test_library_junk_is_refused_naming_the_argument(call, message):
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
