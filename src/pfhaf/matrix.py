@@ -11,7 +11,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, need
 from .scalar import QuadExt, _RootPair, exact
 
 # The entry types that need no domain check; Z[sqrt(D)] pairs need none either.
@@ -109,9 +109,10 @@ def minor(m: SquareMatrix, indices: Iterable[int]) -> SquareMatrix:
     """Submatrix with the 1-based rows and columns in ``indices`` removed.
 
     The order of the remaining rows/columns is preserved; removing matching
-    row/column pairs cannot break skew or symmetric entries.
+    row/column pairs cannot break skew or symmetric entries.  An ``m`` that
+    is not a SquareMatrix raises DomainError.
     """
-    removed = set(check_index_set(indices, m.n))
+    removed = set(check_index_set(indices, need(m, SquareMatrix).n))
     keep = [i for i in range(m.n) if i + 1 not in removed]
     rows = [[m.entries[i][j] for j in keep] for i in keep]
     return SquareMatrix(rows)

@@ -70,12 +70,15 @@ def _rat_text(r: Fraction) -> str:
 
 
 def render_rat(r: Fraction) -> str:
-    """Lossless textual form: "p/q", or "p" when the denominator is 1."""
-    return unlimited_digits(_rat_text, r)
+    """Lossless textual form: "p/q", or "p" when the denominator is 1;
+    anything but an int or Fraction raises DomainError."""
+    return unlimited_digits(_rat_text, rational(r))
 
 
 def rat_is_square(r: Fraction) -> bool:
-    """True iff r is the square of a rational."""
+    """True iff r is the square of a rational; anything but an int or
+    Fraction raises DomainError."""
+    r = rational(r)
     if r < 0:
         return False
     n, d = r.numerator, r.denominator
@@ -84,7 +87,8 @@ def rat_is_square(r: Fraction) -> bool:
 
 
 def rat_sqrt(r: Fraction) -> Fraction:
-    """Exact square root of a perfect-square rational."""
+    """Exact square root of a perfect-square rational; DomainError for
+    anything else."""
     if not rat_is_square(r):
         raise DomainError(f"{render_rat(r)} is not a rational square")
     return Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
@@ -354,4 +358,4 @@ def ring_quotient(num, den, ring=None):
 
 def render_scalar(value) -> str:
     """Render a Fraction, int or QuadExt for CLI/JSON output."""
-    return str(value) if isinstance(value, QuadExt) else render_rat(rational(value))
+    return str(value) if isinstance(value, QuadExt) else render_rat(value)

@@ -1,12 +1,14 @@
 """Seeded random instances and the exact verification suite.
 
-Every numbered identity gets an IdentityId; check_identity evaluates both
-sides of one instance with bit-exact rational arithmetic and run_suite
-sweeps identities x sizes x trials deterministically per seed.  Pointwise
-verification is sound here because each identity is an identity of
-rational functions: equality at more sample points than the degree bound
-certifies the identity itself, and the suite's defaults sample far beyond
-any single instance's degree.
+Every numbered identity gets an IdentityId and one row of _IDENTITIES, its
+(family, form class, named form), which the checks, the instance maker and
+the size guards all read; check_identity evaluates both sides of one
+instance with bit-exact rational arithmetic and run_suite sweeps identities
+x sizes x trials deterministically per seed.  Pointwise verification is
+sound here because each identity is an identity of rational functions:
+equality at more sample points than the degree bound certifies the identity
+itself, and the suite's defaults sample far beyond any single instance's
+degree.
 """
 
 from __future__ import annotations
@@ -54,25 +56,6 @@ class IdentityId(Enum):
     DEGENERATE_PF = "DEGENERATE_PF"
 
 
-# identity -> (family, form class, named form or None for a random one).
-# The bilinear families run over pairs (x_i, y_j), the symmetric ones over
-# a single x list of even length.
-_FORMS = {
-    IdentityId.CAUCHY1: ("DET", BilinearForm, "x+y"),
-    IdentityId.CAUCHY2: ("DET", BilinearForm, "1-xy"),
-    IdentityId.GEN_DET: ("DET", BilinearForm, None),
-    IdentityId.BORCH1: ("BORCH", BilinearForm, "x+y"),
-    IdentityId.BORCH2: ("BORCH", BilinearForm, "1-xy"),
-    IdentityId.GEN_BORCH: ("BORCH", BilinearForm, None),
-    IdentityId.SCHUR1: ("SCHUR", SymmetricForm, "x+y"),
-    IdentityId.SCHUR2: ("SCHUR", SymmetricForm, "1-xy"),
-    IdentityId.GEN_SCHUR: ("SCHUR", SymmetricForm, None),
-    IdentityId.MAIN1: ("MAIN", SymmetricForm, "x+y"),
-    IdentityId.MAIN2: ("MAIN", SymmetricForm, "1-xy"),
-    IdentityId.GEN_MAIN: ("MAIN", SymmetricForm, None),
-}
-
-
 @dataclass(frozen=True)
 class Rank2Spec:
     """Data for a rank <= 2 matrix a_ij = u_i*v_j + s_i*t_j with no zero
@@ -108,6 +91,33 @@ class Rank2Spec:
 
     def to_json(self) -> dict:
         return {k: [render_scalar(v) for v in getattr(self, k)] for k in "uvst"}
+
+
+# identity -> (family, form class, named form or None for a random one),
+# one row per identity.  The bilinear families run over pairs (x_i, y_j),
+# the symmetric ones over a single x list of even length; CARLITZ reads a
+# Rank2Spec and no points, and the classless families read points only.
+_IDENTITIES = {
+    IdentityId.CAUCHY1: ("DET", BilinearForm, "x+y"),
+    IdentityId.CAUCHY2: ("DET", BilinearForm, "1-xy"),
+    IdentityId.GEN_DET: ("DET", BilinearForm, None),
+    IdentityId.BORCH1: ("BORCH", BilinearForm, "x+y"),
+    IdentityId.BORCH2: ("BORCH", BilinearForm, "1-xy"),
+    IdentityId.GEN_BORCH: ("BORCH", BilinearForm, None),
+    IdentityId.SCHUR1: ("SCHUR", SymmetricForm, "x+y"),
+    IdentityId.SCHUR2: ("SCHUR", SymmetricForm, "1-xy"),
+    IdentityId.GEN_SCHUR: ("SCHUR", SymmetricForm, None),
+    IdentityId.MAIN1: ("MAIN", SymmetricForm, "x+y"),
+    IdentityId.MAIN2: ("MAIN", SymmetricForm, "1-xy"),
+    IdentityId.GEN_MAIN: ("MAIN", SymmetricForm, None),
+    IdentityId.LEMMA1: ("LEMMA1", None, None),
+    IdentityId.LEMMA2: ("LEMMA2", None, None),
+    IdentityId.CARLITZ: ("CARLITZ", Rank2Spec, None),
+    IdentityId.DEGENERATE_PF: ("DEGENERATE_PF", None, None),
+}
+# The families that read a sample point z, and the params key of each class.
+_Z_FAMILIES = ("LEMMA1", "LEMMA2")
+_PARAM_KEYS = {BilinearForm: "f", SymmetricForm: "g", Rank2Spec: "rank2"}
 
 
 # -- generators ------------------------------------------------------------
@@ -226,21 +236,81 @@ def _gen_z(rng: random.Random, xs) -> Fraction:
 # -- the identity checks ---------------------------------------------------
 
 
+def _lemma1(pc, form, z):
+    xs = pc.xs
+    if any(z == x or z == -x for x in xs):
+        raise DomainError("z must avoid +-x_k")
+    b = build_hafnian_mat(pc, SymmetricForm.from_name("x+y"))
+    # Hf(B) and its (k, l) minors, from one memo over B's index masks; each
+    # unordered pair carries the terms of both orders.
+    pairs = [(k, l) for k in range(len(xs)) for l in range(k + 1, len(xs))]
+    haf_b, *hafs = hf_minors(b, [(), *((k + 1, l + 1) for k, l in pairs)])
+    lhs = Fraction(0)
+    for (k, l), h in zip(pairs, hafs):
+        lhs += h / ((xs[k] - z) * (xs[l] + z)) + h / ((xs[l] - z) * (xs[k] + z))
+    return lhs, haf_b * sum(2 * x / (x * x - z * z) for x in xs)
+
+
+def _lemma2(pc, form, z):
+    xs = pc.xs
+    if any(z == -x for x in xs):
+        raise DomainError("z must avoid -x_k")
+    b = build_hafnian_mat(pc, SymmetricForm.from_name("x+y"))
+    m = len(xs)
+    # The (k, 2s) minors from one memo; Hf(B) itself is never computed.
+    hafs = hf_minors(b, [(k + 1, m) for k in range(m - 1)])
+    lhs = Fraction(0)
+    for k in range(m - 1):
+        prod = Fraction(1)
+        for i in range(m - 1):
+            if i != k:
+                prod *= (xs[k] + xs[i]) / (xs[k] - xs[i])
+        lhs += (xs[k] - z) / (xs[k] + z) ** 2 * prod * hafs[k]
+    lead = Fraction(1)
+    for i in range(m - 1):
+        lead *= (xs[i] - z) / (xs[i] + z)
+    return lhs, lead * sum(hafs[k] / (xs[k] + z) for k in range(m - 1))
+
+
+def _carlitz(pc, spec, z):
+    a = spec.matrix()
+    inv1 = SquareMatrix([[1 / v for v in row] for row in a.entries])
+    inv2 = SquareMatrix([[1 / v ** 2 for v in row] for row in a.entries])
+    return det_bareiss(inv2), det_bareiss(inv1) * perm_ryser(inv1)
+
+
+def _degenerate_pf(pc, form, z):
+    xs = pc.xs
+    m = len(xs)
+    rows = [[xs[j] - xs[i] for j in range(m)] for i in range(m)]
+    # x_j - x_i has rank <= 2, so the Pfaffian is 0 from m = 4 on; the
+    # empty matrix has Pfaffian 1.
+    rhs = xs[1] - xs[0] if m == 2 else Fraction(1 if m == 0 else 0)
+    return pf_elimination(SquareMatrix(rows)), rhs
+
+
+# family -> (lhs, rhs) of (pc, form, z), for the families _sides does not evaluate.
+_OTHER_SIDES = {
+    "LEMMA1": _lemma1, "LEMMA2": _lemma2, "CARLITZ": _carlitz, "DEGENERATE_PF": _degenerate_pf,
+}
+
+
 def _check(identity: IdentityId, pc, form, z):
     """Return (lhs, rhs, params) for one identity instance."""
     if not isinstance(identity, IdentityId):
         raise DomainError(f"unknown identity {identity!r}")
-    if identity is not IdentityId.CARLITZ and not isinstance(pc, PointConfig):
+    family, cls, name = _IDENTITIES[identity]
+    reads_points = cls is not Rank2Spec
+    if reads_points and not isinstance(pc, PointConfig):
         raise DomainError(
             f"{identity.value} requires a PointConfig, got {type(pc).__name__}"
         )
-    family, cls, name = _FORMS.get(identity, (None, None, None))
     # What the identity reads; anything else given is refused, not dropped.
     for what, given, reads in (
-        ("PointConfig", pc, identity is not IdentityId.CARLITZ),
+        ("PointConfig", pc, reads_points),
         ("y points", getattr(pc, "ys", None), cls is BilinearForm),
-        ("form", form, identity is IdentityId.CARLITZ or (cls and name is None)),
-        ("sample point z", z, identity in (IdentityId.LEMMA1, IdentityId.LEMMA2)),
+        ("form", form, cls is not None and name is None),
+        ("sample point z", z, family in _Z_FAMILIES),
     ):
         if given is not None and not reads:
             hint = f"; GEN_{family} takes one" if what == "form" and name else ""
@@ -251,87 +321,25 @@ def _check(identity: IdentityId, pc, form, z):
     if z is not None:
         z = exact(z, "sample point z")
         params["z"] = render_scalar(z)
-    elif identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
+    elif family in _Z_FAMILIES:
         raise DomainError(f"{identity.value} requires a sample point z")
-
+    if name is not None:
+        form = cls.from_name(name)
+    elif cls is not None and not isinstance(form, cls):
+        raise DomainError(
+            f"{identity.value} requires a {cls.__name__}, got {type(form).__name__}"
+        )
     if cls is not None:
-        if name is not None:
-            form = cls.from_name(name)
-        elif not isinstance(form, cls):
-            raise DomainError(
-                f"{identity.value} requires a {cls.__name__}, got {type(form).__name__}"
-            )
-        params["f" if cls is BilinearForm else "g"] = form.to_json()
-        lhs, rhs = _sides(family, _table(pc, form, cls))
-        if family == "MAIN" and name is not None:
-            # MAIN1/MAIN2 are printed with numerators x_i - x_j.  Negating
-            # the m x m skew matrix multiplies its Pfaffian by (-1)^{m/2},
-            # and so does flipping the m(m-1)/2 factors of the closed form.
-            sign = (-1) ** (len(pc.xs) // 2)
-            lhs, rhs = sign * lhs, sign * rhs
-        return lhs, rhs, params
-
-    if identity is IdentityId.LEMMA1:
-        xs = pc.xs
-        if any(z == x or z == -x for x in xs):
-            raise DomainError("z must avoid +-x_k")
-        g = SymmetricForm.from_name("x+y")
-        b = build_hafnian_mat(pc, g)
-        m = len(xs)
-        # Hf(B) and its (k, l) minors, from one memo over B's index masks.
-        pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
-        haf_b, *hafs = hf_minors(b, [(), *((k + 1, l + 1) for k, l in pairs)])
-        haf_minor = dict(zip(pairs, hafs))
-        lhs = Fraction(0)
-        for k in range(m):
-            for l in range(m):
-                if k != l:
-                    key = (k, l) if k < l else (l, k)
-                    lhs += haf_minor[key] / ((xs[k] - z) * (xs[l] + z))
-        rhs = haf_b * sum(2 * x / (x * x - z * z) for x in xs)
-        return lhs, rhs, params
-
-    if identity is IdentityId.LEMMA2:
-        xs = pc.xs
-        if any(z == -x for x in xs):
-            raise DomainError("z must avoid -x_k")
-        g = SymmetricForm.from_name("x+y")
-        b = build_hafnian_mat(pc, g)
-        m = len(xs)
-        # The (k, 2s) minors from one memo; Hf(B) itself is never computed.
-        hafs = hf_minors(b, [(k + 1, m) for k in range(m - 1)])
-        lhs = Fraction(0)
-        for k in range(m - 1):
-            prod = Fraction(1)
-            for i in range(m - 1):
-                if i != k:
-                    prod *= (xs[k] + xs[i]) / (xs[k] - xs[i])
-            lhs += (xs[k] - z) / (xs[k] + z) ** 2 * prod * hafs[k]
-        lead = Fraction(1)
-        for i in range(m - 1):
-            lead *= (xs[i] - z) / (xs[i] + z)
-        rhs = lead * sum(hafs[k] / (xs[k] + z) for k in range(m - 1))
-        return lhs, rhs, params
-
-    if identity is IdentityId.CARLITZ:
-        if not isinstance(form, Rank2Spec):
-            raise DomainError("CARLITZ requires a Rank2Spec")
-        params["rank2"] = form.to_json()
-        a = form.matrix()
-        inv1 = SquareMatrix([[1 / v for v in row] for row in a.entries])
-        inv2 = SquareMatrix([[1 / v ** 2 for v in row] for row in a.entries])
-        lhs = det_bareiss(inv2)
-        rhs = det_bareiss(inv1) * perm_ryser(inv1)
-        return lhs, rhs, params
-
-    # IdentityId.DEGENERATE_PF
-    xs = pc.xs
-    m = len(xs)
-    rows = [[xs[j] - xs[i] for j in range(m)] for i in range(m)]
-    lhs = pf_elimination(SquareMatrix(rows))
-    # x_j - x_i has rank <= 2, so the Pfaffian is 0 from m = 4 on; the
-    # empty matrix has Pfaffian 1.
-    rhs = xs[1] - xs[0] if m == 2 else Fraction(1 if m == 0 else 0)
+        params[_PARAM_KEYS[cls]] = form.to_json()
+    if family in _OTHER_SIDES:
+        return (*_OTHER_SIDES[family](pc, form, z), params)
+    lhs, rhs = _sides(family, _table(pc, form, cls))
+    if family == "MAIN" and name is not None:
+        # MAIN1/MAIN2 are printed with numerators x_i - x_j.  Negating
+        # the m x m skew matrix multiplies its Pfaffian by (-1)^{m/2},
+        # and so does flipping the m(m-1)/2 factors of the closed form.
+        sign = (-1) ** (len(pc.xs) // 2)
+        lhs, rhs = sign * lhs, sign * rhs
     return lhs, rhs, params
 
 
@@ -365,24 +373,18 @@ def _sub_seed(seed: int, identity: IdentityId, size: int, trial: int) -> int:
 def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
     """Deterministic (pc, form, z) for one suite cell, of a size >= 1."""
     need(identity, IdentityId)
-    _ints(size=size, trial=trial)
+    _ints(seed=seed, size=size, trial=trial)
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
+    family, cls, name = _IDENTITIES[identity]
     s = _sub_seed(seed, identity, size, trial)
     rng = random.Random(s)
-
-    if identity is IdentityId.CARLITZ:
+    if cls is Rank2Spec:
         return None, gen_rank2(s, size), None
-
-    entry = _FORMS.get(identity)
-    if entry is None:
+    if cls is None:
         pc = gen_points(rng.randrange(2**31), 2 * size)
-        z = None
-        if identity in (IdentityId.LEMMA1, IdentityId.LEMMA2):
-            z = _gen_z(rng, pc.xs)
-        return pc, None, z
+        return pc, None, _gen_z(rng, pc.xs) if family in _Z_FAMILIES else None
 
-    _, cls, name = entry
     form = pole_form = None
     if name is None:
         form = pole_form = _gen_form(rng, cls)
@@ -412,7 +414,7 @@ def _largest_size(identity: IdentityId):
     A size-s cell runs perm_ryser on s x s (BORCH, CARLITZ) or hf_recursive
     on 2s points (MAIN), and hf_minors, under hf_recursive's guard, on 2s
     points (LEMMA1) or on the (2s - 2)-point minors only (LEMMA2)."""
-    family = _FORMS.get(identity, (identity.value,))[0]
+    family = _IDENTITIES[identity][0]
     if family in ("BORCH", "CARLITZ"):
         return "perm_ryser", kernels.PERM_RYSER_MAX
     if family in ("MAIN", "LEMMA1"):
@@ -446,22 +448,28 @@ def run_suite(
     Failures do not stop the run; they are data.  Reports come back sorted
     by (identity, size, trial).  A sweep that would check nothing (no sizes,
     fewer than one trial, or an ``only`` that selects no identity) is
-    refused with DomainError, and so are sizes that are not an iterable of
-    ints, a trial count that is not an int, and an ``only`` that holds
-    anything but IdentityId members; one with a size beyond an identity's
+    refused with DomainError, and so are a seed that is not an int, sizes
+    that are not an iterable of ints, a trial count that is not an int, and
+    an ``only`` that is not an iterable of IdentityId members; one with a size beyond an identity's
     kernel guard is refused with SizeError, one beyond every guard as soon
     as it is read.  When no selected identity has a kernel guard, _SUITE_MAX
     stands in for one.  Each refusal comes before any cell is computed.
     """
+    _ints(seed=seed)
     try:
         sizes = iter(sizes)
     except TypeError:
         raise DomainError(f"sizes must be an iterable of ints, got {sizes!r}") from None
     if only is not None:
-        only = set(only)
-        stray = next((i for i in only if not isinstance(i, IdentityId)), None)
-        if stray is not None:
-            raise DomainError(f"only takes IdentityId members, got {stray!r}")
+        try:  # a str is one stray member, not an iterable of characters
+            only = {only} if isinstance(only, str) else set(only)
+        except TypeError:
+            raise DomainError(
+                f"only must be an iterable of IdentityId members, got {only!r}"
+            ) from None
+        stray = [i for i in only if not isinstance(i, IdentityId)]
+        if stray:
+            raise DomainError(f"only takes IdentityId members, got {stray[0]!r}")
         if not only:
             raise DomainError("only selects no identity")
     identities = sorted(

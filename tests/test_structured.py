@@ -24,9 +24,9 @@ from pfhaf.kernels import (
     pf_fraction_free,
     pf_oracle,
 )
-from pfhaf.matrix import SquareMatrix
+from pfhaf.matrix import SquareMatrix, minor
 from pfhaf.report import IdentityReport
-from pfhaf.scalar import QuadExt
+from pfhaf.scalar import QuadExt, rat_is_square, rat_sqrt, render_rat
 from pfhaf.structured import (
     BilinearForm,
     MoebiusMap,
@@ -49,6 +49,7 @@ from pfhaf.verify import (
     gen_points,
     gen_rank2,
     make_instance,
+    run_suite,
     summarize,
 )
 
@@ -329,16 +330,15 @@ FORMS = st.one_of(
     coeffs(4).map(lambda c: BilinearForm(*c)), coeffs(3).map(lambda c: SymmetricForm(*c)),
     st.sampled_from(["x+y", "1-xy"]).map(SymmetricForm.from_name), JUNK,
 )
-INDEX_SETS = st.one_of(
-    st.lists(st.one_of(st.lists(st.one_of(st.integers(-1, 7), JUNK), max_size=3),
-                       st.integers(0, 3), JUNK), max_size=3),
-    JUNK,
-)
+INDICES = st.lists(st.one_of(st.integers(-1, 7), JUNK), max_size=3)
+INDEX_SETS = st.one_of(st.lists(st.one_of(INDICES, st.integers(0, 3), JUNK), max_size=3), JUNK)
 POWERS = st.one_of(st.integers(0, 3), st.sampled_from([1.0, 2.0, F(1)]), JUNK)
 # Counts and sizes of at most 6: the generators have no size cap.
 COUNTS = st.one_of(st.integers(-2, 6), JUNK)
 SEEDS = st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9), max_size=2), JUNK)
 IDS = st.one_of(st.sampled_from(IdentityId), st.just("MAIN1"), JUNK)
+# Sizes and trial counts of at most 2: a sweep runs up to 16 x 2 x 2 cells.
+SUITE_COUNTS = st.one_of(st.integers(-1, 2), JUNK)
 RANK2 = st.builds(gen_rank2, st.integers(0, 9), st.integers(1, 4))
 REPORTS = st.one_of(
     st.lists(st.one_of(st.builds(IdentityReport, st.sampled_from(["MAIN1", "CARLITZ"]),
@@ -366,6 +366,12 @@ LIBRARY = {
     substitution_witness: st.tuples(POINTS, FORMS),
     cauchy_det_closed: st.tuples(POINTS, FORMS),
     schur_pf_closed: st.tuples(POINTS, FORMS),
+    run_suite: st.tuples(SEEDS, st.one_of(st.lists(SUITE_COUNTS, max_size=2), JUNK), SUITE_COUNTS,
+                         st.one_of(st.sets(IDS, max_size=3), IDS)),
+    render_rat: st.tuples(st.one_of(SMALL, JUNK)),
+    rat_sqrt: st.tuples(st.one_of(SMALL, JUNK)),
+    rat_is_square: st.tuples(st.one_of(SMALL, JUNK)),
+    minor: st.tuples(MATRICES, st.one_of(INDICES, JUNK)),
 }
 # Keyword-only arguments, for the entries that take them.
 KEYWORDS = {
@@ -377,7 +383,7 @@ KEYWORDS = {
 }
 
 
-@settings(max_examples=1350, deadline=None)
+@settings(max_examples=1725, deadline=None)
 @given(st.data())
 def test_library_entries_raise_only_pfhaf_errors(data):
     entry = data.draw(st.sampled_from(list(LIBRARY)), label="entry")

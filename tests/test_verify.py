@@ -10,7 +10,7 @@ from pfhaf import kernels, verify
 from pfhaf.errors import DomainError, GenError, PoleError, SizeError
 from pfhaf.kernels import det_bareiss, pf_elimination
 from pfhaf.matrix import SquareMatrix, minor
-from pfhaf.scalar import QuadExt
+from pfhaf.scalar import QuadExt, rat_is_square, rat_sqrt, render_rat
 from pfhaf.structured import (
     BilinearForm,
     PointConfig,
@@ -125,6 +125,13 @@ def test_counts_that_are_not_ints_are_refused(monkeypatch, call, message):
         (lambda: gen_points([1], 2), "seed must be an int, got [1]"),
         (lambda: gen_points(1, 2, no_pole=3), "no_pole must be a form, got int"),
         (lambda: gen_rank2(1, 1.5), "n must be an int, got 1.5"),
+        (lambda: make_instance(1.5, IdentityId.MAIN1, 1, 0), "seed must be an int, got 1.5"),
+        (lambda: make_instance("1.5", IdentityId.MAIN1, 1, 0), "seed must be an int, got '1.5'"),
+        (lambda: run_suite(None, [1], 1), "seed must be an int, got None"),
+        (lambda: render_rat("a"), "need exact rational scalars, got str; pass Fractions"),
+        (lambda: rat_sqrt("a"), "need exact rational scalars, got str; pass Fractions"),
+        (lambda: rat_is_square(None), "need exact rational scalars, got NoneType; pass Fractions"),
+        (lambda: minor(None, ()), "need a SquareMatrix, got NoneType"),
     ],
 )
 def test_library_junk_is_refused_naming_the_argument(call, message):
@@ -437,6 +444,24 @@ def test_run_suite_refuses_identity_names_in_only(monkeypatch):
         run_suite(1, [1], 1, only=["MAIN1"])
     with pytest.raises(DomainError, match="got 'MAIN1'"):
         run_suite(1, [1], 1, only=[IdentityId.MAIN2, "MAIN1"])
+
+
+@pytest.mark.parametrize(
+    "only, message",
+    [
+        # the whole str is named, not one of its characters
+        ("MAIN1", "only takes IdentityId members, got 'MAIN1'"),
+        (IdentityId.MAIN1,
+         "only must be an iterable of IdentityId members, got <IdentityId.MAIN1: 'MAIN1'>"),
+        (5, "only must be an iterable of IdentityId members, got 5"),
+        ({None}, "only takes IdentityId members, got None"),
+    ],
+)
+def test_run_suite_refuses_an_only_that_is_not_a_collection_of_members(monkeypatch, only, message):
+    monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
+    with pytest.raises(DomainError) as exc:
+        run_suite(1, [1], 1, only=only)
+    assert str(exc.value) == message
 
 
 def test_run_suite_refuses_sizes_beyond_a_kernel_guard(monkeypatch):
