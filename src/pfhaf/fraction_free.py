@@ -106,19 +106,15 @@ class _Halves:
     def __init__(self, a, unit: int, pipe=None, side: int = 0):
         self.a, self.unit, self.pipe, self.side = a, unit, pipe, side
 
-    def cells(self, i, k):
-        """Where row i's cells from step k on begin (Pf: right of the diagonal)."""
-        return k if self.unit == 1 else i + 1
-
     def pivots(self, k: int, part=None):
         """Make step k's block whole on this side, and return the gcd to
         divide by: 1 if ``part`` is None, else the gcd of both sides'."""
         if self.pipe is not None and k:
             a, block = self.a, range(k, min(k + 2 * self.unit, len(self.a)))
-            mine = [a[i][self.cells(i, k):] for i in block if _side(i) == self.side]
+            mine = [a[i][k:] for i in block if _side(i) == self.side]
             theirs, their_part = self._swap((mine, part))
             for i, got in zip((i for i in block if _side(i) != self.side), theirs):
-                a[i][self.cells(i, k):] = got
+                a[i][k:] = got
             if part is not None:
                 part = math.gcd(part, their_part)
         return 1 if part is None else part
@@ -165,13 +161,13 @@ def _exited(pid: int) -> bool:
 class _Helper:
     """This process's helper, which runs side 1 of every loop shared with
     it.  ``share`` sends it each job: the loop's ``unit`` and its cleared
-    rows (a Pfaffian's right of the diagonal).  A caller that raises
-    mid-loop stops it, and a helper found dead at a call is reaped and
-    replaced.  A child forked from this process drops the helper and its
-    pipe ends (``forget``), and atexit stops it.  The helper ignores
-    SIGINT, exits on EOF, holds no descriptor except its two pipe ends
-    (stdio is /dev/null, so a reader of this process's output sees EOF
-    when it exits) and ends in os._exit, flushing nothing it inherited.
+    rows, whole.  A caller that raises mid-loop stops it, and a helper
+    found dead at a call is reaped and replaced.  A child forked from this
+    process drops the helper and its pipe ends (``forget``), and atexit
+    stops it.  The helper ignores SIGINT, exits on EOF, holds no
+    descriptor except its two pipe ends (stdio is /dev/null, so a reader
+    of this process's output sees EOF when it exits) and ends in
+    os._exit, flushing nothing it inherited.
     It runs only the loop, marshal and os calls, which take no lock
     another thread of this process could hold at the fork.
     """
@@ -197,7 +193,7 @@ class _Helper:
             if self.pid is None:
                 self.lock.release()
                 return None
-            _send(self.pipe, (unit, a if unit == 1 else [r[i + 1:] for i, r in enumerate(a)]))
+            _send(self.pipe, (unit, a))
         except BaseException:
             self.stop()
             self.lock.release()
@@ -276,8 +272,6 @@ def _serve(inbox: int, outbox: int):
             unit, a = _receive(pipe)
         except EOFError:  # the caller has closed its end, or exited
             os._exit(0)
-        if unit == 2:
-            a = [[0] * (i + 1) + row for i, row in enumerate(a)]
         try:
             _steps(a, _Halves(a, unit, pipe, 1), True)
         except _Alone:  # the caller reruns the loop alone; wait for the next job
@@ -286,9 +280,10 @@ def _serve(inbox: int, outbox: int):
 
 def eliminate(cleared, unit: int, ints: bool):
     """The value of det (``unit`` 1) or Pf (``unit`` 2) on ``cleared``:
-    rows of Python ints (``ints``) or holding Z[sqrt(D)] pairs, a
-    Pfaffian's in its strict upper triangle with zeros elsewhere.  The
-    loop runs on a copy."""
+    rows of Python ints (``ints``) or holding Z[sqrt(D)] pairs.  A
+    Pfaffian's rows hold its strict upper triangle and must hold zeros on
+    and below the diagonal: the loop divides, takes gcds of and sends
+    every row from a block's first column on.  The loop runs on a copy."""
     a = [list(row) for row in cleared]
     share = ints and len(a) >= _KERNELS[unit][0] and a[0][unit - 1]
     pipe = _HELPER.share(a, unit) if share else None
@@ -318,8 +313,7 @@ def _steps(a, h: _Halves, ints: bool):
         if gamma > 1:
             scale *= gamma
             for i in chain(range(k, min(k + block, n)), h.own(k + block, n)):
-                c = h.cells(i, k)
-                a[i][c:] = [v // gamma for v in a[i][c:]]
+                a[i][k:] = [v // gamma for v in a[i][k:]]
         p = a[k][k + unit - 1]
         if k + unit == n:  # the value is sign c p, p the last pivot
             break
@@ -358,7 +352,7 @@ def _steps(a, h: _Halves, ints: bool):
         for m, i in enumerate(h.own(k + block, n)):
             update(a, k, i, m, state, div)
             if part is not None:
-                part = math.gcd(part, *a[i][h.cells(i, k + block):])
+                part = math.gcd(part, *a[i][k + block:])
     return sign * scale * p
 
 
@@ -473,8 +467,8 @@ def _pf_update(a, k, i, m, state, div):
 # quantities over div, the second pivot first and then those of each row
 # own(k + 2 unit, n) gives, in its order (2 per row for det, 4 for Pf).
 # update(a, k, i, m, state, div) writes the m-th of those rows, row i,
-# from _Halves.cells(i, k + 2 unit) on.  A last block of one pivot needs
-# neither.
+# right of column k + 1 (det) or of the diagonal (Pf).  A last block of
+# one pivot needs neither.
 _KERNELS = {1: (_DET_HALVES_MIN, _det_step, _det_update),
             2: (_PF_HALVES_MIN, _pf_step, _pf_update)}
 

@@ -22,7 +22,7 @@ from itertools import permutations
 from .errors import DomainError, SizeError, need
 from .fraction_free import eliminate
 from .matrix import SquareMatrix, check_index_set
-from .scalar import QuadExt, _RootPair, exact, ring_of, ring_parts, ring_quotient
+from .scalar import QuadExt, _RootPair, _ring_of, _ring_parts, _ring_quotient, exact
 
 DET_ORACLE_MAX = 8
 PERM_ORACLE_MAX = 8
@@ -107,13 +107,14 @@ def _integer_rows(rows, skew=False):
     or on pairs of ints in Z[sqrt(D)], with exact floor division.  Returns
     (a, den, ring, ints): the rows to run the kernel on (all Python ints
     if ints), and its value v on ``a`` gives the value on ``rows``, v
-    itself when den is None, else ring_quotient(v, den, ring).  That
+    itself when den is None, else _ring_quotient(v, den, ring).  That
     value's type follows the entries: all ints give an int, any Fraction
     a Fraction (even when every D_i is 1), any QuadExt a QuadExt.
 
-    Rows of ints and Z[sqrt(D)] pairs are run as they are.  Otherwise each
-    entry is num/den by scalar.ring_parts, D_i is the lcm of the dens in
-    row i, ``a`` holds the rows of D A, and den = prod(D_i): det and perm
+    Rows of ints and Z[sqrt(D)] pairs are run as they are (with ``skew``,
+    with zeros on and below the diagonal).  Otherwise each entry is
+    num/den by scalar._ring_parts, D_i is the lcm of the dens in row i,
+    ``a`` holds the rows of D A, and den = prod(D_i): det and perm
     are linear in each row, so det(D A) = prod(D_i) det(A) and
     perm(D A) = prod(D_i) perm(A).
 
@@ -127,13 +128,15 @@ def _integer_rows(rows, skew=False):
     cells = [row[i + 1:] for i, row in enumerate(rows)] if skew else rows
     kinds = {type(v) for row in cells for v in row}
     if all(issubclass(t, (int, _RootPair)) for t in kinds):
+        if skew:
+            rows = [[0] * (i + 1) + [*row] for i, row in enumerate(cells)]
         return rows, None, None, kinds <= {int}
     # Only pf_fraction_free's raw rows hold other entries: refuse the first.
     rest = {t for t in kinds if not issubclass(t, (int, Fraction, QuadExt))}
     if rest:
         exact(next(v for row in cells for v in row if type(v) in rest), "matrix entries")
-    ring = ring_of([v for row in cells for v in row]) if QuadExt in kinds else None
-    parts = [ring_parts(row) for row in cells]
+    ring = _ring_of([v for row in cells for v in row]) if QuadExt in kinds else None
+    parts = [_ring_parts(row) for row in cells]
     dens = [math.lcm(*ds) for _, ds in parts]
     a = [[n * (dd // d) for n, d in zip(*p)] for p, dd in zip(parts, dens)]
     if skew:
@@ -146,7 +149,7 @@ def _eliminate(rows, unit: int):
     """det (``unit`` 1) or Pf (``unit`` 2) of ``rows``: clear, eliminate, divide."""
     a, den, ring, ints = _integer_rows(rows, skew=unit == 2)
     value = eliminate(a, unit, ints)
-    return value if den is None else ring_quotient(value, den, ring)
+    return value if den is None else _ring_quotient(value, den, ring)
 
 
 # -- determinant -----------------------------------------------------------
@@ -225,7 +228,7 @@ def perm_ryser(m: SquareMatrix):
             total -= prod
         else:
             total += prod
-    return total if den is None else ring_quotient(total, den, ring)
+    return total if den is None else _ring_quotient(total, den, ring)
 
 
 # -- Pfaffian --------------------------------------------------------------

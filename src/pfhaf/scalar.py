@@ -11,8 +11,8 @@ identities, where sqrt(b^2 - a*c) enters the substitution constants.
 Under both lies one integer layer.  With d = n/m and D = n*m, sqrt(d) =
 sqrt(D)/m, so p + q*sqrt(d) = (P + Q sqrt(D))/R with ints P, Q and R > 0,
 and a QuadExt is held as its pair in Z[sqrt(D)] over R, as a Fraction is its
-numerator over its denominator.  ``ring_parts`` reads num/den off ints,
-Fractions and QuadExt; ``ring_quotient`` makes one Fraction or QuadExt.
+numerator over its denominator.  ``_ring_parts`` reads num/den off ints,
+Fractions and QuadExt; ``_ring_quotient`` makes one Fraction or QuadExt.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class QuadExt:
         ring = _ring(d)
         # p + q*sqrt(d) = p + (q/m)*sqrt(D)
         b, e = p.denominator, q.denominator * ring.root_den
-        return ring_quotient(ring(p.numerator * e, q.numerator * b), b * e)
+        return _ring_quotient(ring(p.numerator * e, q.numerator * b), b * e)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QuadExt is immutable; cannot assign to {name}")
@@ -155,7 +155,7 @@ class QuadExt:
         """other as (num, den), the num an int or a pair of this radicand."""
         if isinstance(other, QuadExt):
             if type(other.num) is not type(self.num):
-                ring_of([self, other])  # two radicands raise
+                _ring_of([self, other])  # two radicands raise
             return other.num, other.den
         r = other if type(other) is int else rational(other, "operands")
         return r.numerator, r.denominator
@@ -168,23 +168,23 @@ class QuadExt:
 
     def __add__(self, other):
         num, den = self._parts(other)
-        return ring_quotient(self.num * den + num * self.den, self.den * den)
+        return _ring_quotient(self.num * den + num * self.den, self.den * den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ring_quotient(-self.num, self.den)
+        return _ring_quotient(-self.num, self.den)
 
     def __sub__(self, other):
         num, den = self._parts(other)
-        return ring_quotient(self.num * den - num * self.den, self.den * den)
+        return _ring_quotient(self.num * den - num * self.den, self.den * den)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         num, den = self._parts(other)
-        return ring_quotient(self.num * num, self.den * den)
+        return _ring_quotient(self.num * num, self.den * den)
 
     __rmul__ = __mul__
 
@@ -192,16 +192,16 @@ class QuadExt:
         num, den = self._parts(other)
         if num == 0:
             raise DomainError("division by zero in quadratic extension")
-        return ring_quotient(self.num * den, self.den * num)
+        return _ring_quotient(self.num * den, self.den * num)
 
     def __rtruediv__(self, other):
         num, den = self._parts(other)
-        return ring_quotient(num, den, type(self.num)) / self
+        return _ring_quotient(num, den, type(self.num)) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError("only nonnegative integer powers are supported")
-        return ring_quotient(self.num**exponent, self.den**exponent, type(self.num))
+        return _ring_quotient(self.num**exponent, self.den**exponent, type(self.num))
 
     # Both sides are in lowest terms, so equal values have equal parts.
     def __eq__(self, other):
@@ -319,7 +319,7 @@ def _ring(d: Fraction) -> type:
     return type(f"Z[sqrt({n * m})]", (_RootPair,), attrs)
 
 
-def ring_of(values):
+def _ring_of(values):
     """The class of Z[sqrt(D)] pairs for the QuadExt among ``values``, or
     None when there is none.  QuadExt of two radicands raise DomainError."""
     radicands = {v.d for v in values if type(v) is QuadExt}
@@ -329,15 +329,15 @@ def ring_of(values):
     return _ring(radicands.pop()) if radicands else None
 
 
-def ring_parts(values):
+def _ring_parts(values):
     """(nums, dens) with values[k] = nums[k] / dens[k], dens positive ints: an
-    int's or Fraction's parts, a QuadExt's pair and den (ring_of checks radicands)."""
+    int's or Fraction's parts, a QuadExt's pair and den (_ring_of checks radicands)."""
     nums = [v.num if type(v) is QuadExt else v.numerator for v in values]
     dens = [v.den if type(v) is QuadExt else v.denominator for v in values]
     return nums, dens
 
 
-def ring_quotient(num, den, ring=None):
+def _ring_quotient(num, den, ring=None):
     """num / den for ints and Z[sqrt(D)] pairs, den nonzero: a Fraction when
     both are ints and no ``ring`` is given, else a QuadExt, in lowest terms,
     over the field of ``ring`` or of the pair among them: every QuadExt's maker."""

@@ -24,7 +24,7 @@ from that one table, and each value becomes at most one Fraction.  The
 det and Pf sides of the identity checks take the fast paths' integer
 routes (_det_cauchy, _pf_schur) and build no matrix of Fractions; the
 builders serve perm_ryser and hf_recursive.  A point in Q(sqrt(d)) has p
-in Z[sqrt(D)], a pair of ints (see scalar.ring_parts); the same code runs
+in Z[sqrt(D)], a pair of ints (see scalar._ring_parts); the same code runs
 on those pairs, and a value that reads one becomes one QuadExt.  The
 substitution witness maps the points on the same layer (_images).
 gen_points' pole test, which reads no shape, builds the table with
@@ -50,15 +50,15 @@ from .matrix import SquareMatrix
 from .report import IdentityReport
 from .scalar import (
     QuadExt,
+    _ring_of,
+    _ring_parts,
+    _ring_quotient,
     exact,
     rat_is_square,
     rat_sqrt,
     rational,
     render_rat,
     render_scalar,
-    ring_of,
-    ring_parts,
-    ring_quotient,
 )
 
 
@@ -212,14 +212,14 @@ def _homogeneous(form, xs, ys) -> _Homogeneous:
     """The form at the points in homogeneous coordinates, for _table and
     gen_points' pole test.  Points in Q(sqrt(d)) share one radicand (two
     raise DomainError); the first pole in row-major order raises PoleError."""
-    ring_of(xs if ys is None else (*xs, *ys))
+    _ring_of(xs if ys is None else (*xs, *ys))
     coeffs = [getattr(form, f.name) for f in fields(form)]
     if isinstance(form, SymmetricForm):
         coeffs.insert(2, coeffs[1])  # g is the bilinear form with B = C
     scale = math.lcm(*(c.denominator for c in coeffs))
     coeffs = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
-    hx = ring_parts(xs)
-    hy = None if ys is None else ring_parts(ys)
+    hx = _ring_parts(xs)
+    hy = None if ys is None else _ring_parts(ys)
     return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
 
 
@@ -277,7 +277,7 @@ def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatr
 def _cauchy(h: _Homogeneous, power: int) -> SquareMatrix:
     ss = h.ys[1]
     rows = [
-        [ring_quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
+        [_ring_quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
         for q, row in zip(h.xs[1], h.table)
     ]
     return SquareMatrix(rows)
@@ -293,7 +293,7 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
     lp, qs = h.scale**power, h.xs[1]
     upper = [
         [
-            ring_quotient(lp * d * (qi * qj) ** (power - 1), v**power)
+            _ring_quotient(lp * d * (qi * qj) ** (power - 1), v**power)
             for v, d, qj in zip(row, ds, qs[i + 1:])
         ]
         for i, (qi, row, ds) in enumerate(zip(qs, h.table, _differences(h.xs)))
@@ -314,7 +314,7 @@ def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
 def _hafnian(h: _Homogeneous) -> SquareMatrix:
     qs = h.xs[1]
     upper = [
-        [ring_quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
+        [_ring_quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
         for i, (qi, row) in enumerate(zip(qs, h.table))
     ]
     return SquareMatrix(_mirrored(upper, skew=False))
@@ -362,7 +362,7 @@ def cauchy_det_closed(pc: PointConfig, f: BilinearForm):
         (bc - ad)^{n(n-1)/2} * prod_{i<j} (x_j - x_i)(y_j - y_i)
                              / prod_{i,j} f(x_i, y_j)
     """
-    return ring_quotient(*_closed_form(_table(pc, f, BilinearForm)))
+    return _ring_quotient(*_closed_form(_table(pc, f, BilinearForm)))
 
 
 def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
@@ -372,7 +372,7 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 
     where the matrix is 2n x 2n.
     """
-    return ring_quotient(*_closed_form(_table(pc, g, SymmetricForm)))
+    return _ring_quotient(*_closed_form(_table(pc, g, SymmetricForm)))
 
 
 # -- the integer routes ----------------------------------------------------
@@ -475,7 +475,7 @@ def _sides(family: str, h: _Homogeneous):
     that matrix holds a QuadExt exactly where the table (det) or the table
     and the points (Pf) hold a Z[sqrt(D)] pair.
     """
-    rhs = ring_quotient(*_closed_form(h))
+    rhs = _ring_quotient(*_closed_form(h))
     power = 2 if family in ("BORCH", "MAIN") else 1
     if family in ("DET", "BORCH"):
         num, den = _det_cauchy(h, power)
@@ -484,7 +484,7 @@ def _sides(family: str, h: _Homogeneous):
         num, den = _pf_schur(h, power)
         reads = chain(h.xs[0], *h.table)
     ring = next((type(v) for v in reads if type(v) is not int), None)
-    lhs = ring_quotient(num, den, ring)
+    lhs = _ring_quotient(num, den, ring)
     if family == "BORCH":
         rhs *= perm_ryser(_cauchy(h, 1))
     elif family == "MAIN":
@@ -527,7 +527,7 @@ def _fast(pc: PointConfig, form, cls, route, degenerate: str):
     h = _table(pc, form, cls)
     num2, den2 = route(h, 2)
     num, den = _closed_form(h)
-    return ring_quotient(num2 * den, den2 * num)
+    return _ring_quotient(num2 * den, den2 * num)
 
 
 # -- Moebius substitution --------------------------------------------------
@@ -596,7 +596,7 @@ def _images(mob: MoebiusMap, points):
     points (p, q): with E the lcm of the map's coefficient denominators,
     P_i = E (A p_i + B q_i), Q_i = E (C p_i + D q_i) = E q_i u_i and
     S = E^2 (BC - AD) = E^2 s, ints or Z[sqrt(D)] pairs."""
-    nums, dens = ring_parts([mob.A, mob.B, mob.C, mob.D])
+    nums, dens = _ring_parts([mob.A, mob.B, mob.C, mob.D])
     e = math.lcm(*dens)
     a, b, c, d = (v * (e // w) for v, w in zip(nums, dens))
     ps, qs = points
@@ -641,7 +641,7 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
     at_points = _table(pc, g, SymmetricForm)  # a pole of g is named before the map's
     xs = pc.xs
     s = mob.B * mob.C - mob.A * mob.D
-    ring_of([*xs, s])  # points in another field than sqrt(b^2 - ac) raise
+    _ring_of([*xs, s])  # points in another field than sqrt(b^2 - ac) raise
     e, big_s, images = _images(mob, at_points.xs)
     if 0 in images[1]:
         # g has no pole at the map's own pole (s - b)/a; the map of the

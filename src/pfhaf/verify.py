@@ -402,18 +402,17 @@ def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
     return pc, form, None
 
 
-# The largest size of a sweep whose identities have no kernel guard: the
-# largest guard, perm_ryser's.  Their O(n^3) cells would otherwise take any
-# number of sizes, each of any size.
+# The largest size of an identity with no kernel guard, its cells O(n^3):
+# the largest guard, perm_ryser's.
 _SUITE_MAX = kernels.PERM_RYSER_MAX
 
 
 def _largest_size(identity: IdentityId):
-    """(kernel, largest size) for an identity whose cells call a size-guarded
-    exponential kernel, read from that kernel's guard; None for the others.
-    A size-s cell runs perm_ryser on s x s (BORCH, CARLITZ) or hf_recursive
-    on 2s points (MAIN), and hf_minors, under hf_recursive's guard, on 2s
-    points (LEMMA1) or on the (2s - 2)-point minors only (LEMMA2)."""
+    """(kernel, largest size) of an identity's cells: the guard of the
+    size-guarded exponential kernel they call, or (None, _SUITE_MAX) when
+    they call none.  A size-s cell runs perm_ryser on s x s (BORCH,
+    CARLITZ), or Hafnians under hf_recursive's guard on 2s points (MAIN,
+    LEMMA1) or on the (2s - 2)-point minors only (LEMMA2)."""
     family = _IDENTITIES[identity][0]
     if family in ("BORCH", "CARLITZ"):
         return "perm_ryser", kernels.PERM_RYSER_MAX
@@ -421,20 +420,19 @@ def _largest_size(identity: IdentityId):
         return "hf_recursive", kernels.HF_RECURSIVE_MAX // 2
     if family == "LEMMA2":
         return "hf_recursive", kernels.HF_RECURSIVE_MAX // 2 + 1
-    return None
+    return None, _SUITE_MAX
 
 
-def _refuse_size(guards, size: int):
-    """SizeError for the first of ``guards``, (identity, (kernel, largest
-    size)) in identity order, that ``size`` is beyond; nothing if none.  A
-    kernel of None stands for the suite's cap (_SUITE_MAX)."""
-    for identity, (kernel, largest) in guards:
-        if size > largest:
-            where = f"the {kernel} guard" if kernel else "the suite's largest size"
-            raise SizeError(
-                f"{identity.value} at size {unlimited_digits(str, size)} is beyond "
-                f"{where}: {identity.value} supports sizes up to {largest}"
-            )
+def _refuse_size(limits, size: int):
+    """SizeError for the first of ``limits``, (identity, (kernel, largest
+    size)) in identity order, that ``size`` is beyond.  A kernel of None
+    stands for the suite's cap (_SUITE_MAX)."""
+    identity, (kernel, largest) = next((i, g) for i, g in limits if size > g[1])
+    where = f"the {kernel} guard" if kernel else "the suite's largest size"
+    raise SizeError(
+        f"{identity.value} at size {unlimited_digits(str, size)} is beyond "
+        f"{where}: {identity.value} supports sizes up to {largest}"
+    )
 
 
 def run_suite(
@@ -450,10 +448,11 @@ def run_suite(
     fewer than one trial, or an ``only`` that selects no identity) is
     refused with DomainError, and so are a seed that is not an int, sizes
     that are not an iterable of ints, a trial count that is not an int, and
-    an ``only`` that is not an iterable of IdentityId members; one with a size beyond an identity's
-    kernel guard is refused with SizeError, one beyond every guard as soon
-    as it is read.  When no selected identity has a kernel guard, _SUITE_MAX
-    stands in for one.  Each refusal comes before any cell is computed.
+    an ``only`` that is not an iterable of IdentityId members.  The sweep's
+    size limit is the smallest of its identities' (_largest_size), and the
+    first size read beyond it is refused with SizeError at once, naming the
+    first identity whose limit it exceeds, so a long or endless iterable is
+    never held.  Each refusal comes before any cell is computed.
     """
     _ints(seed=seed)
     try:
@@ -475,20 +474,14 @@ def run_suite(
     identities = sorted(
         (i for i in IdentityId if only is None or i in only), key=lambda i: i.value
     )
-    guards = [(i, _largest_size(i)) for i in identities]
-    guards = [(i, g) for i, g in guards if g is not None]
-    if not guards:  # only polynomial cells: the suite's cap bounds them
-        guards = [(i, (None, _SUITE_MAX)) for i in identities]
-    # A size beyond every guard is refused as it is read, so a long or
-    # endless iterable is never held; the others are refused once all are
-    # read, naming the largest size.
-    largest = max(g[1] for _, g in guards)
+    limits = [(i, _largest_size(i)) for i in identities]
+    largest = min(g[1] for _, g in limits)
     read = []
     for size in sizes:
         if not isinstance(size, int):
             raise DomainError(f"sizes must be ints, got {size!r}")
         if size > largest:
-            _refuse_size(guards, size)
+            _refuse_size(limits, size)
         read.append(size)
     sizes = sorted(read)
     if not sizes:
@@ -499,7 +492,6 @@ def run_suite(
         raise DomainError(f"trials_per_size must be an int, got {trials_per_size!r}")
     if trials_per_size < 1:
         raise DomainError(f"need at least one trial per size, got {trials_per_size}")
-    _refuse_size(guards, sizes[-1])
     reports = []
     for identity in identities:
         for size in sizes:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pfhaf.cli import build_parser, main
 from pfhaf.kernels import det_oracle, hf_oracle, perm_oracle, pf_oracle
 from pfhaf.scalar import parse_rat, render_scalar
-from pfhaf import verify
+from pfhaf import cli, verify
 from pfhaf.verify import IdentityId
 from pfhaf.structured import (
     BilinearForm,
@@ -131,6 +131,17 @@ def test_structured_det_crosscheck(capsys):
     )
     assert code == 0
     parse_rat(out.strip())  # printed value round-trips
+
+
+def test_structured_crosscheck_mismatch_fails(capsys, monkeypatch):
+    cls, fast, kernel, build = cli._TARGETS["det"]
+    monkeypatch.setitem(cli._TARGETS, "det", (cls, fast, lambda m: kernel(m) + 1, build))
+    code, out, err = run(
+        capsys, "structured", "--xs", "1,2", "--ys", "3,4", "--target", "det", "--crosscheck"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "crosscheck FAILED: fast=1/600 kernel=601/600\n"
 
 
 def test_structured_large_hafnian_completes_but_refuses_crosscheck(capsys):
@@ -511,15 +522,15 @@ def test_counts_past_the_int_string_limit(tmp_path, capsys):
 
 def test_verify_size_range_beyond_the_guards_refused_at_once(capsys):
     # The range is read lazily, and run_suite refuses its first size beyond
-    # every kernel guard as it reads it.
+    # the sweep's limit, the smallest guard, as it reads it.
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--sizes", "1..3000000")
     assert time.perf_counter() - start < 5
     assert code == 1
     assert out == ""
     assert err == (
-        "error: BORCH1 at size 26 is beyond the perm_ryser guard: "
-        "BORCH1 supports sizes up to 25\n"
+        "error: GEN_MAIN at size 12 is beyond the hf_recursive guard: "
+        "GEN_MAIN supports sizes up to 11\n"
     )
 
 

@@ -805,6 +805,11 @@ def test_kernels_refuse_what_is_not_a_square_matrix(kernel, m):
         kernel(m)
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+def test_every_kernel_gives_one_on_the_empty_matrix(kernel):
+    assert kernel(SquareMatrix([])) == 1
+
+
 def test_evaluate_refuses_an_unhashable_functional():
     with pytest.raises(DomainError, match="unknown functional"):
         evaluate(eye(2), ["det"])
@@ -1344,6 +1349,19 @@ def test_a_zero_first_pivot_sends_no_job(forks, n):
     value = det(a)
     assert value == pf(a) ** 2 != 0 and type(value) is int
     assert forks[0] == 0
+
+
+def test_a_shared_loop_reads_nothing_below_the_diagonal(forks):
+    # Int entries above the diagonal and a Fraction on and below it: the
+    # rows are run, and sent to the helper whole, with zeros there.
+    a = entries(random.Random(72), PF_MIN, int, skew=True)
+    rows = [[F(1, 3)] * (i + 1) + row[i + 1:] for i, row in enumerate(a)]
+    zeros = [[0] * (i + 1) + row[i + 1:] for i, row in enumerate(a)]
+    expected = pf_fraction_free(zeros)
+    jobs = forks[0]
+    got = pf_fraction_free(rows)
+    assert got == expected and type(got) is int
+    assert forks[0] - jobs == helpers(1)
 
 
 def imported(module):

@@ -93,6 +93,14 @@ def test_not_square_rejected():
         SquareMatrix([[F(1), F(2)], [F(3)]])
 
 
+def test_square_matrix_is_immutable_hashable_and_names_its_kind():
+    m = mat([[0, 1], [-1, 0]])
+    with pytest.raises(AttributeError, match="SquareMatrix is immutable"):
+        m.n = 3
+    assert len({m, mat([[0, 1], [-1, 0]])}) == 1
+    assert repr(m) == "SquareMatrix(n=2, kind='skew')"
+
+
 def test_minor_examples():
     m = mat([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]])
     sub = minor(m, (2, 4))

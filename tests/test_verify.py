@@ -10,7 +10,7 @@ from pfhaf import kernels, verify
 from pfhaf.errors import DomainError, GenError, PoleError, SizeError
 from pfhaf.kernels import det_bareiss, pf_elimination
 from pfhaf.matrix import SquareMatrix, minor
-from pfhaf.scalar import QuadExt, rat_is_square, rat_sqrt, render_rat
+from pfhaf.scalar import QuadExt, parse_rat, rat_is_square, rat_sqrt, render_rat
 from pfhaf.structured import (
     BilinearForm,
     PointConfig,
@@ -132,6 +132,10 @@ def test_counts_that_are_not_ints_are_refused(monkeypatch, call, message):
         (lambda: rat_sqrt("a"), "need exact rational scalars, got str; pass Fractions"),
         (lambda: rat_is_square(None), "need exact rational scalars, got NoneType; pass Fractions"),
         (lambda: minor(None, ()), "need a SquareMatrix, got NoneType"),
+        (lambda: parse_rat(3), 'not a rational: 3 (write it as text, e.g. "3/4")'),
+        (lambda: QuadExt(1, 1, 2) ** -1, "only nonnegative integer powers are supported"),
+        (lambda: SymmetricForm(0, 0, 0), "form must be nonzero"),
+        (lambda: BilinearForm(0, 0, 0, 0), "form must be nonzero"),
     ],
 )
 def test_library_junk_is_refused_naming_the_argument(call, message):
@@ -336,6 +340,9 @@ RANK2 = gen_rank2(1, 2)
         ("GEN_MAIN", XY, G, None, "GEN_MAIN takes no y points"),
         ("DEGENERATE_PF", XY, None, None, "DEGENERATE_PF takes no y points"),
         ("CARLITZ", XS, RANK2, None, "CARLITZ takes no PointConfig"),
+        ("LEMMA1", XS, None, F(3), r"z must avoid \+-x_k"),
+        ("LEMMA1", XS, None, F(-2), r"z must avoid \+-x_k"),
+        ("LEMMA2", XS, None, F(-4), "z must avoid -x_k"),
     ],
     ids=[
         "SCHUR1-form",
@@ -348,6 +355,9 @@ RANK2 = gen_rank2(1, 2)
         "GEN_MAIN-ys",
         "DEGENERATE_PF-ys",
         "CARLITZ-points",
+        "LEMMA1-z-at-x",
+        "LEMMA1-z-at-minus-x",
+        "LEMMA2-z-at-minus-x",
     ],
 )
 def test_check_identity_refuses_what_it_does_not_read(identity, pc, form, z, message):
@@ -475,20 +485,28 @@ def test_run_suite_refuses_sizes_beyond_a_kernel_guard(monkeypatch):
         "MAIN1 at size 12 is beyond the hf_recursive guard: "
         "MAIN1 supports sizes up to 11"
     )
-    with pytest.raises(SizeError, match="BORCH1 at size 26 .* sizes up to 25"):
+    # A sweep's limit is the smallest of its identities': the whole suite
+    # stops at GEN_MAIN's, BORCH1 alone at perm_ryser's.
+    with pytest.raises(SizeError) as exc:
         run_suite(1, range(1, 27), 1)
+    assert str(exc.value) == (
+        "GEN_MAIN at size 12 is beyond the hf_recursive guard: "
+        "GEN_MAIN supports sizes up to 11"
+    )
+    with pytest.raises(SizeError, match="BORCH1 at size 26 .* sizes up to 25"):
+        run_suite(1, range(1, 27), 1, only={IdentityId.BORCH1})
 
 
 def test_run_suite_refuses_an_endless_size_iterable_at_once(monkeypatch):
-    # A size beyond every selected guard is refused as it is read, so
+    # A size beyond the sweep's limit is refused as it is read, so
     # neither a range of 10^12 sizes nor an endless count is ever held.
     monkeypatch.setattr(verify, "check_identity", None)  # no cell may run
     start = time.perf_counter()
     with pytest.raises(SizeError) as exc:
         run_suite(1, range(1, 10**12), 1)
     assert str(exc.value) == (
-        "BORCH1 at size 26 is beyond the perm_ryser guard: "
-        "BORCH1 supports sizes up to 25"
+        "GEN_MAIN at size 12 is beyond the hf_recursive guard: "
+        "GEN_MAIN supports sizes up to 11"
     )
     with pytest.raises(SizeError, match="^MAIN1 at size 12 is beyond"):
         run_suite(1, itertools.count(1), 1, only={IdentityId.MAIN1, IdentityId.SCHUR1})
