@@ -128,6 +128,10 @@ def _digits(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    return _integer(text, "must be an integer")
+
+
 def _positive(text: str) -> int:
     value = _integer(text, "must be an integer >= 1")
     if value < 1:
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.set_defaults(func=cmd_structured)
 
     p_ver = sub.add_parser("verify", help="run the exact identity suite")
-    p_ver.add_argument("--seed", type=int, default=42)
+    p_ver.add_argument("--seed", type=_seed, default=42)
     p_ver.add_argument(
         "--sizes", type=_parse_sizes, default="1..3", help='e.g. "1..3" or "1,2,4"'
     )

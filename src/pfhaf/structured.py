@@ -156,9 +156,12 @@ class SymmetricForm(_Form):
 #
 # and g is the bilinear form with B = C, so G_ij = L q_i q_j g(x_i, x_j).
 # p_i and r_j are ints at rational points and Z[sqrt(D)] pairs at points in
-# Q(sqrt(d)); q_i and s_j are positive ints.  Only the witness's images
-# (_images) have denominators Q_i that may be negative or pairs, and the
-# integer routes, the closed form and _hafnian read those as well.
+# Q(sqrt(d)); q_i and s_j are positive ints.  The builders, the closed form
+# and the integer routes read q_i and s_j as the table's affine weights
+# (_Homogeneous.weights), and the coordinates only through the table and
+# _differences.  The witness's images (_images) carry unit weights: their
+# checks run projectively, so an image at infinity, (P_i, 0), is a point
+# like any other.
 
 
 def _pole(row, i: int, lo: int, symmetric: bool) -> PoleError:
@@ -198,14 +201,17 @@ def _form_table(coeffs, xs, ys=None):
 class _Homogeneous:
     """A form at its points in integer homogeneous coordinates: the scale L,
     the integer coefficients (A, B, C, D), the points xs = (p, q) and
-    ys = (r, s), and the table of _form_table.  ys is None when the pairs
-    are (x_i, x_j), j > i."""
+    ys = (r, s), the table of _form_table, and the affine weights
+    (x weights, y weights), the q_i and s_j that turn the projective values
+    into the values at x_i = p_i/q_i and y_j = r_j/s_j.  ys and the y
+    weights are None when the pairs are (x_i, x_j), j > i."""
 
     scale: int
     coeffs: tuple
     xs: tuple
     ys: tuple | None
     table: list
+    weights: tuple
 
 
 def _homogeneous(form, xs, ys) -> _Homogeneous:
@@ -220,7 +226,8 @@ def _homogeneous(form, xs, ys) -> _Homogeneous:
     coeffs = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
     hx = _ring_parts(xs)
     hy = None if ys is None else _ring_parts(ys)
-    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy))
+    weights = (hx[1], None if hy is None else hy[1])
+    return _Homogeneous(scale, coeffs, hx, hy, _form_table(coeffs, hx, hy), weights)
 
 
 def _table(pc: PointConfig, form, cls) -> _Homogeneous:
@@ -275,10 +282,10 @@ def build_cauchy(pc: PointConfig, f: BilinearForm, power: int = 1) -> SquareMatr
 
 
 def _cauchy(h: _Homogeneous, power: int) -> SquareMatrix:
-    ss = h.ys[1]
+    qs, ss = h.weights
     rows = [
         [_ring_quotient((h.scale * q * s) ** power, v**power) for v, s in zip(row, ss)]
-        for q, row in zip(h.xs[1], h.table)
+        for q, row in zip(qs, h.table)
     ]
     return SquareMatrix(rows)
 
@@ -290,7 +297,7 @@ def build_schur(pc: PointConfig, g: SymmetricForm, power: int = 1) -> SquareMatr
     if not isinstance(power, int) or power not in (1, 2):
         raise DomainError("power must be 1 or 2")
     h = _table(pc, g, SymmetricForm)
-    lp, qs = h.scale**power, h.xs[1]
+    lp, qs = h.scale**power, h.weights[0]
     upper = [
         [
             _ring_quotient(lp * d * (qi * qj) ** (power - 1), v**power)
@@ -312,7 +319,7 @@ def build_hafnian_mat(pc: PointConfig, g: SymmetricForm) -> SquareMatrix:
 
 
 def _hafnian(h: _Homogeneous) -> SquareMatrix:
-    qs = h.xs[1]
+    qs = h.weights[0]
     upper = [
         [_ring_quotient(h.scale * qi * qj, v) for v, qj in zip(row, qs[i + 1:])]
         for i, (qi, row) in enumerate(zip(qs, h.table))
@@ -350,7 +357,7 @@ def _closed_form(h: _Homogeneous):
         n //= 2
         power, weight = n * (n - 1), 1
     else:
-        power, weight = n * (n - 1) // 2, math.prod(h.xs[1]) * math.prod(h.ys[1])
+        power, weight = n * (n - 1) // 2, math.prod(chain(*h.weights))
         diffs += _differences(h.ys)
     num = (b * c - a * d) ** power * h.scale**n * weight * _product(diffs)
     return num, _product(h.table)
@@ -422,7 +429,7 @@ def _det_cauchy(h: _Homogeneous, power: int):
     rows = [quotients[i] for i in order]
     if power == 2:
         rows = [[u * u for u in row] for row in rows]
-    weight = h.scale ** len(order) * math.prod(h.xs[1]) * math.prod(h.ys[1])
+    weight = h.scale ** len(order) * math.prod(chain(*h.weights))
     det_n = det_bareiss(SquareMatrix(rows))
     return _sign(order) * weight**power * det_n, math.prod(lcms) ** power
 
@@ -454,7 +461,7 @@ def _pf_schur(h: _Homogeneous, power: int):
         + [quotients[i][j] * right[j][i] * dv for j, dv in enumerate(ds, i + 1)]
         for i, ds in enumerate(_differences([[v[k] for k in order] for v in h.xs]))
     ]
-    weight = h.scale ** (power * len(order) // 2) * math.prod(h.xs[1]) ** (power - 1)
+    weight = h.scale ** (power * len(order) // 2) * math.prod(h.weights[0]) ** (power - 1)
     return _sign(order) * weight * pf_fraction_free(mat), math.prod(dens)
 
 
@@ -568,18 +575,15 @@ def moebius_for_form(g: SymmetricForm) -> MoebiusMap:
         phi_i + phi_j = g(x_i, x_j) / (u_i u_j)
         phi_j - phi_i = -s (x_j - x_i) / (u_i u_j).
 
+    For a != 0 the map has its pole at (s - b)/a, where u vanishes; there
+    phi is infinity, a point the substitution witness takes like any other.
     Requires a nonzero discriminant.
     """
     if need(g, SymmetricForm).disc == 0:
         raise DegenerateFormError("b^2 - ac = 0: no Moebius reduction")
     if g.a == 0:
         return MoebiusMap(A=g.b, B=g.c / 2, C=Fraction(0), D=Fraction(1))
-    return _moebius_for_root(g, sqrt_disc(g.disc))
-
-
-def _moebius_for_root(g: SymmetricForm, s) -> MoebiusMap:
-    """The a != 0 map of moebius_for_form for the root s of b^2 - ac; its
-    pole is (s - b)/a."""
+    s = sqrt_disc(g.disc)
     return MoebiusMap(
         A=Fraction(1, 2) + 0 * s,
         B=(g.b + s) / (2 * g.a),
@@ -595,7 +599,8 @@ def _images(mob: MoebiusMap, points):
     """(E, S, (P, Q)) for the images phi(x_i) = P_i / Q_i of homogeneous
     points (p, q): with E the lcm of the map's coefficient denominators,
     P_i = E (A p_i + B q_i), Q_i = E (C p_i + D q_i) = E q_i u_i and
-    S = E^2 (BC - AD) = E^2 s, ints or Z[sqrt(D)] pairs."""
+    S = E^2 (BC - AD) = E^2 s, ints or Z[sqrt(D)] pairs.  The image of the
+    map's pole is infinity, (P_i, 0) with P_i nonzero."""
     nums, dens = _ring_parts([mob.A, mob.B, mob.C, mob.D])
     e = math.lcm(*dens)
     a, b, c, d = (v * (e // w) for v, w in zip(nums, dens))
@@ -620,11 +625,10 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
       * the generalized identities for g hold at the original points.
     All comparisons are bit-exact; any surviving odd power of sqrt(disc)
     shows up as a failed comparison, never as a guess.  A pole of g at the
-    points raises PoleError naming its pair, before the map's poles are
-    looked at.  A point at the map's own pole (s - b)/a selects the map of
-    the root -s instead; PoleError is raised only when the points hold the
-    poles of both.  lhs and rhs of the report are the two sides of the
-    generalized Pfaffian-Hafnian identity.
+    points raises PoleError naming its pair; it is the only pole refused.
+    A point at the map's pole (s - b)/a maps to infinity.  lhs and rhs of
+    the report are the two sides of the generalized Pfaffian-Hafnian
+    identity.
 
     Everything runs on the homogeneous layer: with x_i = p_i/q_i, the
     images are phi(x_i) = P_i/Q_i and u_i = Q_i/(E q_i) (_images), so the
@@ -633,31 +637,22 @@ def substitution_witness(pc: PointConfig, g: SymmetricForm) -> IdentityReport:
         P_j Q_i - P_i Q_j = -S d_ij   and   L (P_i Q_j + P_j Q_i) = E^2 G_ij
 
     between the differences and x + y tables at the images and the
-    differences and g table at the points, and the classical identities
-    run on the images' x + y table, whose Q_i may be pairs.
+    differences and g table at the points.  The classical identities run
+    on the images' x + y table with unit weights, that is projectively:
+    the affine weights Q_i would scale both sides of each alike, and no
+    entry, difference or weight divides by Q_i, so an image at infinity,
+    (P_i, 0), is checked like any other.
     """
     start = time.perf_counter()
     mob = moebius_for_form(g)
-    at_points = _table(pc, g, SymmetricForm)  # a pole of g is named before the map's
-    xs = pc.xs
+    at_points = _table(pc, g, SymmetricForm)  # a pole of g is named first
     s = mob.B * mob.C - mob.A * mob.D
-    _ring_of([*xs, s])  # points in another field than sqrt(b^2 - ac) raise
+    _ring_of([*pc.xs, s])  # points in another field than sqrt(b^2 - ac) raise
     e, big_s, images = _images(mob, at_points.xs)
-    if 0 in images[1]:
-        # g has no pole at the map's own pole (s - b)/a; the map of the
-        # other root -s moves it to (-s - b)/a.
-        hit = xs[images[1].index(0)]
-        mob, s = _moebius_for_root(g, -s), -s
-        e, big_s, images = _images(mob, at_points.xs)
-        if 0 in images[1]:
-            other = xs[images[1].index(0)]
-            raise PoleError(
-                f"Moebius map poles at {render_scalar(hit)} and "
-                f"{render_scalar(other)}, one for each root of b^2 - ac"
-            )
     field = "rational" if isinstance(s, Fraction) else f"Q(sqrt({render_rat(g.disc)}))"
     # The map is injective, so the images are distinct points.
-    at_images = _Homogeneous(1, _XPY, images, None, _form_table(_XPY, images))
+    unit = ([1] * len(images[0]), None)
+    at_images = _Homogeneous(1, _XPY, images, None, _form_table(_XPY, images), unit)
     scale, e2 = at_points.scale, e * e
     checks = {
         "entrywise_factorization": all(

@@ -190,10 +190,18 @@ def gen_points(
 
 
 def gen_rank2(seed: int, n: int) -> Rank2Spec:
-    """A rank <= 2 spec with all n^2 entries nonzero, deterministic per seed."""
+    """A rank <= 2 spec with all n^2 entries nonzero, deterministic per seed.
+    n is at most perm_ryser's guard: CARLITZ, which reads the spec, checks
+    no larger n, and the draws' rejections grow fast in n, so a larger n
+    raises SizeError before anything is drawn."""
     _ints(seed=seed, n=n)
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > kernels.PERM_RYSER_MAX:
+        raise SizeError(
+            f"n = {unlimited_digits(str, n)} is beyond the perm_ryser guard: "
+            f"gen_rank2 supports n up to {kernels.PERM_RYSER_MAX}"
+        )
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         u, v, s, t = (
@@ -366,16 +374,22 @@ def check_identity(
 
 
 def _sub_seed(seed: int, identity: IdentityId, size: int, trial: int) -> int:
+    seed, trial = (unlimited_digits(str, v) for v in (seed, trial))
     key = f"{seed}:{identity.value}:{size}:{trial}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
 def make_instance(seed: int, identity: IdentityId, size: int, trial: int):
-    """Deterministic (pc, form, z) for one suite cell, of a size >= 1."""
+    """Deterministic (pc, form, z) for one suite cell, of a size >= 1 and at
+    most the identity's largest (_largest_size; beyond it SizeError is
+    raised before anything is drawn)."""
     need(identity, IdentityId)
     _ints(seed=seed, size=size, trial=trial)
     if size < 1:
         raise DomainError(f"size must be >= 1, got {size}")
+    limit = _largest_size(identity)
+    if size > limit[1]:
+        _refuse_size([(identity, limit)], size)
     family, cls, name = _IDENTITIES[identity]
     s = _sub_seed(seed, identity, size, trial)
     rng = random.Random(s)

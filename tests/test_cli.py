@@ -520,6 +520,28 @@ def test_counts_past_the_int_string_limit(tmp_path, capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_verify_seed_past_the_int_string_limit(capsys):
+    # A seed of 5,000 digits is a seed like any other; junk is refused
+    # with a short echo, naming the option.
+    sevens = "7" * 5000
+    code, out, _ = run(
+        capsys, "verify", "--seed", sevens, "--sizes", "1", "--trials", "1",
+        "--only", "MAIN1",
+    )
+    assert code == 0
+    report, summary = map(json.loads, out.splitlines())
+    assert report["pass"] and summary["summary"]["passed"] == 1
+    code, err = refused(capsys, "verify", "--seed", "x")
+    assert code == 2
+    assert err.endswith("argument --seed: must be an integer, got 'x'\n")
+    code, err = refused(capsys, "verify", "--seed", sevens + "x")
+    assert code == 2
+    assert err.endswith(
+        f"argument --seed: must be an integer, got '{sevens[:20]}'... "
+        "(5001 characters)\n"
+    )
+
+
 def test_verify_size_range_beyond_the_guards_refused_at_once(capsys):
     # The range is read lazily, and run_suite refuses its first size beyond
     # the sweep's limit, the smallest guard, as it reads it.

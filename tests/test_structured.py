@@ -1145,10 +1145,18 @@ witness_forms = st.one_of(
 )
 
 
-@given(witness_forms, st.integers(1, 3).flatmap(lambda n: distinct_points(2 * n)))
-def test_witness_passes_or_names_the_pole_of_g(g, xs):
-    # for a != 0 the two maps' poles are the x with (a x + b)^2 = b^2 - ac
-    assume(g.a == 0 or sum((g.a * x + g.b) ** 2 == g.disc for x in xs) < 2)
+@given(
+    witness_forms,
+    st.integers(1, 3).flatmap(lambda n: distinct_points(2 * n)),
+    st.sets(st.sampled_from((1, -1))),
+)
+def test_witness_passes_or_names_the_pole_of_g(g, xs, roots):
+    # For a != 0 and a square disc s^2, the map's pole (s - b)/a and the
+    # other root's (-s - b)/a are rational; some draws plant them among
+    # the points.  Only a pole of g is refused.
+    if g.a and rat_is_square(g.disc):
+        poles = [(r * rat_sqrt(g.disc) - g.b) / g.a for r in sorted(roots)]
+        xs = list(dict.fromkeys(poles + xs))[: len(xs)]
     pc = PointConfig(xs)
     try:
         schur_pf_closed(pc, g)
@@ -1161,16 +1169,53 @@ def test_witness_passes_or_names_the_pole_of_g(g, xs):
     assert rep.passed and len(rep.params["checks"]) == 5
 
 
-def test_witness_takes_the_other_root_at_the_map_pole():
-    # g = xy - 1, s = 1: the map's pole is (s - b)/a = 1, where g has none
+def test_witness_maps_a_point_at_the_map_pole_to_infinity():
+    # g = xy - 1, s = 1: the map's pole is (s - b)/a = 1, where g has none,
+    # and phi(1) is infinity
     g = SymmetricForm(1, 0, -1)
     rep = substitution_witness(PointConfig([1, 2, 3, 5]), g)
     assert rep.passed and len(rep.params["checks"]) == 5
     assert rep.lhs == rep.rhs == "223/132300"
-    # 1 and -1 are the poles of the maps of both roots
-    with pytest.raises(PoleError, match="poles at 1 and -1") as exc:
-        substitution_witness(PointConfig([1, -1, 2, 3]), g)
-    assert exc.value.pair is None
+    # -1 is the pole of the other root's map, which the witness never takes
+    rep = substitution_witness(PointConfig([1, -1, 2, 3]), g)
+    assert rep.passed and len(rep.params["checks"]) == 5
+
+
+@pytest.mark.parametrize("xs", [[s2, 1, 3, 5], [s2, -s2, 1, 3]])
+def test_witness_maps_the_map_pole_to_infinity_in_q_sqrt2(xs):
+    # g = xy - 2, s = sqrt(2): the map's pole is sqrt(2), the other root's
+    # -sqrt(2)
+    rep = substitution_witness(PointConfig(xs), SymmetricForm(1, 0, -2))
+    assert rep.passed and len(rep.params["checks"]) == 5
+    assert rep.params["field"] == "Q(sqrt(2))"
+
+
+@pytest.mark.parametrize(
+    "xs, g",
+    [
+        ([1, 2, 3, 5], SymmetricForm(1, 0, -1)),
+        ([2, 3, 5, 1], SymmetricForm(1, 0, -1)),
+        ([1, -1, 2, 3], SymmetricForm(1, 0, -1)),
+        ([s2, 1, 3, 5], SymmetricForm(1, 0, -2)),
+        ([s2, -s2, 1, 3], SymmetricForm(1, 0, -2)),
+    ],
+)
+def test_witness_checks_an_image_at_infinity_with_nonzero_sides(monkeypatch, xs, g):
+    # The classical Pfaffian-Hafnian check at the images, with a point at
+    # the map's pole, compares two equal nonzero values.  Weighted by the
+    # images' Q_i, one of them 0, both sides would be 0 and pass vacuously.
+    original, calls = structured._sides, []
+
+    def recording(family, h):
+        out = original(family, h)
+        calls.append((family, out))
+        return out
+
+    monkeypatch.setattr(structured, "_sides", recording)
+    assert substitution_witness(PointConfig(xs), g).passed
+    assert [family for family, _ in calls] == ["SCHUR", "MAIN", "SCHUR", "MAIN"]
+    for _, (lhs, rhs) in calls:
+        assert lhs == rhs != 0
 
 
 @pytest.mark.parametrize(
@@ -1181,7 +1226,8 @@ def test_witness_takes_the_other_root_at_the_map_pole():
     ],
 )
 def test_witness_names_a_pole_of_g_before_the_map_poles(xs, message, pair):
-    # g = xy - 1: the maps of the two roots have their poles at 1 and -1
+    # g = xy - 1: 1 is the map's pole, -1 the other root's.  Neither is
+    # refused; a pole of g among the points is named first.
     with pytest.raises(PoleError) as exc:
         substitution_witness(PointConfig(xs), SymmetricForm(1, 0, -1))
     assert str(exc.value) == message and exc.value.pair == pair

@@ -497,6 +497,51 @@ def test_run_suite_refuses_sizes_beyond_a_kernel_guard(monkeypatch):
         run_suite(1, range(1, 27), 1, only={IdentityId.BORCH1})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: make_instance(1, IdentityId.MAIN1, 12, 0),
+            "MAIN1 at size 12 is beyond the hf_recursive guard: "
+            "MAIN1 supports sizes up to 11",
+        ),
+        (
+            lambda: make_instance(1, IdentityId.CARLITZ, 26, 0),
+            "CARLITZ at size 26 is beyond the perm_ryser guard: "
+            "CARLITZ supports sizes up to 25",
+        ),
+        (
+            lambda: make_instance(1, IdentityId.CAUCHY1, 10**100, 0),
+            f"CAUCHY1 at size {10**100} is beyond the suite's largest size: "
+            "CAUCHY1 supports sizes up to 25",
+        ),
+        (
+            lambda: gen_rank2(1, 26),
+            "n = 26 is beyond the perm_ryser guard: gen_rank2 supports n up to 25",
+        ),
+        (
+            lambda: gen_rank2(1, 10**100),
+            f"n = {10**100} is beyond the perm_ryser guard: "
+            "gen_rank2 supports n up to 25",
+        ),
+    ],
+)
+def test_instance_makers_refuse_sizes_beyond_the_guards(monkeypatch, call, message):
+    # refused before anything is drawn
+    monkeypatch.setattr(verify, "_random_rat", None)
+    with pytest.raises(SizeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_seed_and_trial_past_the_int_string_limit():
+    # more than CPython's 4,300 digits still name a sub-seed
+    (report,) = run_suite(10**4400, [1], 1, only={IdentityId.MAIN1})
+    assert report.passed
+    pc, form, z = make_instance(1, IdentityId.MAIN1, 1, 10**4400)
+    assert len(pc.xs) == 2 and form is None and z is None
+
+
 def test_run_suite_refuses_an_endless_size_iterable_at_once(monkeypatch):
     # A size beyond the sweep's limit is refused as it is read, so
     # neither a range of 10^12 sizes nor an endless count is ever held.
