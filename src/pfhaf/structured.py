@@ -385,31 +385,66 @@ def schur_pf_closed(pc: PointConfig, g: SymmetricForm):
 # -- the integer routes ----------------------------------------------------
 #
 # det(1/f^p) and Pf((x_j - x_i)/g^p), p in {1, 2}, run on the integers of
-# the homogeneous layer, at rational points and in Q(sqrt(d)) alike: each
-# row of 1/F^p or 1/G^p is cleared of denominators by the lcm of its
-# entries (_row_lcm_scaling), rows with smaller scalings are eliminated
-# first, and the integer det or Pf comes back as (num, den), ints or
-# Z[sqrt(D)] pairs, with the reordering's sign undone.  The fast paths
+# the homogeneous layer, at rational points and in Q(sqrt(d)) alike, scaled
+# by one staircase (_staircase).  The rows, and separately the columns, are
+# sorted by the increasing lcm of their entries, and each pair's factor
+# F_ij^p or G_ij^p goes to the later of its two indices in that order.  A
+# fraction-free elimination's entries after k pivots are minors on the
+# first k indices and one or two trailing ones, so they carry only the
+# factors of the pairs among the indices eliminated so far, not of every
+# point.  The integer det or Pf comes back as (num, den), ints or
+# Z[sqrt(D)] pairs, with the reorderings' signs undone.  The fast paths
 # divide it by _closed_form, the closed form as integers, and _sides
 # compares the two, so every value is one Fraction or QuadExt at the end.
 
 
-def _row_lcm_scaling(table):
-    """([l_i], quotients, order) with l_i = lcm_j of |T_ij| for an int entry
-    and of its norm |N(T_ij)| for a Z[sqrt(D)] pair, quotients[i][j] =
-    l_i / T_ij, integral (row i of 1/T scaled by l_i; for a pair,
-    (l_i / N(T_ij)) conj(T_ij)), and the indices sorted by increasing l_i.
+def _staircase(h: _Homogeneous, power: int):
+    """The staircase scaling of 1/T^power for the table T of h: (N, den,
+    rows, cols).  The rows go in the order ``rows`` and the columns in
+    ``cols``, each sorted by the increasing lcm of its entries over the
+    whole table, and each pair's factor goes to the later of its two
+    indices.  With i and j positions in those orders, for n x and n y
+    points
 
-    Eliminating in that order keeps the intermediates small: after k steps
-    of a fraction-free elimination they are k x k minors, which carry the
-    scalings of the first k rows, so the rows with the smallest scalings
-    go first.
+        R_i = lcm_{j <= i} F_ij^p,  C_j = lcm_{i < j} F_ij^p,
+        N_ij = R_i C_j / F_ij^p,    den = prod(R_i) prod(C_j),
+
+    so det(N) = den det(1/F^p) on the reordered table.  For 2n x points
+    one order serves both (G is symmetric) and, with D_0 = 1,
+
+        D_j = lcm_{i < j} G_ij^p,   N_ij = D_i D_j / G_ij^p (rows over j > i),
+        den = prod(D_i),
+
+    so Pf(d_ij N_ij) = den Pf(d_ij / G_ij^p) for any skew d.  The lcm reads
+    |T_ij| for an int and the norm |N(T_ij)| for a Z[sqrt(D)] pair, whose
+    quotient is (lcm / N(T_ij)) conj(T_ij).
     """
-    lcms = [
-        math.lcm(*(t if type(t) is int else t.norm() for t in row)) for row in table
+    t, symmetric = h.table, h.ys is None
+    if symmetric:  # rows over j > i: the whole symmetric table, 1 on the diagonal
+        t = [[t[j][i - j - 1] for j in range(i)] + [1] + t[i] for i in range(len(t))]
+    norms = [[v if type(v) is int else v.norm() for v in row] for row in t]
+    rows = sorted(range(len(t)), key=[math.lcm(*row) for row in norms].__getitem__)
+    cols = rows if symmetric else sorted(
+        range(len(t)), key=[math.lcm(*col) for col in zip(*norms)].__getitem__
+    )
+    t = [[t[i][j] for j in cols] for i in rows]
+    norms = [[norms[i][j] for j in cols] for i in rows]
+    rights = [math.lcm(*col[:j]) for j, col in enumerate(zip(*norms))]
+    if symmetric:
+        scaled = [
+            [(d * (c // v)) ** power for v, c in zip(row[i + 1:], rights[i + 1:])]
+            for i, (d, row) in enumerate(zip(rights, t))
+        ]
+        return scaled, math.prod(rights) ** power, rows, cols
+    lefts = [math.lcm(*row[:i + 1]) for i, row in enumerate(norms)]
+    scaled = [
+        [
+            ((r // v) * c if j <= i else r * (c // v)) ** power
+            for j, (v, c) in enumerate(zip(row, rights))
+        ]
+        for i, (r, row) in enumerate(zip(lefts, t))
     ]
-    quotients = [[l // v for v in row] for l, row in zip(lcms, table)]
-    return lcms, quotients, sorted(range(len(lcms)), key=lcms.__getitem__)
+    return scaled, (math.prod(lefts) * math.prod(rights)) ** power, rows, cols
 
 
 def _det_cauchy(h: _Homogeneous, power: int):
@@ -417,21 +452,19 @@ def _det_cauchy(h: _Homogeneous, power: int):
     of h, power in {1, 2}.
 
     In the homogeneous coordinates of _homogeneous, 1/f_ij^p =
-    (L q_i s_j)^p / F_ij^p.  Scaling row i by l_i^p, with l_i from
-    _row_lcm_scaling, makes N_ij = (l_i / F_ij)^p an integer matrix, and
+    (L q_i s_j)^p / F_ij^p.  With N = R (1/F^p) C the staircase scaling
+    of F (_staircase) and sigma, tau its row and column orders,
 
-        det(1/f^p) = L^{pn} prod(q_i^p) prod(s_j^p) det(N) / prod(l_i^p),
+        det(1/f^p) = sgn(sigma) sgn(tau) L^{pn} prod(q_i^p) prod(s_j^p)
+                     det(N) / (prod(R_i) prod(C_j)),
 
     with det(N) from det_bareiss on Python ints, or on Z[sqrt(D)] pairs at
     points in Q(sqrt(d)).
     """
-    lcms, quotients, order = _row_lcm_scaling(h.table)
-    rows = [quotients[i] for i in order]
-    if power == 2:
-        rows = [[u * u for u in row] for row in rows]
-    weight = h.scale ** len(order) * math.prod(chain(*h.weights))
-    det_n = det_bareiss(SquareMatrix(rows))
-    return _sign(order) * weight**power * det_n, math.prod(lcms) ** power
+    scaled, den, rows, cols = _staircase(h, power)
+    weight = h.scale ** len(rows) * math.prod(chain(*h.weights))
+    det_n = det_bareiss(SquareMatrix(scaled))
+    return _sign(rows) * _sign(cols) * weight**power * det_n, den
 
 
 def _pf_schur(h: _Homogeneous, power: int):
@@ -439,30 +472,26 @@ def _pf_schur(h: _Homogeneous, power: int):
     of h, power in {1, 2}.
 
     In the homogeneous coordinates of _homogeneous, (x_j - x_i)/g^p =
-    L^p (q_i q_j)^(p-1) d_ij / G_ij^p.  Scaling index i by D_i, the l_i of
-    _row_lcm_scaling on the whole symmetric table, makes D_i D_j d_ij /
-    G_ij^p an integer skew matrix M (d_ij (D_i/G_ij)(D_j/G_ij) for p = 2,
-    d_ij (D_i/G_ij) D_j for p = 1), and multilinearity of Pf gives
+    L^p (q_i q_j)^(p-1) d_ij / G_ij^p.  The staircase scaling of G
+    (_staircase) orders the points by sigma and gives index j the factor
+    D_j = lcm_{i < j} G_ij^p, so that M_ij = d_ij D_i (D_j / G_ij^p)
+    (i < j) is an integer skew matrix, and multilinearity of Pf gives
 
-        Pf((x_j - x_i)/g^p) = L^{pn} prod(q_i)^(p-1) Pf(M) / prod(D_i),
+        Pf((x_j - x_i)/g^p) = sgn(sigma) L^{pn} prod(q_i)^(p-1) Pf(M)
+                              / prod(D_i),
 
     with Pf(M) from pf_fraction_free, over Z[sqrt(D)] at points in
     Q(sqrt(d)).
     """
-    # The table holds j > i; the row lcms read the whole symmetric table,
-    # with 1 on the diagonal.
-    gs = h.table
-    full = [[gs[j][i - j - 1] for j in range(i)] + [1] + gs[i] for i in range(len(gs))]
-    dens, quotients, order = _row_lcm_scaling(full)
-    quotients = [[quotients[i][j] for j in order] for i in order]
-    right = quotients if power == 2 else [[dens[i]] * len(order) for i in order]
+    scaled, den, order, _ = _staircase(h, power)
     mat = [
-        [0] * (i + 1)
-        + [quotients[i][j] * right[j][i] * dv for j, dv in enumerate(ds, i + 1)]
-        for i, ds in enumerate(_differences([[v[k] for k in order] for v in h.xs]))
+        [0] * (i + 1) + [v * d for v, d in zip(row, ds)]
+        for i, (row, ds) in enumerate(
+            zip(scaled, _differences([[v[k] for k in order] for v in h.xs]))
+        )
     ]
     weight = h.scale ** (power * len(order) // 2) * math.prod(h.weights[0]) ** (power - 1)
-    return _sign(order) * weight * pf_fraction_free(mat), math.prod(dens)
+    return _sign(order) * weight * pf_fraction_free(mat), den
 
 
 # -- the structured identities ---------------------------------------------

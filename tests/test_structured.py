@@ -26,7 +26,7 @@ from pfhaf.kernels import (
 )
 from pfhaf.matrix import SquareMatrix, minor
 from pfhaf.report import IdentityReport
-from pfhaf.scalar import QuadExt, rat_is_square, rat_sqrt, render_rat
+from pfhaf.scalar import QuadExt, _RootPair, rat_is_square, rat_sqrt, render_rat
 from pfhaf.structured import (
     BilinearForm,
     MoebiusMap,
@@ -747,6 +747,102 @@ def test_builders_match_the_integer_routes(case, power):
         family = "SCHUR" if power == 1 else "MAIN"
     value = structured._sides(family, h)[0]
     assert value == expected and type(value) is type(expected)
+
+
+def _norm(v):
+    return v if type(v) is int else v.norm()
+
+
+@st.composite
+def staircase_cases(draw):
+    """A form and its points for the staircase scaling: n x and n y points
+    (n <= 5) for a bilinear form, 2n x points (2n <= 8) for a symmetric
+    one, all in Q, all in Q(sqrt(2)) or mixed.  In some draws the content
+    is planted: every point is a multiple of one prime, or the form is,
+    so that every entry of the table shares the prime."""
+    bilinear = draw(st.booleans())
+    roots = st.sampled_from([F(1), F(-1), F(1, 2)])
+    field = draw(st.sampled_from([
+        rationals12, st.builds(QuadExt, rationals12, roots, st.just(F(2))), field_points(F(2)),
+    ]))
+    n = draw(st.integers(1, 5 if bilinear else 4))
+    size = n if bilinear else 2 * n
+    prime = draw(st.sampled_from([2, 3, 7]))
+    planted = draw(st.sampled_from([None, "points", "form"]))
+    points = [
+        [prime * x if planted == "points" else x for x in xs]
+        for xs in (
+            draw(st.lists(field, min_size=size, max_size=size, unique=True))
+            for _ in range(2 if bilinear else 1)
+        )
+    ]
+    form = draw(layer_forms(BilinearForm if bilinear else SymmetricForm))
+    if planted == "form":
+        form = type(form)(*(prime * getattr(form, f.name) for f in fields(form)))
+    return form, points
+
+
+@settings(deadline=None, max_examples=200)
+@given(staircase_cases(), st.sampled_from([1, 2]))
+def test_staircase_scaling_is_exact_and_keeps_the_values(case, power):
+    # Each pair's factor T_ij^p goes to the later of its two indices: every
+    # scaled entry times T_ij^p gives back R_i C_j (D_i D_j for a symmetric
+    # form), the lcms recomputed here from the orders the scaling chose, and
+    # the integer routes keep the general kernels' values and types.
+    form, points = case
+    pc = PointConfig(*points)
+    bilinear = pc.ys is not None
+    try:
+        h = structured._table(pc, form, BilinearForm if bilinear else SymmetricForm)
+    except PoleError:
+        assume(False)
+    scaled, den, rows, cols = structured._staircase(h, power)
+    n = len(rows)
+    assert sorted(rows) == sorted(cols) == list(range(n))
+    if bilinear:
+        t = [[h.table[i][j] ** power for j in cols] for i in rows]
+        cells = {(i, j): scaled[i][j] for i in range(n) for j in range(n)}
+    else:
+        assert cols == rows
+        at = lambda i, j: 1 if i == j else h.table[min(i, j)][abs(j - i) - 1]
+        t = [[at(i, j) ** power for j in rows] for i in rows]
+        cells = {(i, j): scaled[i][j - i - 1] for i in range(n) for j in range(i + 1, n)}
+    rights = [math.lcm(*(_norm(row[j]) for row in t[:j])) for j in range(n)]
+    if bilinear:
+        lefts = [math.lcm(*map(_norm, row[:i + 1])) for i, row in enumerate(t)]
+        assert den == math.prod(lefts) * math.prod(rights)
+    else:
+        lefts = rights
+        assert den == math.prod(rights)
+    for (i, j), v in cells.items():
+        assert type(v) is int or isinstance(v, _RootPair)
+        assert v * t[i][j] == lefts[i] * rights[j], (i, j)
+    if bilinear:
+        expected = det_bareiss(build_cauchy(pc, form, power))
+        family = "DET" if power == 1 else "BORCH"
+    else:
+        expected = pf_elimination(build_schur(pc, form, power))
+        family = "SCHUR" if power == 1 else "MAIN"
+    value = structured._sides(family, h)[0]
+    assert value == expected and type(value) is type(expected)
+
+
+# sha256 of str() of every fast_cauchy_hafnian and fast_cauchy_perm value
+# over the benchmark's hafnian_fast and perm_fast seed-1 instances (2n = 24
+# to 56, n = 12 to 32), one line each, taken while the integer routes still
+# scaled each index by the lcm of its form values against all other points.
+FAST_GOLDEN = "3d6247024f01160c58fcb01c73f13be5d20d0cb43b29abf1d0d61792e0f193dc"
+
+
+def test_benchmark_fast_path_values_are_unchanged(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    digest = hashlib.sha256()
+    for build in (workloads.build_hafnian_fast, workloads.build_perm_fast):
+        for inst in build(1):
+            digest.update(str(workloads.run_op(inst)).encode() + b"\n")
+    assert digest.hexdigest() == FAST_GOLDEN
 
 
 # -- fast paths ------------------------------------------------------------
